@@ -36,9 +36,9 @@ from repro.graphdb import (
     PropertyGraph,
     explain_pattern,
     match_pattern,
-    match_pattern_unplanned,
     plan_pattern,
 )
+from repro.testing.oracles import match_pattern_unplanned
 
 N_NODES = int(os.environ.get("BENCH_GRAPH_NODES", "320"))
 EDGES_PER_NODE = 8

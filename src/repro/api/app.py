@@ -105,8 +105,12 @@ class CreateApplication:
 
     Args:
         store: document store holding report metadata + text.
-        indexer: populated dual index.
-        searcher: the CREATe-IR searcher over ``indexer``.
+        indexer: populated dual index.  When its keyword engine has a
+            ``stats()`` (the sharded serving tiers: shards, epochs,
+            cache hit rates, replica lag, promotions), ``/stats``
+            serves it as ``serving.engine``.
+        searcher: the CREATe-IR searcher over ``indexer``; its result
+            cache, when set, is served as ``serving.ir_cache``.
         grobid: publication parsing service.
         extractor: optional callable ``(doc_id, text) ->
             AnnotationDocument`` running NER + temporal extraction on
@@ -115,9 +119,6 @@ class CreateApplication:
             ``/stats`` serves its counter/timer snapshot.
         runtime_stats: optional callable returning pipeline run
             counters (dead letters, failures) for ``/stats``.
-        serving_stats: optional callable returning the sharded serving
-            layer's health (shards, epochs, cache hit rates, replica
-            lag, promotions) for ``/stats``.
         frontend_stats: optional callable returning the async front
             end's admission health (shed/timeout/retry counters,
             per-route latency percentiles) for ``/stats``.
@@ -137,7 +138,6 @@ class CreateApplication:
     validator: SchemaValidator = field(default_factory=SchemaValidator)
     metrics: "MetricsRegistry | None" = None
     runtime_stats: Callable[[], dict] | None = None
-    serving_stats: Callable[[], dict] | None = None
     frontend_stats: Callable[[], dict] | None = None
     durability: "DurabilityManager | None" = None
     review: ReviewQueue = field(default_factory=ReviewQueue)
@@ -374,9 +374,7 @@ class CreateApplication:
     def _delete_report(self, body: Any, params: dict, doc_id: str) -> Response:
         self._require_report(doc_id)
         self.store.collection("reports").delete_one({"_id": doc_id})
-        self.indexer.engine.delete(doc_id)
-        for node in self.indexer.graph.find_nodes(doc_id=doc_id):
-            self.indexer.graph.remove_node(node.node_id)
+        self.indexer.delete_report(doc_id)
         self._annotations.pop(doc_id, None)
         self.review.drop_document(doc_id)
         self._suggester = None  # vocabulary changed
@@ -427,8 +425,14 @@ class CreateApplication:
             payload["planner"] = planner_stats()
         if self.runtime_stats is not None:
             payload["pipeline"] = self.runtime_stats()
-        if self.serving_stats is not None:
-            payload["serving"] = self.serving_stats()
+        serving = {}
+        engine_stats = getattr(self.indexer.engine, "stats", None)
+        if engine_stats is not None:
+            serving["engine"] = engine_stats()
+        if self.searcher.cache is not None:
+            serving["ir_cache"] = self.searcher.cache.stats()
+        if serving:
+            payload["serving"] = serving
         if self.frontend_stats is not None:
             payload["frontend"] = self.frontend_stats()
         if self.metrics is not None:

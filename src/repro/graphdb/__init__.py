@@ -13,7 +13,6 @@ from repro.graphdb.match import (
     EdgePattern,
     GraphPattern,
     match_pattern,
-    match_pattern_unplanned,
 )
 from repro.graphdb.planner import (
     PlanStep,
@@ -36,7 +35,6 @@ __all__ = [
     "EdgePattern",
     "GraphPattern",
     "match_pattern",
-    "match_pattern_unplanned",
     "PlanStep",
     "QueryPlan",
     "plan_pattern",

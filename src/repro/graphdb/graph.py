@@ -82,6 +82,10 @@ class PropertyGraph:
         )
         # Planner observability (not journaled: derived, not state).
         self.planner_counters: dict[str, int] = {}
+        # Mutation counter: every node/edge (un)indexing and every
+        # restore advances it, so a cached read stamped with an older
+        # value can be recognised as stale (see repro.serving.cache).
+        self.epoch = 0
         self._next_edge_id = 0
         # Durability journal (repro.durability.Durable protocol): when a
         # manager attaches this graph, each mutation appends one
@@ -403,16 +407,19 @@ class PropertyGraph:
             self._incoming[target].append(edge.edge_id)
             self._index_edge(edge)
         self._next_edge_id = int(state.get("next_edge_id", 0))
+        self.epoch += 1
 
     # -- internals --------------------------------------------------------------
 
     def _index_node(self, node: Node) -> None:
+        self.epoch += 1
         for key in self._indexed_properties:
             value = node.properties.get(key)
             if _hashable(value):
                 self._property_index[key][value].add(node.node_id)
 
     def _unindex_node(self, node: Node) -> None:
+        self.epoch += 1
         for key in self._indexed_properties:
             value = node.properties.get(key)
             if _hashable(value):
@@ -424,6 +431,7 @@ class PropertyGraph:
                         del bucket[value]
 
     def _index_edge(self, edge: Edge) -> None:
+        self.epoch += 1
         self._edge_label_counts[edge.label] = (
             self._edge_label_counts.get(edge.label, 0) + 1
         )
@@ -431,6 +439,7 @@ class PropertyGraph:
         self._in_by_label[(edge.target, edge.label)].append(edge.edge_id)
 
     def _unindex_edge(self, edge: Edge) -> None:
+        self.epoch += 1
         count = self._edge_label_counts.get(edge.label, 0) - 1
         if count > 0:
             self._edge_label_counts[edge.label] = count

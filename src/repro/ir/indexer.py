@@ -26,7 +26,12 @@ from repro.temporal.relations import THREE_WAY_ALGEBRA
 
 @dataclass
 class IndexedReport:
-    """What the indexer recorded for one report."""
+    """What the dual index holds for one report.
+
+    ``contradiction_skips`` / ``closure_failed`` are index-time
+    diagnostics: set on the record :meth:`CreateIrIndexer.index_report`
+    returns, not recoverable from the stores afterwards.
+    """
 
     doc_id: str
     n_nodes: int
@@ -52,6 +57,11 @@ class CreateIrIndexer:
         close_temporal: transitively close temporal edges before
             indexing (set False for the "no temporal reasoning"
             ablation).
+
+    Any store pair works: ``engine`` may be the in-memory
+    :class:`SearchEngine`, a segment engine, or one of the sharded
+    serving tiers — the indexer only needs ``index`` / ``delete`` /
+    ``search`` / ``n_documents`` / ``epoch``.
     """
 
     def __init__(
@@ -73,7 +83,6 @@ class CreateIrIndexer:
         self.graph.create_property_index("entityType")
         self.graph.create_property_index("doc_id")
         self.graph.create_property_index("conceptId")
-        self._indexed: dict[str, IndexedReport] = {}
         # Degraded-indexing visibility: how many contradictory edges
         # were skipped and how many reports lost their transitive
         # closure entirely.  Surfaced through /stats and PipelineStats.
@@ -189,7 +198,7 @@ class CreateIrIndexer:
                     self.graph.add_edge(source, target, label, inferred=True)
                     inferred += 1
 
-        record = IndexedReport(
+        return IndexedReport(
             doc_id,
             len(node_ids),
             explicit,
@@ -197,8 +206,6 @@ class CreateIrIndexer:
             contradiction_skips=contradiction_skips,
             closure_failed=closure_failed,
         )
-        self._indexed[doc_id] = record
-        return record
 
     def index_annotation_document(self, doc_id, title, annotation_doc):
         """Convenience: index straight from an annotation document."""
@@ -230,9 +237,29 @@ class CreateIrIndexer:
             negated_span_ids=negated,
         )
 
+    def delete_report(self, doc_id: str) -> bool:
+        """Remove one report from both indexes; False when the keyword
+        index did not hold it."""
+        deleted = self.engine.delete(doc_id)
+        for node in self.graph.find_nodes(doc_id=doc_id):
+            self.graph.remove_node(node.node_id)
+        return deleted
+
+    # -- store views ---------------------------------------------------------
+
+    # Report accounting reads the stores instead of keeping a private
+    # ledger: keyword-only registrations, deletes and WAL recovery all
+    # reach the stores without passing through ``index_report``.
+
     @property
     def n_reports(self) -> int:
-        return len(self._indexed)
+        """Reports currently in the keyword index."""
+        return self.engine.n_documents
+
+    def epochs(self) -> tuple:
+        """``(graph.epoch, engine.epoch)`` — moves on every mutation of
+        either store; the validity stamp for cached search results."""
+        return (self.graph.epoch, self.engine.epoch)
 
     def stats(self) -> dict:
         """Aggregate indexing health counters (for ``/stats``)."""
@@ -243,5 +270,18 @@ class CreateIrIndexer:
         }
 
     def report_stats(self, doc_id: str) -> IndexedReport | None:
-        """Per-report indexing record (None when never indexed)."""
-        return self._indexed.get(doc_id)
+        """One report's graph footprint (None when it has no nodes)."""
+        nodes = self.graph.find_nodes(doc_id=doc_id)
+        if not nodes:
+            return None
+        inferred = [
+            bool(edge.get("inferred"))
+            for node in nodes
+            for edge in self.graph.out_edges(node.node_id)
+        ]
+        return IndexedReport(
+            doc_id,
+            len(nodes),
+            inferred.count(False),
+            inferred.count(True),
+        )

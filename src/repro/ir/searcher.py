@@ -29,6 +29,7 @@ from repro.schema.types import is_event_label
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.metrics import MetricsRegistry
+    from repro.serving.cache import QueryCache
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,6 +58,11 @@ class CreateIrSearcher:
         indexer: the populated :class:`CreateIrIndexer`.
         parser: query parser (None = accept only pre-parsed queries).
         relation_bonus: score bonus per matched query relation.
+
+    ``cache`` (public, ``None`` by default, set like ``metrics``) is an
+    optional fused-result cache: ``searcher.cache = QueryCache(n,
+    indexer.epochs)``.  String queries are then served from it while
+    neither store has mutated since the entry was computed.
     """
 
     def __init__(
@@ -70,12 +76,29 @@ class CreateIrSearcher:
         self._parser = parser
         self.relation_bonus = relation_bonus
         self.metrics = metrics
+        self.cache: "QueryCache | None" = None
 
     # -- public API ----------------------------------------------------------
 
     def search(self, query, size: int = 10) -> list[SearchResult]:
         """Search with a raw string (parsed) or a :class:`ParsedQuery`."""
         start = time.perf_counter()
+        key = None
+        stamp = None
+        if self.cache is not None and isinstance(query, str):
+            key = ("ir", query, size)
+            cached = self.cache.get(key)
+            if cached is not None:
+                if self.metrics is not None:
+                    self.metrics.increment("ir.searches")
+                    self.metrics.increment("ir.cache_hits")
+                    self.metrics.record(
+                        "ir.search_seconds", time.perf_counter() - start
+                    )
+                return list(cached)
+            # Stamp BEFORE executing: a mutation landing mid-query must
+            # make this entry stale at store time.
+            stamp = self._indexer.epochs()
         if isinstance(query, str):
             if self._parser is None:
                 parsed = ParsedQuery(text=query)
@@ -101,6 +124,8 @@ class CreateIrSearcher:
                 graph_ranked, keyword_ranked, size
             )
         ]
+        if key is not None:
+            self.cache.put(key, list(results), stamp=stamp)
         if self.metrics is not None:
             self.metrics.increment("ir.searches")
             self.metrics.increment("ir.graph_candidates", len(graph_ranked))

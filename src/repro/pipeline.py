@@ -23,7 +23,7 @@ from repro.corpus.pubmed import build_corpus
 from repro.crawler.crawler import Crawler, CrawlResult
 from repro.crawler.repository import SyntheticPubMed
 from repro.docstore.store import DocumentStore
-from repro.durability import DurabilityManager, RecoveryReport
+from repro.durability import Durable, DurabilityManager, RecoveryReport
 from repro.exceptions import (
     ParseError,
     PipelineError,
@@ -42,7 +42,6 @@ from repro.runtime.executor import BatchExecutor
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.tracing import SpanTracer
 from repro.schema.types import is_event_label
-from repro.serving import ShardedIrIndexer, ShardedIrSearcher
 from repro.temporal.classifier import TemporalClassifier
 from repro.temporal.global_inference import global_inference
 from repro.temporal.psl import PslConfig, fit_with_psl
@@ -341,22 +340,22 @@ class CreatePipeline:
             or ``"process"`` (sidesteps the GIL for CPU-bound
             extraction on multi-core hosts).
         parse_retries: bounded retries for transient Grobid errors.
-        serving_shards: partition the dual index across this many
-            shards and serve queries as parallel per-shard fan-out
-            (0 = the classic unsharded engines).  Results are exactly
-            rank-equivalent to the unsharded configuration.
-        query_cache_size: entries in each serving-layer query cache
-            (epoch-invalidated; only used when ``serving_shards`` >= 1).
-        segment_dir: back the unsharded keyword engine with on-disk
-            immutable segments under this directory (numpy-packed
-            postings, bit-identical scores).  Ignored when
-            ``serving_shards`` >= 1.
+        indexer: the dual index to load and serve.  The default is the
+            paper's configuration (in-memory graph + in-memory keyword
+            engine); inject another store to change the serving tier —
+            ``CreateIrIndexer(engine=create_segment_ir_engine(dir))``,
+            ``…engine=ShardedSearchEngine(4, …)``,
+            ``…engine=ProcessShardedSegmentEngine(…)`` or
+            ``…engine=ReplicatedShardedSearchEngine(…)``.  Results are
+            exactly rank-equivalent across all of them.
         durability: optional WAL/snapshot manager.  When set, the
             docstore, property graph, keyword index, and review queue
             are attached to it, every registered report commits as one
             atomic WAL record, and :meth:`recover` rebuilds all four
-            stores from disk after a crash.  Sharded serving participates through
-            its facades: one WAL record still carries a whole document.
+            stores from disk after a crash.  Both index stores must
+            speak the ``Durable`` protocol (the sharded engines do: one
+            WAL record still carries a whole document; the replicated
+            tier keeps its own per-shard WALs and is refused).
     """
 
     extractor: ClinicalExtractor
@@ -366,47 +365,29 @@ class CreatePipeline:
     workers: int = 1
     executor_mode: str = "thread"
     parse_retries: int = 2
-    serving_shards: int = 0
-    query_cache_size: int = 256
-    segment_dir: str | None = None
+    indexer: CreateIrIndexer = field(default_factory=CreateIrIndexer)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     tracer: SpanTracer = field(default_factory=SpanTracer)
     durability: DurabilityManager | None = None
 
     def __post_init__(self) -> None:
         parser = QueryParser(self.extractor.ner, self.extractor.temporal)
-        serving_stats = None
-        if self.serving_shards >= 1:
-            self.indexer = ShardedIrIndexer(
-                self.serving_shards,
-                cache_size=self.query_cache_size,
-                metrics=self.metrics,
-            )
-            self.searcher = ShardedIrSearcher(
-                self.indexer,
-                parser=parser,
-                metrics=self.metrics,
-                cache_size=self.query_cache_size,
-            )
-            serving_stats = self._serving_stats
-        else:
-            engine = None
-            if self.segment_dir is not None:
-                from repro.search.segment_engine import (
-                    create_segment_ir_engine,
-                )
-
-                engine = create_segment_ir_engine(self.segment_dir)
-            self.indexer = CreateIrIndexer(engine=engine)
-            self.indexer.engine.metrics = self.metrics
-            self.searcher = CreateIrSearcher(
-                self.indexer, parser=parser, metrics=self.metrics
-            )
+        self.indexer.engine.metrics = self.metrics
+        self.searcher = CreateIrSearcher(
+            self.indexer, parser=parser, metrics=self.metrics
+        )
         if self.durability is not None:
+            for store in (self.indexer.graph, self.indexer.engine):
+                if not isinstance(store, Durable):
+                    # attach() would set a journal nobody fills and
+                    # recover() would come back with this store empty.
+                    raise PipelineError(
+                        f"{type(store).__name__} does not implement the "
+                        "Durable protocol; recovery could not rebuild it"
+                    )
             # Attach order is replay order; all three stores recover
             # together so a document is either fully visible everywhere
-            # or absent everywhere.  The sharded facades speak the same
-            # Durable protocol (ops tagged with their shard).
+            # or absent everywhere.
             self.durability.attach("docstore", self.store)
             self.durability.attach("graph", self.indexer.graph)
             self.durability.attach("index", self.indexer.engine)
@@ -418,21 +399,12 @@ class CreatePipeline:
             extractor=self.extractor.extract,
             metrics=self.metrics,
             runtime_stats=lambda: self.stats.as_dict(),
-            serving_stats=serving_stats,
             durability=self.durability,
         )
         if self.durability is not None:
             # Review claims/decisions replay after the stores they
             # reference: a recovered claim always finds its report.
             self.durability.attach("review", self.app.review)
-
-    def _serving_stats(self) -> dict:
-        """The ``/stats`` serving section (sharded configuration only)."""
-        payload = self.indexer.serving_stats()
-        ir_cache = self.searcher.cache_stats()
-        if ir_cache is not None:
-            payload["ir_cache"] = ir_cache
-        return payload
 
     def recover(self) -> RecoveryReport:
         """Rebuild the docstore, graph, and keyword index from the

@@ -16,6 +16,7 @@ from repro.search.analysis import (
     KeywordTokenizer,
     create_analyzer,
     CREATE_IR_ANALYZER_CONFIG,
+    CREATE_IR_FIELD_ANALYZERS,
 )
 from repro.search.inverted_index import InvertedIndex, Posting
 from repro.search.engine import SearchEngine, ScoredHit
@@ -42,6 +43,7 @@ __all__ = [
     "KeywordTokenizer",
     "create_analyzer",
     "CREATE_IR_ANALYZER_CONFIG",
+    "CREATE_IR_FIELD_ANALYZERS",
     "InvertedIndex",
     "Posting",
     "SearchEngine",

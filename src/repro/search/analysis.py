@@ -251,6 +251,13 @@ STANDARD_ANALYZER_CONFIG: dict = {
     "char_filter": [],
 }
 
+# The CREATe-IR keyword index's fields: n-gram body, standard title.
+# Every engine backing the dual index is built with this mapping.
+CREATE_IR_FIELD_ANALYZERS: dict = {
+    "body": CREATE_IR_ANALYZER_CONFIG,
+    "title": STANDARD_ANALYZER_CONFIG,
+}
+
 
 def create_analyzer(config: dict) -> Analyzer:
     """Build an :class:`Analyzer` from an ES-style settings dict.

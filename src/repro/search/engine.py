@@ -22,6 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
 from repro.search.analysis import (
     Analyzer,
     CREATE_IR_ANALYZER_CONFIG,
+    CREATE_IR_FIELD_ANALYZERS,
     STANDARD_ANALYZER_CONFIG,
     create_analyzer,
 )
@@ -80,6 +81,9 @@ class SearchEngine:
         # manager attaches this engine, index/delete calls append
         # replayable op dicts here.
         self.journal: list | None = None
+        # Mutation counter (index / delete / restore): a cached result
+        # stamped with an older value is stale (repro.serving.cache).
+        self.epoch = 0
 
     # -- indexing ---------------------------------------------------------
 
@@ -90,6 +94,7 @@ class SearchEngine:
         ordinal = self._next_ordinal
         self._next_ordinal += 1
         self._index_at(ordinal, doc_id, fields)
+        self.epoch += 1
         if self.journal is not None:
             self.journal.append(
                 {"op": "index", "id": doc_id, "fields": dict(fields)}
@@ -116,6 +121,7 @@ class SearchEngine:
         self._sources.pop(doc_id, None)
         for index in self._indexes.values():
             index.remove_document(ordinal)
+        self.epoch += 1
         if self.journal is not None:
             self.journal.append({"op": "delete", "id": doc_id})
         return True
@@ -136,10 +142,15 @@ class SearchEngine:
         start = time.perf_counter()
         if isinstance(query, str):
             query = {"match": {self.default_field: query}}
-        scores = self._execute(query)
+        return self._rank(self._execute(query).items(), size, start)
+
+    def _rank(self, scored, size: int, start: float) -> list[ScoredHit]:
+        """Resolve ``(ordinal, score)`` pairs to the top ``size`` hits in
+        ``(-score, str(doc_id))`` order and record the search metrics
+        (``start`` is the query's ``perf_counter`` origin)."""
         by_doc_id = [
             (doc_id, score)
-            for ordinal, score in scores.items()
+            for ordinal, score in scored
             if (doc_id := self._doc_id_of(ordinal)) is not None
         ]
         by_doc_id.sort(key=lambda item: (-item[1], str(item[0])))
@@ -325,6 +336,7 @@ class SearchEngine:
         for ordinal, doc_id, fields in state.get("documents", ()):
             self._index_at(int(ordinal), doc_id, fields)
         self._next_ordinal = int(state.get("next_ordinal", 0))
+        self.epoch += 1
 
     # -- internals --------------------------------------------------------------
 
@@ -367,6 +379,12 @@ class SearchEngine:
             index = InvertedIndex()
             self._indexes[field_name] = index
         return index
+
+    def field_stats(self, field_name: str):
+        """Live local statistics for one field (``n_documents``,
+        ``total_length``, ``document_frequency``), ignoring any attached
+        ``stats_provider`` — what a sharded tier sums across shards."""
+        return self._field_index(field_name)
 
     def _scoring_index(self, field_name: str):
         """The index BM25 reads statistics from: the local field index,
@@ -423,10 +441,4 @@ class CorpusStatsIndexView:
 def create_ir_engine() -> SearchEngine:
     """A :class:`SearchEngine` configured exactly as the paper's
     CREATe-IR keyword index (n-gram body field, standard title field)."""
-    return SearchEngine(
-        {
-            "body": CREATE_IR_ANALYZER_CONFIG,
-            "title": STANDARD_ANALYZER_CONFIG,
-        },
-        default_field="body",
-    )
+    return SearchEngine(CREATE_IR_FIELD_ANALYZERS, default_field="body")

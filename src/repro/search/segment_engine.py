@@ -32,6 +32,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.exceptions import SearchError
+from repro.search.analysis import CREATE_IR_FIELD_ANALYZERS
 from repro.search.bm25 import BM25Scorer
 from repro.search.engine import ScoredHit, SearchEngine
 from repro.search.inverted_index import InvertedIndex, Posting
@@ -421,6 +422,7 @@ class SegmentSearchEngine(SearchEngine):
         state, row = self._locate_state(ordinal)
         state.deleted[row] = True
         self._write_manifest()
+        self.epoch += 1
         if self.journal is not None:
             self.journal.append({"op": "delete", "id": doc_id})
         return True
@@ -557,8 +559,7 @@ class SegmentSearchEngine(SearchEngine):
         )
 
     def field_stats(self, field_name: str) -> CompositeFieldIndex:
-        """Live local statistics for one field (serving aggregation),
-        ignoring any attached ``stats_provider``."""
+        """Live statistics over the buffer and every sealed segment."""
         return CompositeFieldIndex(
             field_name,
             self._field_index(field_name),
@@ -613,23 +614,7 @@ class SegmentSearchEngine(SearchEngine):
             keep = scores >= kth
             ords = ords[keep]
             scores = scores[keep]
-        by_doc_id = [
-            (doc_id, score)
-            for ordinal, score in zip(ords.tolist(), scores.tolist())
-            if (doc_id := self._doc_id_of(ordinal)) is not None
-        ]
-        by_doc_id.sort(key=lambda item: (-item[1], str(item[0])))
-        hits = [
-            ScoredHit(doc_id, score, self._source(doc_id))
-            for doc_id, score in by_doc_id[:size]
-        ]
-        if self.metrics is not None:
-            self.metrics.increment("engine.searches")
-            self.metrics.increment("engine.hits", len(hits))
-            self.metrics.record(
-                "engine.search_seconds", time.perf_counter() - start
-            )
-        return hits
+        return self._rank(zip(ords.tolist(), scores.tolist()), size, start)
 
     # -- durability (repro.durability.Durable protocol) ---------------------
 
@@ -656,6 +641,7 @@ class SegmentSearchEngine(SearchEngine):
         self._next_ordinal = max(
             int(state.get("next_ordinal", 0)), self._next_ordinal
         )
+        self.epoch += 1
 
 
 def create_segment_ir_engine(
@@ -663,16 +649,8 @@ def create_segment_ir_engine(
 ) -> SegmentSearchEngine:
     """A :class:`SegmentSearchEngine` with the paper's CREATe-IR field
     analyzers (n-gram body, standard title)."""
-    from repro.search.analysis import (
-        CREATE_IR_ANALYZER_CONFIG,
-        STANDARD_ANALYZER_CONFIG,
-    )
-
     return SegmentSearchEngine(
-        {
-            "body": CREATE_IR_ANALYZER_CONFIG,
-            "title": STANDARD_ANALYZER_CONFIG,
-        },
+        CREATE_IR_FIELD_ANALYZERS,
         default_field="body",
         segment_dir=segment_dir,
         **kwargs,

@@ -1,13 +1,11 @@
-"""Sharded query serving: partitioned indexes, parallel fan-out
-search with exact top-k merge, an invalidation-correct query cache,
-per-shard read replicas with WAL-shipped failover, and an
-admission-controlled asyncio front end."""
+"""Sharded keyword serving: one fan-out core (parallel per-shard search
+with exact top-k merge and an invalidation-correct query cache), its
+process-pool segment tier and its replicated tier with WAL-shipped
+failover, and an admission-controlled asyncio front end."""
 
 from repro.serving.cache import QueryCache
 from repro.serving.engine import ShardedSearchEngine
 from repro.serving.frontend import Route, ServingFrontend
-from repro.serving.graph import ShardedPropertyGraph
-from repro.serving.ir import ShardedIrIndexer, ShardedIrSearcher
 from repro.serving.replica import (
     ReplicatedShardedSearchEngine,
     ShardReplicaSet,
@@ -23,8 +21,5 @@ __all__ = [
     "ServingFrontend",
     "ShardReplicaSet",
     "ShardRouter",
-    "ShardedIrIndexer",
-    "ShardedIrSearcher",
-    "ShardedPropertyGraph",
     "ShardedSearchEngine",
 ]

@@ -17,13 +17,21 @@ engine's ``(-score, doc_id)`` tie-break) is exactly its ranking.
 An epoch-stamped :class:`~repro.serving.cache.QueryCache` sits in
 front of the fan-out; every ``index``/``delete`` bumps the owning
 shard's epoch, so a cached result can never be served stale.
+
+This class is the one fan-out core: routing, epochs, the cache-stamped
+``search``, the merge, the shard-tagged durability conduit and the
+statistics aggregator live here once.  The process-pool segment tier
+(:mod:`repro.serving.segment_shards`) and the replicated tier
+(:mod:`repro.serving.replica`) subclass it and override only how one
+shard is read, how one shard is written, and which stores the global
+statistics sum over.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.exceptions import SearchError
 from repro.runtime.executor import BatchExecutor
@@ -36,32 +44,30 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class _GlobalFieldStats:
-    """Corpus statistics for one field, summed across every shard."""
+    """Corpus statistics for one field, summed across every shard.
 
-    __slots__ = ("_field", "_shards")
+    ``local_stats`` holds each shard's live statistics object
+    (``n_documents``, ``total_length``, ``document_frequency``).  One
+    is built per scoring call, so a promoted primary or a freshly
+    sealed segment is counted by the next query.
+    """
 
-    def __init__(self, field_name: str, shards: list[SearchEngine]):
-        self._field = field_name
-        self._shards = shards
+    __slots__ = ("_local_stats",)
+
+    def __init__(self, local_stats: list):
+        self._local_stats = local_stats
 
     @property
     def n_documents(self) -> int:
-        return sum(
-            shard._field_index(self._field).n_documents
-            for shard in self._shards
-        )
+        return sum(local.n_documents for local in self._local_stats)
 
     @property
     def total_length(self) -> int:
-        return sum(
-            shard._field_index(self._field).total_length
-            for shard in self._shards
-        )
+        return sum(local.total_length for local in self._local_stats)
 
     def document_frequency(self, term: str) -> int:
         return sum(
-            shard._field_index(self._field).document_frequency(term)
-            for shard in self._shards
+            local.document_frequency(term) for local in self._local_stats
         )
 
 
@@ -90,12 +96,14 @@ class ShardedSearchEngine:
             single partition; useful for cache-only serving).
         field_analyzers / default_field: as for :class:`SearchEngine`
             (identical analyzers on every shard).
-        router: shared :class:`ShardRouter` (created when omitted) —
-            pass the serving layer's router so graph and keyword
-            mutations share one epoch vector.
+        router: shared :class:`ShardRouter` (created when omitted).
         cache_size: query-cache entries (0 disables the cache).
         metrics: registry for per-shard and cache counters.
     """
+
+    # Counter/timer names; subclasses keep their own families.
+    metric_prefix = "serving.engine"
+    shard_timer = "serving.shard{}.search_seconds"
 
     def __init__(
         self,
@@ -106,6 +114,18 @@ class ShardedSearchEngine:
         cache_size: int = 256,
         metrics: "MetricsRegistry | None" = None,
     ):
+        self._init_core(n_shards, default_field, router, cache_size, metrics)
+        self.shards: list[SearchEngine] = [
+            self._new_store(field_analyzers) for _ in range(n_shards)
+        ]
+        self._executor = BatchExecutor(workers=n_shards, mode="thread")
+
+    def _init_core(
+        self, n_shards, default_field, router, cache_size, metrics
+    ) -> None:
+        """Router, cache and journal state shared by every tier."""
+        if n_shards < 1:
+            raise SearchError(f"n_shards must be >= 1, got {n_shards}")
         self.router = router if router is not None else ShardRouter(n_shards)
         if self.router.n_shards != n_shards:
             raise SearchError(
@@ -114,53 +134,68 @@ class ShardedSearchEngine:
             )
         self.default_field = default_field
         self.metrics = metrics
-        self.shards: list[SearchEngine] = [
-            SearchEngine(field_analyzers, default_field=default_field)
-            for _ in range(n_shards)
-        ]
-        for shard in self.shards:
-            shard.stats_provider = self._stats_for_field
-        self._field_stats: dict[str, _GlobalFieldStats] = {}
         self.cache = (
             QueryCache(cache_size, self.router.epochs) if cache_size else None
         )
-        self._executor = BatchExecutor(workers=n_shards, mode="thread")
         self._journal: list | None = None
+
+    def _new_store(self, field_analyzers) -> SearchEngine:
+        """An empty in-memory shard store scoring under global stats."""
+        store = SearchEngine(field_analyzers, default_field=self.default_field)
+        store.stats_provider = self._stats_for_field
+        return store
 
     @property
     def n_shards(self) -> int:
-        return len(self.shards)
+        return self.router.n_shards
 
-    def shard(self, shard_id: int) -> SearchEngine:
+    @property
+    def epoch(self) -> tuple[int, ...]:
+        """The router's epoch vector (the cache validity stamp)."""
+        return self.router.epochs()
+
+    def shard(self, shard_id: int):
         """Direct access to one partition (serving internals, tests)."""
-        return self.shards[shard_id]
+        return self._primaries()[shard_id]
+
+    # -- what a tier overrides ---------------------------------------------
+
+    def _primaries(self) -> list:
+        """The store holding every acknowledged write of each shard."""
+        return self.shards
+
+    def _read(self, shard_id: int, fn: Callable[[Any], Any]) -> Any:
+        """Run ``fn(store)`` on the store serving this shard's reads."""
+        return fn(self.shards[shard_id])
+
+    def _mutate(self, shard_id: int, fn: Callable[[Any], Any]) -> Any:
+        """Run ``fn(store)`` on the store taking this shard's writes."""
+        return fn(self.shards[shard_id])
 
     def _stats_for_field(self, field_name: str) -> _GlobalFieldStats:
-        stats = self._field_stats.get(field_name)
-        if stats is None:
-            stats = _GlobalFieldStats(field_name, self.shards)
-            self._field_stats[field_name] = stats
-        return stats
+        return _GlobalFieldStats(
+            [store.field_stats(field_name) for store in self._primaries()]
+        )
 
     # -- indexing ----------------------------------------------------------
 
     def index(self, doc_id: Any, fields: dict[str, str]) -> None:
         """Index (or re-index) a document on its owning shard."""
         shard_id = self.router.shard_of(doc_id)
-        self.shards[shard_id].index(doc_id, fields)
+        self._mutate(shard_id, lambda store: store.index(doc_id, fields))
         self.router.bump(shard_id)
 
     def delete(self, doc_id: Any) -> bool:
         """Remove a document; returns False when it was absent."""
         shard_id = self.router.shard_of(doc_id)
-        deleted = self.shards[shard_id].delete(doc_id)
+        deleted = self._mutate(shard_id, lambda store: store.delete(doc_id))
         if deleted:
             self.router.bump(shard_id)
         return deleted
 
     @property
     def n_documents(self) -> int:
-        return sum(shard.n_documents for shard in self.shards)
+        return sum(store.n_documents for store in self._primaries())
 
     # -- search ------------------------------------------------------------
 
@@ -173,8 +208,7 @@ class ShardedSearchEngine:
         """
         start = time.perf_counter()
         if isinstance(query, str):
-            query = {self.default_field: query}
-            query = {"match": query}
+            query = {"match": {self.default_field: query}}
         key = None
         stamp = None
         if self.cache is not None:
@@ -184,8 +218,9 @@ class ShardedSearchEngine:
                 self._record_search(start, cached=True)
                 return list(cached)
             # Capture the epoch vector BEFORE the fan-out: a mutation
-            # landing while shards compute must make this entry stale
-            # at store time, not get papered over by a fresh stamp.
+            # (or promotion) landing while shards compute must make
+            # this entry stale at store time, not get papered over by
+            # a fresh stamp.
             stamp = self.router.epochs()
         hits = self._fan_out(query, size)
         if self.cache is not None:
@@ -194,48 +229,58 @@ class ShardedSearchEngine:
         return hits
 
     def _fan_out(self, query: dict, size: int) -> list[ScoredHit]:
-        if self.n_shards == 1:
-            return self.shards[0].search(query, size=size)
         outcomes = self._executor.map(
-            lambda shard: shard.search(query, size=size), self.shards
+            lambda shard_id: self._read(
+                shard_id, lambda store: store.search(query, size=size)
+            ),
+            range(self.n_shards),
         )
-        merged: list[ScoredHit] = []
+        return _top_k(self._gather(outcomes), size)
+
+    def _gather(self, outcomes) -> list:
+        """Per-shard results concatenated in shard order; the first
+        failed shard's error propagates."""
+        merged: list = []
         for shard_id, outcome in enumerate(outcomes):
             if not outcome.ok:
                 raise outcome.error
             if self.metrics is not None:
                 self.metrics.record(
-                    f"serving.shard{shard_id}.search_seconds",
-                    outcome.duration,
+                    self.shard_timer.format(shard_id), outcome.duration
                 )
             merged.extend(outcome.value)
-        merged.sort(key=lambda hit: (-hit.score, str(hit.doc_id)))
-        return merged[:size]
+        return merged
 
     def _record_search(self, start: float, cached: bool) -> None:
         if self.metrics is None:
             return
-        self.metrics.increment("serving.engine.searches")
-        if cached:
-            self.metrics.increment("serving.engine.cache_hits")
-        else:
-            self.metrics.increment("serving.engine.cache_misses")
+        prefix = self.metric_prefix
+        self.metrics.increment(f"{prefix}.searches")
+        self.metrics.increment(
+            f"{prefix}.cache_hits" if cached else f"{prefix}.cache_misses"
+        )
         self.metrics.record(
-            "serving.engine.search_seconds", time.perf_counter() - start
+            f"{prefix}.search_seconds", time.perf_counter() - start
         )
 
     def explain_terms(self, field: str, text: str) -> list[str]:
         """Analyzer output (identical on every shard)."""
-        return self.shards[0].explain_terms(field, text)
+        return self.shard(0).explain_terms(field, text)
 
     def highlight(
         self, doc_id: Any, field: str, query_text: str, window: int = 60
     ) -> list[str]:
-        """Snippets from the owning shard's stored copy."""
-        shard_id = self.router.shard_of(doc_id)
-        return self.shards[shard_id].highlight(
-            doc_id, field, query_text, window=window
+        """Snippets from the owning shard's serving copy."""
+        return self._read(
+            self.router.shard_of(doc_id),
+            lambda store: store.highlight(
+                doc_id, field, query_text, window=window
+            ),
         )
+
+    def close(self) -> None:
+        """Shut the fan-out executor down."""
+        self._executor.close()
 
     # -- durability (repro.durability.Durable protocol) --------------------
 
@@ -285,11 +330,19 @@ class ShardedSearchEngine:
         out = {
             "n_shards": self.n_shards,
             "epochs": list(self.router.epochs()),
-            "shard_documents": [shard.n_documents for shard in self.shards],
+            "shard_documents": [
+                store.n_documents for store in self._primaries()
+            ],
         }
         if self.cache is not None:
             out["cache"] = self.cache.stats()
         return out
+
+
+def _top_k(hits: list[ScoredHit], size: int) -> list[ScoredHit]:
+    """The global top ``size`` in the unsharded engine's order."""
+    hits.sort(key=lambda hit: (-hit.score, str(hit.doc_id)))
+    return hits[:size]
 
 
 def _canonical(query: dict) -> str:

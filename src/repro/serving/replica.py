@@ -32,18 +32,15 @@ replication factor.
 
 from __future__ import annotations
 
-import json
 import threading
-import time
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.durability.fs import MemFS
 from repro.durability.snapshot import load_snapshot, write_snapshot
 from repro.durability.wal import WriteAheadLog
-from repro.exceptions import DurabilityError, ReplicaError, SearchError
+from repro.exceptions import DurabilityError, ReplicaError
 from repro.runtime.executor import BatchExecutor
-from repro.search.engine import ScoredHit, SearchEngine
-from repro.serving.cache import QueryCache
+from repro.serving.engine import ShardedSearchEngine
 from repro.serving.router import ShardRouter
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -381,50 +378,19 @@ class ShardReplicaSet:
             store.journal = journal
 
 
-class _ReplicatedFieldStats:
-    """Global corpus statistics summed across every shard's primary.
-
-    Primaries hold every acknowledged write, and replicas only serve
-    while byte-equivalent to their primary, so these statistics are
-    exact for whichever copy executes the query.
-    """
-
-    __slots__ = ("_field", "_sets")
-
-    def __init__(self, field_name: str, sets: list[ShardReplicaSet]):
-        self._field = field_name
-        self._sets = sets
-
-    @property
-    def n_documents(self) -> int:
-        return sum(
-            s.primary._field_index(self._field).n_documents
-            for s in self._sets
-        )
-
-    @property
-    def total_length(self) -> int:
-        return sum(
-            s.primary._field_index(self._field).total_length
-            for s in self._sets
-        )
-
-    def document_frequency(self, term: str) -> int:
-        return sum(
-            s.primary._field_index(self._field).document_frequency(term)
-            for s in self._sets
-        )
-
-
-class ReplicatedShardedSearchEngine:
+class ReplicatedShardedSearchEngine(ShardedSearchEngine):
     """N-way sharded search where every shard is a replica set.
 
     Semantically identical to
-    :class:`~repro.serving.engine.ShardedSearchEngine` — exact rank
-    equivalence via global BM25 statistics, epoch-stamped query cache —
-    but each shard survives its primary's death: reads fail over to the
-    most-caught-up replica (promotion recovers from the shard WAL) and
-    writes resume against the promoted primary.
+    :class:`~repro.serving.engine.ShardedSearchEngine` — the fan-out
+    core, exact rank equivalence via global BM25 statistics and the
+    epoch-stamped query cache are inherited — but each shard survives
+    its primary's death: reads fail over to the most-caught-up replica
+    (promotion recovers from the shard WAL) and writes resume against
+    the promoted primary.  Global statistics sum over the primaries:
+    they hold every acknowledged write, and replicas only serve while
+    byte-equivalent to their primary, so the statistics are exact for
+    whichever copy executes the query.
 
     Args:
         n_shards / field_analyzers / default_field / router /
@@ -437,6 +403,14 @@ class ReplicatedShardedSearchEngine:
         executor_mode: fan-out executor mode (``"serial"`` for
             deterministic tests).
     """
+
+    metric_prefix = "serving.replica"
+    shard_timer = "serving.replica.shard{}.search_seconds"
+    # Every replica set owns its shard's WAL and recovers from it on
+    # promotion, so the tier cannot also ride a DurabilityManager: it is
+    # deliberately not ``Durable`` (a protocol member set to None fails
+    # the runtime ``isinstance`` check).
+    journal = durable_apply = durable_snapshot = durable_restore = None
 
     def __init__(
         self,
@@ -452,26 +426,11 @@ class ReplicatedShardedSearchEngine:
         executor_mode: str = "thread",
         metrics: "MetricsRegistry | None" = None,
     ):
-        self.router = router if router is not None else ShardRouter(n_shards)
-        if self.router.n_shards != n_shards:
-            raise SearchError(
-                f"router has {self.router.n_shards} shards, engine asked "
-                f"for {n_shards}"
-            )
-        self.default_field = default_field
-        self.metrics = metrics
-        self._field_analyzers = field_analyzers
-        self._field_stats: dict[str, _ReplicatedFieldStats] = {}
-
-        def factory() -> SearchEngine:
-            store = SearchEngine(field_analyzers, default_field=default_field)
-            store.stats_provider = self._stats_for_field
-            return store
-
+        self._init_core(n_shards, default_field, router, cache_size, metrics)
         self.sets: list[ShardReplicaSet] = [
             ShardReplicaSet(
                 shard_id,
-                factory,
+                lambda: self._new_store(field_analyzers),
                 n_replicas=n_replicas,
                 fs=fs_factory(shard_id) if fs_factory is not None else None,
                 ship_every=ship_every,
@@ -480,60 +439,45 @@ class ReplicatedShardedSearchEngine:
             )
             for shard_id in range(n_shards)
         ]
-        self.cache = (
-            QueryCache(cache_size, self.router.epochs) if cache_size else None
-        )
         self._executor = BatchExecutor(
             workers=n_shards, mode=executor_mode
         )
         self.failovers = 0
 
-    @property
-    def n_shards(self) -> int:
-        return len(self.sets)
-
-    @property
-    def n_documents(self) -> int:
-        return sum(s.primary.n_documents for s in self.sets)
-
     def replica_set(self, shard_id: int) -> ShardReplicaSet:
         return self.sets[shard_id]
 
-    def _stats_for_field(self, field_name: str) -> _ReplicatedFieldStats:
-        stats = self._field_stats.get(field_name)
-        if stats is None:
-            stats = _ReplicatedFieldStats(field_name, self.sets)
-            self._field_stats[field_name] = stats
-        return stats
+    # -- how a replica set is read and written -----------------------------
 
-    # -- indexing ----------------------------------------------------------
+    def _primaries(self) -> list:
+        return [set_.primary for set_ in self.sets]
 
-    def index(self, doc_id: Any, fields: dict[str, str]) -> None:
-        """Index (or re-index) a document on its owning replica set."""
-        shard_id = self.router.shard_of(doc_id)
-        self._mutate(shard_id, lambda store: store.index(doc_id, fields))
-        self.router.bump(shard_id)
+    def _read(self, shard_id: int, fn: Callable[[Any], Any]) -> Any:
+        """Serve from a caught-up replica (or the primary), promoting
+        first when the primary is down."""
+        set_ = self.sets[shard_id]
+        with set_.lock:
+            try:
+                store = set_.read_store()
+            except ReplicaError:
+                self.promote(shard_id)
+                store = set_.read_store()
+            return fn(store)
 
-    def delete(self, doc_id: Any) -> bool:
-        """Remove a document; returns False when it was absent."""
-        shard_id = self.router.shard_of(doc_id)
-        outcome: list[bool] = []
-        self._mutate(
-            shard_id,
-            lambda store: outcome.append(store.delete(doc_id)),
-        )
-        if outcome[0]:
-            self.router.bump(shard_id)
-        return outcome[0]
-
-    def _mutate(self, shard_id: int, fn) -> None:
+    def _mutate(self, shard_id: int, fn: Callable[[Any], Any]) -> Any:
         """Write through the shard's primary, failing over once when it
         is already known to be down."""
+        results: list = []
+
+        def capture(store) -> None:
+            results.append(fn(store))
+
         try:
-            self.sets[shard_id].mutate(fn)
+            self.sets[shard_id].mutate(capture)
         except ReplicaError:
             self.promote(shard_id)
-            self.sets[shard_id].mutate(fn)
+            self.sets[shard_id].mutate(capture)
+        return results[0]
 
     # -- failover ----------------------------------------------------------
 
@@ -560,104 +504,11 @@ class ReplicatedShardedSearchEngine:
         """Force shipping on every shard (tests, graceful drains)."""
         return sum(s.ship() for s in self.sets)
 
-    # -- search ------------------------------------------------------------
-
-    def search(self, query: str | dict, size: int = 10) -> list[ScoredHit]:
-        """Top ``size`` hits, exactly as the unsharded engine ranks
-        them, served by caught-up replicas or primaries."""
-        start = time.perf_counter()
-        if isinstance(query, str):
-            query = {"match": {self.default_field: query}}
-        key = None
-        stamp = None
-        if self.cache is not None:
-            key = (_canonical(query), size)
-            cached = self.cache.get(key)
-            if cached is not None:
-                self._record_search(start, cached=True)
-                return list(cached)
-            # Stamp before fan-out: a mutation or promotion landing
-            # mid-query makes this entry stale at store time.
-            stamp = self.router.epochs()
-        hits = self._fan_out(query, size)
-        if self.cache is not None:
-            self.cache.put(key, list(hits), stamp=stamp)
-        self._record_search(start, cached=False)
-        return hits
-
-    def _fan_out(self, query: dict, size: int) -> list[ScoredHit]:
-        outcomes = self._executor.map(
-            lambda shard_id: self._shard_search(shard_id, query, size),
-            range(self.n_shards),
-        )
-        merged: list[ScoredHit] = []
-        for shard_id, outcome in enumerate(outcomes):
-            if not outcome.ok:
-                raise outcome.error
-            if self.metrics is not None:
-                self.metrics.record(
-                    f"serving.replica.shard{shard_id}.search_seconds",
-                    outcome.duration,
-                )
-            merged.extend(outcome.value)
-        merged.sort(key=lambda hit: (-hit.score, str(hit.doc_id)))
-        return merged[:size]
-
-    def _shard_search(self, shard_id: int, query: dict, size: int):
-        set_ = self.sets[shard_id]
-        with set_.lock:
-            try:
-                store = set_.read_store()
-            except ReplicaError:
-                self.promote(shard_id)
-                store = set_.read_store()
-            return store.search(query, size=size)
-
-    def highlight(
-        self, doc_id: Any, field: str, query_text: str, window: int = 60
-    ) -> list[str]:
-        """Snippets from the owning shard's serving copy."""
-        shard_id = self.router.shard_of(doc_id)
-        set_ = self.sets[shard_id]
-        with set_.lock:
-            try:
-                store = set_.read_store()
-            except ReplicaError:
-                self.promote(shard_id)
-                store = set_.read_store()
-            return store.highlight(doc_id, field, query_text, window=window)
-
-    def _record_search(self, start: float, cached: bool) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.increment("serving.replica.searches")
-        if cached:
-            self.metrics.increment("serving.replica.cache_hits")
-        else:
-            self.metrics.increment("serving.replica.cache_misses")
-        self.metrics.record(
-            "serving.replica.search_seconds", time.perf_counter() - start
-        )
-
-    def close(self) -> None:
-        self._executor.close()
-
     # -- observability -----------------------------------------------------
 
     def stats(self) -> dict:
         """Replication health for ``/stats``: lag, promotions, epochs."""
-        out = {
-            "n_shards": self.n_shards,
-            "epochs": list(self.router.epochs()),
-            "shard_documents": [s.primary.n_documents for s in self.sets],
-            "failovers": self.failovers,
-            "replication": [s.stats() for s in self.sets],
-        }
-        if self.cache is not None:
-            out["cache"] = self.cache.stats()
+        out = super().stats()
+        out["failovers"] = self.failovers
+        out["replication"] = [s.stats() for s in self.sets]
         return out
-
-
-def _canonical(query: dict) -> str:
-    """Stable cache key text for a query dict."""
-    return json.dumps(query, sort_keys=True, ensure_ascii=False, default=str)

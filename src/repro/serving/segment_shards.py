@@ -25,16 +25,13 @@ shard's manifest).
 from __future__ import annotations
 
 import os
-import time
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.exceptions import SearchError
 from repro.runtime.executor import BatchExecutor
 from repro.search.engine import ScoredHit, SearchEngine
 from repro.search.segment_engine import SegmentSearchEngine
-from repro.serving.cache import QueryCache
-from repro.serving.engine import _canonical, _ShardJournal
-from repro.serving.router import ShardRouter
+from repro.serving.engine import ShardedSearchEngine, _top_k
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.metrics import MetricsRegistry
@@ -102,8 +99,12 @@ def _worker_search(task: tuple) -> list[tuple]:
     return [(hit.doc_id, hit.score) for hit in hits]
 
 
-class ProcessShardedSegmentEngine:
+class ProcessShardedSegmentEngine(ShardedSearchEngine):
     """N-way segment-sharded search served by process workers.
+
+    The fan-out core (routing, epochs, cache-stamped ``search``, merge,
+    durability conduit) is :class:`ShardedSearchEngine`'s; this tier
+    only changes how the shards execute a query.
 
     Args:
         n_shards: partition count.
@@ -125,6 +126,9 @@ class ProcessShardedSegmentEngine:
         metrics: registry for serving counters.
     """
 
+    metric_prefix = "serving.segments"
+    shard_timer = "serving.segshard{}.search_seconds"
+
     def __init__(
         self,
         n_shards: int,
@@ -138,13 +142,9 @@ class ProcessShardedSegmentEngine:
         query_deadline: float | None = None,
         metrics: "MetricsRegistry | None" = None,
     ):
-        if n_shards < 1:
-            raise SearchError(f"n_shards must be >= 1, got {n_shards}")
+        self._init_core(n_shards, default_field, None, cache_size, metrics)
         self.segment_root = str(segment_root)
         os.makedirs(self.segment_root, exist_ok=True)
-        self.router = ShardRouter(n_shards)
-        self.default_field = default_field
-        self.metrics = metrics
         self._field_analyzers = dict(field_analyzers or {})
         self.shards: list[SegmentSearchEngine] = [
             SegmentSearchEngine(
@@ -156,9 +156,6 @@ class ProcessShardedSegmentEngine:
             )
             for i in range(n_shards)
         ]
-        self.cache = (
-            QueryCache(cache_size, self.router.epochs) if cache_size else None
-        )
         if mode == "process":
             _ensure_child_import_path()
         self._executor = BatchExecutor(
@@ -168,34 +165,6 @@ class ProcessShardedSegmentEngine:
         )
         self.query_deadline = query_deadline
         self.worker_timeouts = 0
-        self._journal: list | None = None
-
-    @property
-    def n_shards(self) -> int:
-        return len(self.shards)
-
-    @property
-    def n_documents(self) -> int:
-        return sum(shard.n_documents for shard in self.shards)
-
-    def shard(self, shard_id: int) -> SegmentSearchEngine:
-        return self.shards[shard_id]
-
-    # -- indexing ----------------------------------------------------------
-
-    def index(self, doc_id: Any, fields: dict[str, str]) -> None:
-        """Index (or re-index) a document on its owning shard."""
-        shard_id = self.router.shard_of(doc_id)
-        self.shards[shard_id].index(doc_id, fields)
-        self.router.bump(shard_id)
-
-    def delete(self, doc_id: Any) -> bool:
-        """Remove a document; returns False when it was absent."""
-        shard_id = self.router.shard_of(doc_id)
-        deleted = self.shards[shard_id].delete(doc_id)
-        if deleted:
-            self.router.bump(shard_id)
-        return deleted
 
     def flush(self) -> None:
         """Seal every shard's write buffer (workers only see sealed
@@ -204,27 +173,6 @@ class ProcessShardedSegmentEngine:
             shard.flush()
 
     # -- search ------------------------------------------------------------
-
-    def search(self, query: str | dict, size: int = 10) -> list[ScoredHit]:
-        """Top ``size`` hits, exactly as the unsharded engine ranks
-        them, computed by the worker pool on cache miss."""
-        start = time.perf_counter()
-        if isinstance(query, str):
-            query = {"match": {self.default_field: query}}
-        key = None
-        stamp = None
-        if self.cache is not None:
-            key = (_canonical(query), size)
-            cached = self.cache.get(key)
-            if cached is not None:
-                self._record_search(start, cached=True)
-                return list(cached)
-            stamp = self.router.epochs()
-        hits = self._fan_out(query, size)
-        if self.cache is not None:
-            self.cache.put(key, list(hits), stamp=stamp)
-        self._record_search(start, cached=False)
-        return hits
 
     def _fan_out(self, query: dict, size: int) -> list[ScoredHit]:
         self.flush()
@@ -249,45 +197,49 @@ class ProcessShardedSegmentEngine:
         outcomes = self._executor.map(
             _worker_search, tasks, timeout=self.query_deadline
         )
-        merged: list[tuple] = []
         for shard_id, outcome in enumerate(outcomes):
-            if not outcome.ok:
-                if isinstance(outcome.error, TimeoutError):
-                    # A worker is hung (or its process was killed).
-                    # Recycle the pool so the stuck slot does not
-                    # poison every subsequent query, then fail fast.
-                    self.worker_timeouts += 1
-                    if self.metrics is not None:
-                        self.metrics.increment(
-                            "serving.segments.worker_timeouts"
-                        )
-                    self._executor.recycle()
-                    raise SearchError(
-                        f"shard {shard_id} worker missed the "
-                        f"{self.query_deadline:.3f}s query deadline; "
-                        "worker pool recycled"
-                    ) from outcome.error
-                raise outcome.error
-            if self.metrics is not None:
-                self.metrics.record(
-                    f"serving.segshard{shard_id}.search_seconds",
-                    outcome.duration,
-                )
-            merged.extend(outcome.value)
-        merged.sort(key=lambda pair: (-pair[1], str(pair[0])))
-        hits = []
-        for doc_id, score in merged[:size]:
-            shard = self.shards[self.router.shard_of(doc_id)]
-            hits.append(ScoredHit(doc_id, score, shard._source(doc_id)))
-        return hits
+            if isinstance(outcome.error, TimeoutError):
+                # A worker is hung (or its process was killed).
+                # Recycle the pool so the stuck slot does not
+                # poison every subsequent query, then fail fast.
+                self.worker_timeouts += 1
+                if self.metrics is not None:
+                    self.metrics.increment(
+                        "serving.segments.worker_timeouts"
+                    )
+                self._executor.recycle()
+                raise SearchError(
+                    f"shard {shard_id} worker missed the "
+                    f"{self.query_deadline:.3f}s query deadline; "
+                    "worker pool recycled"
+                ) from outcome.error
+        # Workers ship bare (doc_id, score) pairs; stored fields are
+        # resolved here, for the merged top-k only.
+        top = _top_k(
+            [
+                ScoredHit(doc_id, score, {})
+                for doc_id, score in self._gather(outcomes)
+            ],
+            size,
+        )
+        return [
+            ScoredHit(
+                hit.doc_id,
+                hit.score,
+                self.shards[self.router.shard_of(hit.doc_id)]._source(
+                    hit.doc_id
+                ),
+            )
+            for hit in top
+        ]
 
     def _field_payload(self, field: str, terms: set) -> dict:
-        composites = [shard.field_stats(field) for shard in self.shards]
+        stats = self._stats_for_field(field)
         return {
-            "n": sum(c.n_documents for c in composites),
-            "total": sum(c.total_length for c in composites),
+            "n": stats.n_documents,
+            "total": stats.total_length,
             "df": {
-                term: sum(c.document_frequency(term) for c in composites)
+                term: stats.document_frequency(term)
                 for term in sorted(terms)
             },
         }
@@ -349,80 +301,16 @@ class ProcessShardedSegmentEngine:
         else:
             raise SearchError(f"unknown query clause: {kind!r}")
 
-    def _record_search(self, start: float, cached: bool) -> None:
-        if self.metrics is None:
-            return
-        self.metrics.increment("serving.segments.searches")
-        if cached:
-            self.metrics.increment("serving.segments.cache_hits")
-        else:
-            self.metrics.increment("serving.segments.cache_misses")
-        self.metrics.record(
-            "serving.segments.search_seconds", time.perf_counter() - start
-        )
-
-    def highlight(
-        self, doc_id: Any, field: str, query_text: str, window: int = 60
-    ) -> list[str]:
-        """Snippets from the owning shard's stored copy."""
-        shard_id = self.router.shard_of(doc_id)
-        return self.shards[shard_id].highlight(
-            doc_id, field, query_text, window=window
-        )
-
     def close(self) -> None:
         """Shut the worker pool down and release segment mmaps."""
-        self._executor.close()
+        super().close()
         for shard in self.shards:
             shard.close()
 
-    # -- durability (repro.durability.Durable protocol) --------------------
-
-    @property
-    def journal(self) -> list | None:
-        return self._journal
-
-    @journal.setter
-    def journal(self, value: list | None) -> None:
-        self._journal = value
-        for shard_id, shard in enumerate(self.shards):
-            shard.journal = (
-                _ShardJournal(self, shard_id) if value is not None else None
-            )
-
-    def durable_apply(self, op: dict) -> None:
-        shard_id = int(op["shard"])
-        self.shards[shard_id].durable_apply(op["o"])
-        self.router.bump(shard_id)
-
-    def durable_snapshot(self) -> dict:
-        return {
-            "n_shards": self.n_shards,
-            "shards": [shard.durable_snapshot() for shard in self.shards],
-        }
-
-    def durable_restore(self, state: dict) -> None:
-        if int(state.get("n_shards", -1)) != self.n_shards:
-            raise SearchError(
-                f"snapshot has {state.get('n_shards')} shards, engine has "
-                f"{self.n_shards}"
-            )
-        for shard_id, shard_state in enumerate(state["shards"]):
-            self.shards[shard_id].durable_restore(shard_state)
-            self.router.bump(shard_id)
-
-    # -- observability -----------------------------------------------------
-
     def stats(self) -> dict:
-        out = {
-            "n_shards": self.n_shards,
-            "epochs": list(self.router.epochs()),
-            "shard_documents": [shard.n_documents for shard in self.shards],
-            "shard_segments": [shard.n_segments for shard in self.shards],
-            "worker_timeouts": self.worker_timeouts,
-        }
-        if self.cache is not None:
-            out["cache"] = self.cache.stats()
+        out = super().stats()
+        out["shard_segments"] = [shard.n_segments for shard in self.shards]
+        out["worker_timeouts"] = self.worker_timeouts
         return out
 
 

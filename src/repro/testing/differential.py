@@ -25,7 +25,6 @@ from repro.graphdb.match import (
     NodePattern,
     iter_edge_bindings,
     match_pattern,
-    match_pattern_unplanned,
 )
 from repro.graphdb.planner import explain_pattern
 from repro.ml import infer
@@ -44,6 +43,7 @@ from repro.testing.oracles import (
     ReferenceSearchEngine,
     brute_force_bindings,
     exhaustive_decode,
+    match_pattern_unplanned,
     reference_closure,
 )
 from repro.testing.cohort import check_cohort_case, gen_cohort_case

@@ -9,6 +9,9 @@ most naive algorithm that is obviously correct:
 * :func:`brute_force_bindings` — exhaustive injective enumeration of
   pattern variable assignments, checking every pattern edge against
   the full edge list (no candidate pruning, no backtracking order).
+* :func:`match_pattern_unplanned` — the pre-planner backtracking
+  matcher (full candidate pools, edge-list scans), the faster
+  mid-level reference for the planner.
 * :func:`exhaustive_decode` — CRF Viterbi / partition function by
   enumerating every label path (pure-Python floats).
 * :func:`reference_closure` — temporal transitive closure by repeated
@@ -35,8 +38,8 @@ from repro.search.analysis import (
     create_analyzer,
 )
 from repro.exceptions import SearchError
-from repro.graphdb.graph import PropertyGraph
-from repro.graphdb.match import GraphPattern
+from repro.graphdb.graph import Node, PropertyGraph
+from repro.graphdb.match import EdgePattern, GraphPattern
 from repro.temporal.relations import RelationAlgebra
 
 ANALYZER_CONFIGS = {
@@ -308,6 +311,107 @@ def brute_force_bindings(
         if ok:
             out.append({var: node.node_id for var, node in binding.items()})
     return out
+
+
+def match_pattern_unplanned(
+    graph: PropertyGraph,
+    pattern: GraphPattern,
+    limit: int | None = None,
+) -> list[dict[str, Node]]:
+    """The pre-planner matcher, kept verbatim as a mid-level reference.
+
+    Materializes every variable's full candidate pool and backtracks
+    most-constrained-variable first, checking pattern edges by
+    scanning the source node's complete edge list.  Same binding set
+    as :func:`repro.graphdb.match.match_pattern`; used by
+    ``bench_graph_match`` as the speedup baseline and by the fuzz
+    harness as a second oracle (itself checked against
+    :func:`brute_force_bindings`).
+    """
+    pattern.validate()
+    if not pattern.nodes:
+        return []
+
+    candidates: dict[str, list[Node]] = {}
+    for node_pattern in pattern.nodes:
+        exact = dict(node_pattern.properties)
+        pool = graph.find_nodes(**exact) if exact else sorted(
+            graph.nodes(), key=lambda n: n.node_id
+        )
+        if node_pattern.predicate is not None:
+            pool = [node for node in pool if node_pattern.predicate(node)]
+        candidates[node_pattern.var] = pool
+        if not pool:
+            return []
+
+    # Most-constrained variable first keeps the search shallow.
+    order = sorted(pattern.nodes, key=lambda p: len(candidates[p.var]))
+    edges_by_vars: dict[frozenset[str], list[EdgePattern]] = {}
+    for edge in pattern.edges:
+        edges_by_vars.setdefault(
+            frozenset((edge.source, edge.target)), []
+        ).append(edge)
+
+    results: list[dict[str, Node]] = []
+
+    def consistent(
+        binding: dict[str, Node], var: str, node: Node
+    ) -> bool:
+        if any(bound.node_id == node.node_id for bound in binding.values()):
+            return False  # injective matching, as in cypher MATCH
+        # Self-loop patterns (source var == target var) constrain the
+        # candidate itself, not a previously bound variable.
+        for edge in edges_by_vars.get(frozenset((var,)), ()):
+            if not _edge_satisfied(graph, edge, var, node, var, node):
+                return False
+        for other_var, other_node in binding.items():
+            for edge in edges_by_vars.get(frozenset((var, other_var)), ()):
+                if not _edge_satisfied(graph, edge, var, node, other_var, other_node):
+                    return False
+        return True
+
+    def backtrack(depth: int, binding: dict[str, Node]) -> bool:
+        """Returns True when the limit has been reached."""
+        if depth == len(order):
+            results.append(dict(binding))
+            return limit is not None and len(results) >= limit
+        node_pattern = order[depth]
+        for node in candidates[node_pattern.var]:
+            if consistent(binding, node_pattern.var, node):
+                binding[node_pattern.var] = node
+                if backtrack(depth + 1, binding):
+                    return True
+                del binding[node_pattern.var]
+        return False
+
+    backtrack(0, {})
+    return results
+
+
+def _edge_satisfied(
+    graph: PropertyGraph,
+    edge: EdgePattern,
+    var: str,
+    node: Node,
+    other_var: str,
+    other_node: Node,
+) -> bool:
+    if edge.source == var:
+        src, dst = node, other_node
+    else:
+        src, dst = other_node, node
+    forward = any(
+        e.target == dst.node_id and edge.admits(e)
+        for e in graph.out_edges(src.node_id)
+    )
+    if forward:
+        return True
+    if not edge.directed:
+        return any(
+            e.target == src.node_id and edge.admits(e)
+            for e in graph.out_edges(dst.node_id)
+        )
+    return False
 
 
 # -- crf ---------------------------------------------------------------------

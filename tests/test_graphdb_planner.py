@@ -19,11 +19,12 @@ from repro.graphdb import (
     PropertyGraph,
     explain_pattern,
     match_pattern,
-    match_pattern_unplanned,
     plan_pattern,
 )
-from repro.serving.graph import ShardedPropertyGraph
-from repro.testing.oracles import brute_force_bindings
+from repro.testing.oracles import (
+    brute_force_bindings,
+    match_pattern_unplanned,
+)
 
 
 def _ids(bindings) -> set:
@@ -392,41 +393,3 @@ class TestStatisticsFreshness:
         assert _ids(match_pattern(recovered_graph, pattern)) == _oracle(
             recovered_graph, pattern
         )
-
-
-class TestShardedStatistics:
-    def _sharded(self) -> ShardedPropertyGraph:
-        sharded = ShardedPropertyGraph(3)
-        sharded.create_property_index("entityType")
-        for doc in range(4):
-            a, b = f"d{doc}:a", f"d{doc}:b"
-            sharded.add_node(a, doc_id=f"d{doc}", entityType="Medication")
-            sharded.add_node(b, doc_id=f"d{doc}", entityType="Sign_symptom")
-            sharded.add_edge(a, b, "CAUSES")
-        return sharded
-
-    def test_merged_statistics(self):
-        sharded = self._sharded()
-        stats = sharded.statistics()
-        assert stats["n_nodes"] == 8
-        assert stats["n_edges"] == 4
-        assert stats["edge_labels"] == {"CAUSES": 4}
-        merged = stats["indexed_properties"]["entityType"]
-        assert merged["n_indexed_nodes"] == 8
-        assert sharded.edge_label_count("CAUSES") == 4
-        assert sharded.property_value_count("entityType", "Medication") == 4
-
-    def test_facade_match_uses_planner_and_counts(self):
-        sharded = self._sharded()
-        pattern = GraphPattern(
-            nodes=[
-                NodePattern("m", (("entityType", "Medication"),)),
-                NodePattern("s", (("entityType", "Sign_symptom"),)),
-            ],
-            edges=[EdgePattern("m", "s", "CAUSES")],
-        )
-        expected = _oracle(sharded, pattern)
-        assert len(expected) == 4
-        assert _ids(match_pattern(sharded, pattern)) == expected
-        counters = sharded.planner_stats()["counters"]
-        assert counters["plans_executed"] >= 1

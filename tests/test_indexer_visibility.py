@@ -1,7 +1,9 @@
 """Degraded temporal indexing is counted, not silently dropped."""
 
+from repro.durability import DurabilityManager, MemFS
 from repro.exceptions import TemporalInconsistencyError
 from repro.ir.indexer import CreateIrIndexer
+from repro.pipeline import CreatePipeline
 from repro.temporal.graph import TemporalGraph
 
 _SPANS = [
@@ -85,3 +87,29 @@ class TestClosureFailures:
             )
         assert indexer.closure_failures == 3
         assert indexer.stats()["closure_failures"] == 3
+
+
+def test_report_accounting_tracks_stores_after_delete_and_recovery(
+    demo_system,
+):
+    """``n_reports`` / ``report_stats`` read the stores, so DELETE and
+    WAL replay (which never pass through ``index_report``) keep them true."""
+    trained, reports = demo_system
+    fs = MemFS()
+    pipeline, recovered = (
+        CreatePipeline(trained.extractor, durability=DurabilityManager(fs))
+        for _ in range(2)
+    )
+    ids = [
+        pipeline.app.register_report(report.to_document(), report.annotations)
+        for report in reports[:6]
+    ]
+    assert pipeline.app.handle("DELETE", f"/reports/{ids[0]}").ok
+    recovered.recover()
+    for system in (pipeline, recovered):
+        stats = system.app.handle("GET", "/stats").body
+        assert stats["indexer"]["n_reports"] == stats["n_reports"] == 5
+        assert system.indexer.report_stats(ids[0]) is None
+        record = system.indexer.report_stats(ids[1])
+        assert record.n_nodes == len(reports[1].annotations.textbounds)
+        assert record.n_explicit_edges > 0

@@ -4,9 +4,17 @@ import pytest
 
 from repro.corpus.generator import CaseReportGenerator
 from repro.crawler.repository import SyntheticPubMed
+from repro.durability import Durable, DurabilityManager, MemFS
 from repro.exceptions import PipelineError
+from repro.ir import CreateIrIndexer
 from repro.ner.encoding import spans_of_document
 from repro.pipeline import ClinicalExtractor, CreatePipeline
+from repro.search import CREATE_IR_FIELD_ANALYZERS, create_segment_ir_engine
+from repro.serving import (
+    ProcessShardedSegmentEngine,
+    ReplicatedShardedSearchEngine,
+    ShardedSearchEngine,
+)
 
 
 class TestClinicalExtractor:
@@ -81,35 +89,71 @@ class TestPipelineRun:
         assert pipeline.app.handle("GET", "/stats").body["n_reports"] == 3
 
 
-class TestSegmentBackedPipeline:
-    def test_segment_dir_wires_segment_engine(self, demo_system, tmp_path):
-        from repro.search.segment_engine import SegmentSearchEngine
+_ENGINES = {
+    "segment": lambda root: create_segment_ir_engine(str(root)),
+    "sharded": lambda root: ShardedSearchEngine(4, CREATE_IR_FIELD_ANALYZERS),
+    "process": lambda root: ProcessShardedSegmentEngine(
+        2, str(root), CREATE_IR_FIELD_ANALYZERS, mode="serial"
+    ),
+    "replicated": lambda root: ReplicatedShardedSearchEngine(
+        2, field_analyzers=CREATE_IR_FIELD_ANALYZERS, executor_mode="serial"
+    ),
+}
 
-        trained, _ = demo_system
-        pipeline = CreatePipeline(
-            extractor=trained.extractor,
-            segment_dir=str(tmp_path / "segments"),
+
+def _observe(pipeline) -> list:
+    """Everything a client can see of the index through the API."""
+    bodies = [
+        pipeline.app.handle(
+            "GET", "/search", params={"q": query, "highlight": flag}
+        ).body
+        for query in ("fever and chest pain", "admitted with dyspnea")
+        for flag in ("0", "1")
+    ]
+    stats = pipeline.app.handle("GET", "/stats").body
+    keys = ("n_reports", "graph_nodes", "graph_edges", "indexer", "review")
+    return bodies + [{key: stats[key] for key in keys}]
+
+
+@pytest.mark.parametrize("kind", sorted(_ENGINES))
+def test_injected_engine_matches_default_pipeline(demo_system, tmp_path, kind):
+    """Any keyword engine injected through ``indexer=`` serves exactly
+    what the default pipeline serves — before and after a DELETE, and
+    after snapshot + WAL recovery into a fresh pipeline.  An engine
+    recovery could not rebuild is refused together with ``durability``."""
+    trained, reports = demo_system
+    fs = MemFS()
+
+    def build(durable=True):
+        return CreatePipeline(
+            trained.extractor,
+            indexer=CreateIrIndexer(engine=_ENGINES[kind](tmp_path)),
+            durability=DurabilityManager(fs) if durable else None,
         )
-        assert isinstance(pipeline.indexer.engine, SegmentSearchEngine)
-        generator = CaseReportGenerator(seed=956)
-        reports = [generator.generate(f"segp-{i}") for i in range(3)]
-        site = SyntheticPubMed(reports, seed=1)
-        stats = pipeline.ingest_from_site(site)
-        assert stats.indexed == 3
-        # Sealed + buffered docs both serve through the searcher.
-        pipeline.indexer.engine.flush()
-        report = reports[0]
-        symptom = report.annotations.spans_with_label("Sign_symptom")[0]
-        results = pipeline.searcher.search(symptom.text, size=8)
-        assert any(r.doc_id == report.pmid for r in results)
 
-    def test_sharded_config_ignores_segment_dir(self, demo_system, tmp_path):
-        from repro.serving import ShardedIrIndexer
-
-        trained, _ = demo_system
-        pipeline = CreatePipeline(
-            extractor=trained.extractor,
-            serving_shards=2,
-            segment_dir=str(tmp_path / "unused"),
-        )
-        assert isinstance(pipeline.indexer, ShardedIrIndexer)
+    if kind == "replicated":
+        with pytest.raises(PipelineError, match="Replicated.* Durable"):
+            build()
+    default, injected = CreatePipeline(trained.extractor), build(
+        durable=kind != "replicated"
+    )
+    for pipeline in (default, injected):
+        for report in reports[:8]:
+            pipeline.app.register_report(
+                report.to_document(), report.annotations
+            )
+    assert _observe(injected) == _observe(default)
+    assert any(row["highlights"] for row in _observe(default)[1]["results"])
+    if injected.durability is not None:
+        injected.durability.snapshot()
+    victim = _observe(default)[0]["results"][0]["id"]
+    for pipeline in (default, injected):
+        assert pipeline.app.handle("DELETE", f"/reports/{victim}").ok
+    assert _observe(injected) == _observe(default)
+    if kind != "segment":
+        serving = injected.app.handle("GET", "/stats").body["serving"]
+        assert {"n_shards", "epochs", "cache"} <= set(serving["engine"])
+    if injected.durability is not None:
+        recovered = build()
+        assert recovered.recover().snapshot_loaded
+        assert _observe(recovered) == _observe(default)

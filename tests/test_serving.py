@@ -1,18 +1,17 @@
-"""Sharded serving: routing, caching, fan-out merge, durability, wiring."""
+"""Sharded serving: routing, caching, fan-out merge, durability."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.durability import DurabilityManager, MemFS
-from repro.exceptions import GraphError, ReproError, SearchError
+from repro.exceptions import ReproError, SearchError
+from repro.graphdb import PropertyGraph
+from repro.ir import CreateIrIndexer, CreateIrSearcher
 from repro.search.engine import SearchEngine, create_ir_engine
 from repro.serving import (
     QueryCache,
     ShardRouter,
-    ShardedIrIndexer,
-    ShardedIrSearcher,
-    ShardedPropertyGraph,
     ShardedSearchEngine,
 )
 
@@ -197,44 +196,14 @@ def test_engine_rejects_router_shard_mismatch():
         ShardedSearchEngine(3, router=ShardRouter(2))
 
 
-# -- sharded graph -----------------------------------------------------------
-
-
-def test_sharded_graph_routes_by_doc_id_and_rejects_cross_shard_edges():
-    graph = ShardedPropertyGraph(4)
-    router = graph.router
-    # Find two doc ids on different shards.
-    a, b = "doc-x", next(
-        f"doc-{i}"
-        for i in range(50)
-        if router.shard_of(f"doc-{i}") != router.shard_of("doc-x")
-    )
-    graph.add_node(f"{a}:T1", doc_id=a, entityType="Sign_symptom")
-    graph.add_node(f"{a}:T2", doc_id=a, entityType="Medication")
-    graph.add_node(f"{b}:T1", doc_id=b, entityType="Sign_symptom")
-    edge = graph.add_edge(f"{a}:T1", f"{a}:T2", "BEFORE")
-    assert edge.label == "BEFORE"
-    with pytest.raises(GraphError):
-        graph.add_edge(f"{a}:T1", f"{b}:T1", "BEFORE")
-    assert graph.n_nodes == 3
-    assert graph.n_edges == 1
-    found = graph.find_nodes(entityType="Sign_symptom")
-    assert [node.node_id for node in found] == sorted(
-        [f"{a}:T1", f"{b}:T1"]
-    )
-    graph.remove_node(f"{a}:T1")
-    assert not graph.has_node(f"{a}:T1")
-    assert graph.n_edges == 0
-
-
-# -- durability through the facades ------------------------------------------
+# -- durability through the facade -------------------------------------------
 
 
 def test_sharded_durability_recovery_round_trip():
     mem = MemFS()
     manager = DurabilityManager(mem)
     engine = _engine(3)
-    graph = ShardedPropertyGraph(3, router=engine.router)
+    graph = PropertyGraph()
     manager.attach("graph", graph)
     manager.attach("index", engine)
     for i in range(8):
@@ -251,7 +220,7 @@ def test_sharded_durability_recovery_round_trip():
     manager.flush()
 
     recovered_engine = _engine(3)
-    recovered_graph = ShardedPropertyGraph(3, router=recovered_engine.router)
+    recovered_graph = PropertyGraph()
     recovery = DurabilityManager(mem)
     recovery.attach("graph", recovered_graph)
     recovery.attach("index", recovered_engine)
@@ -271,85 +240,6 @@ def test_restore_rejects_shard_count_mismatch():
     state = engine.durable_snapshot()
     with pytest.raises(SearchError):
         _engine(3).durable_restore(state)
-    graph = ShardedPropertyGraph(2)
-    graph.add_node("d1:T1", doc_id="d1")
-    with pytest.raises(GraphError):
-        ShardedPropertyGraph(3).durable_restore(graph.durable_snapshot())
-
-
-# -- IR facade + pipeline/app wiring -----------------------------------------
-
-
-def test_sharded_ir_matches_unsharded_searcher(small_corpus):
-    from repro.ir.indexer import CreateIrIndexer
-    from repro.ir.searcher import CreateIrSearcher
-
-    reference_ix = CreateIrIndexer()
-    sharded_ix = ShardedIrIndexer(4)
-    for report in small_corpus[:20]:
-        reference_ix.index_annotation_document(
-            report.report_id, report.title, report.annotations
-        )
-        sharded_ix.index_annotation_document(
-            report.report_id, report.title, report.annotations
-        )
-    assert sharded_ix.n_reports == reference_ix.n_reports
-    assert sharded_ix.graph.n_nodes == reference_ix.graph.n_nodes
-    reference = CreateIrSearcher(reference_ix)
-    sharded = ShardedIrSearcher(sharded_ix)
-    for query in ["fever and chest pain", "patient admitted with dyspnea"]:
-        want = reference.search(query, size=8)
-        got = sharded.search(query, size=8)
-        assert [(r.doc_id, r.score, r.engine) for r in got] == [
-            (r.doc_id, r.score, r.engine) for r in want
-        ]
-        again = sharded.search(query, size=8)  # cache hit
-        assert [(r.doc_id, r.score) for r in again] == [
-            (r.doc_id, r.score) for r in want
-        ]
-    assert sharded.cache_stats()["hits"] >= 2
-    stats = sharded_ix.stats()
-    assert stats["n_reports"] == 20
-    assert len(stats["shards"]) == 4
-
-
-def test_pipeline_serving_shards_wiring(demo_system):
-    from repro.pipeline import CreatePipeline
-
-    base_pipeline, reports = demo_system
-    sharded = CreatePipeline(
-        extractor=base_pipeline.extractor, serving_shards=2,
-        query_cache_size=16,
-    )
-    unsharded = CreatePipeline(extractor=base_pipeline.extractor)
-    for report in reports[:8]:
-        sharded.app.register_report(report.to_document(), report.annotations)
-        unsharded.app.register_report(
-            report.to_document(), report.annotations
-        )
-    assert isinstance(sharded.indexer, ShardedIrIndexer)
-    assert isinstance(sharded.searcher, ShardedIrSearcher)
-    query = "fever and chest pain"
-    got = sharded.app.handle("GET", "/search", params={"q": query})
-    want = unsharded.app.handle("GET", "/search", params={"q": query})
-    assert got.status == want.status == 200
-    assert got.body["results"] == want.body["results"]
-
-    stats = sharded.app.handle("GET", "/stats")
-    assert stats.status == 200
-    serving = stats.body["serving"]
-    assert serving["n_shards"] == 2
-    assert "cache" in serving["engine"]
-    assert "ir_cache" in serving
-    assert stats.body["indexer"]["n_reports"] == 8
-
-    # Delete-then-query through the app: cache must not serve the dead doc.
-    victim = got.body["results"][0]["id"] if got.body["results"] else None
-    if victim is not None:
-        deleted = sharded.app.handle("DELETE", f"/reports/{victim}")
-        assert deleted.status == 200
-        after = sharded.app.handle("GET", "/search", params={"q": query})
-        assert victim not in [row["id"] for row in after.body["results"]]
 
 
 # -- cache under concurrent epoch bumps & empty shards (robustness) ----------
@@ -384,6 +274,41 @@ def test_mutation_during_fanout_never_caches_stale():
     second = [hit.doc_id for hit in engine.search("fever", size=10)]
     assert "d100" in second
     assert engine.cache.stats()["stale_drops"] >= 1
+
+
+def test_ir_searcher_cache_honours_both_store_epochs(small_corpus):
+    """``CreateIrSearcher.cache``: a hit replays the first answer; a
+    graph-only and a keyword-only mutation each force a miss; a write
+    landing between stamp and ``put`` is stale on arrival."""
+    indexer = CreateIrIndexer()
+    for report in small_corpus[:10]:
+        indexer.index_annotation_document(
+            report.report_id, report.title, report.annotations
+        )
+    searcher = CreateIrSearcher(indexer)
+    cache = searcher.cache = QueryCache(8, indexer.epochs)
+    query = "fever and chest pain"
+    assert searcher.search(query) == searcher.search(query)
+    indexer.graph.remove_node(next(indexer.graph.nodes()).node_id)
+    searcher.search(query)
+    indexer.engine.index("kw-only", {"title": "", "body": "cough"})
+    searcher.search(query)
+    assert (cache.hits, cache.stale_drops) == (1, 2)
+
+    original = indexer.engine.search
+
+    def racing_search(engine_query, size=10):
+        indexer.engine.search = original
+        hits = original(engine_query, size=size)
+        indexer.engine.index("late", {"title": "", "body": "chest pain"})
+        return hits
+
+    indexer.engine.search = racing_search
+    raced = searcher.search("chest pain", size=50)
+    assert "late" not in [result.doc_id for result in raced]
+    fresh = searcher.search("chest pain", size=50)
+    assert "late" in [result.doc_id for result in fresh]
+    assert cache.stale_drops == 3
 
 
 def test_concurrent_epoch_bumps_from_threads_keep_cache_coherent():

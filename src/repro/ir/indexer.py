@@ -3,11 +3,11 @@
 Per the paper (section III-D), "a collection of case reports are
 indexed separately on each search engine": every report's extracted
 entities become graph nodes (``nodeId``, ``label``, ``entityType``)
-connected by relation edges and loaded into the Neo4j analog via
-cypher, while the report text goes into the ElasticSearch analog with
-the customized n-gram analyzer.  Temporal edges are transitively closed
-before indexing so relation search benefits from inferred orderings —
-the "temporal reasoning" the paper advertises.
+connected by relation edges and loaded into the Neo4j analog, while
+the report text goes into the ElasticSearch analog with the customized
+n-gram analyzer.  Temporal edges are transitively closed before
+indexing so relation search benefits from inferred orderings — the
+"temporal reasoning" the paper advertises.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.exceptions import TemporalInconsistencyError
-from repro.graphdb.cypher import CypherEngine
 from repro.graphdb.graph import PropertyGraph
 from repro.schema.types import RelationType, TEMPORAL_RELATIONS
 from repro.search.engine import SearchEngine, create_ir_engine
@@ -74,7 +73,6 @@ class CreateIrIndexer:
         from repro.ontology.normalize import ConceptNormalizer
 
         self.graph = graph if graph is not None else PropertyGraph()
-        self.cypher = CypherEngine(self.graph)
         self.engine = engine if engine is not None else create_ir_engine()
         self.close_temporal = close_temporal
         self.normalizer = (
@@ -118,33 +116,23 @@ class CreateIrIndexer:
         node_ids = set()
         for span_id, surface, label, _kind in spans:
             node_id = f"{doc_id}:{span_id}"
-            escaped = surface.replace("\\", "\\\\").replace("'", "\\'")
-            negated_clause = (
-                ", negated: true" if span_id in negated else ""
-            )
+            properties = {
+                "nodeId": node_id,
+                "label": surface,
+                "entityType": label,
+                "doc_id": doc_id,
+            }
+            if span_id in negated:
+                properties["negated"] = True
             # Ontology standardization (paper section I): every node is
             # stamped with its normalized concept id when one resolves.
-            concept_clause = ""
             if self.normalizer is not None:
                 normalized = self.normalizer.normalize(surface)
                 if normalized is not None:
-                    concept_clause = (
-                        ", conceptId: '" + normalized.concept_id + "'"
-                    )
-            self.cypher.run(
-                "CREATE (n:Concept {nodeId: '"
-                + node_id
-                + "', label: '"
-                + escaped
-                + "', entityType: '"
-                + label
-                + "', doc_id: '"
-                + doc_id
-                + "'"
-                + negated_clause
-                + concept_clause
-                + "})"
-            )
+                    properties["conceptId"] = normalized.concept_id
+            # What ``CREATE (n:Concept {...})`` does, without rendering
+            # the statement for the cypher engine to parse back.
+            self.graph.add_node(node_id, **properties, _label="Concept")
             node_ids.add(node_id)
 
         # Temporal edges are direction-normalized: AFTER(a, b) is stored

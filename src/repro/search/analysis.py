@@ -9,9 +9,9 @@ CREATe-IR configuration is exported as
 from __future__ import annotations
 
 import re
+import threading
 import unicodedata
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from repro.exceptions import AnalyzerError
 from repro.text.ngrams import character_ngrams
@@ -20,9 +20,9 @@ from repro.text.stopwords import STOPWORDS
 from repro.text.tokenize import WordTokenizer
 
 
-@dataclass(frozen=True, slots=True)
-class AnalyzedToken:
-    """A term emitted by an analysis chain.
+class AnalyzedToken(NamedTuple):
+    """A term emitted by an analysis chain (an immutable record; a
+    named tuple because indexing builds ~1,500 of them per report).
 
     Attributes:
         term: the normalized term string.
@@ -62,6 +62,26 @@ def make_mapping_filter(mapping: dict[str, str]) -> CharFilter:
 
 # -- tokenizers ---------------------------------------------------------------
 
+# A tokenizer that splits its input into independent source words also
+# exposes ``words(text)``, yielding ``(word, start)`` in order: the n-th
+# word's tokens all take position n, and ``tokenize(word)`` on the word
+# alone gives the same tokens with offsets relative to ``start``.  That
+# is what lets :class:`Analyzer` cache the chain's output per word.
+
+
+def _matches(pattern: re.Pattern, text: str) -> Iterator[tuple[str, int]]:
+    for match in pattern.finditer(text):
+        yield match.group(), match.start()
+
+
+def _one_token_per_word(
+    words: Iterator[tuple[str, int]],
+) -> list[AnalyzedToken]:
+    return [
+        AnalyzedToken(word, position, start, start + len(word))
+        for position, (word, start) in enumerate(words)
+    ]
+
 
 class StandardTokenizer:
     """Word-level tokenizer built on :class:`repro.text.WordTokenizer`,
@@ -70,31 +90,26 @@ class StandardTokenizer:
     def __init__(self):
         self._inner = WordTokenizer()
 
-    def tokenize(self, text: str) -> list[AnalyzedToken]:
-        out = []
-        position = 0
+    def words(self, text: str) -> Iterator[tuple[str, int]]:
         for token in self._inner.itertokenize(text):
-            if not any(ch.isalnum() for ch in token.text):
-                continue
-            out.append(
-                AnalyzedToken(token.text, position, token.start, token.end)
-            )
-            position += 1
-        return out
+            if any(ch.isalnum() for ch in token.text):
+                yield token.text, token.start
+
+    def tokenize(self, text: str) -> list[AnalyzedToken]:
+        return _one_token_per_word(self.words(text))
+
+
+_NON_SPACE_RE = re.compile(r"\S+")
 
 
 class WhitespaceTokenizer:
     """Split on whitespace only."""
 
+    def words(self, text: str) -> Iterator[tuple[str, int]]:
+        return _matches(_NON_SPACE_RE, text)
+
     def tokenize(self, text: str) -> list[AnalyzedToken]:
-        out = []
-        for position, match in enumerate(re.finditer(r"\S+", text)):
-            out.append(
-                AnalyzedToken(
-                    match.group(), position, match.start(), match.end()
-                )
-            )
-        return out
+        return _one_token_per_word(self.words(text))
 
 
 class KeywordTokenizer:
@@ -106,14 +121,18 @@ class KeywordTokenizer:
         return [AnalyzedToken(text, 0, 0, len(text))]
 
 
+_LETTERS_DIGITS_RE = re.compile(r"[^\W_]+")
+
+
 class NGramTokenizer:
     """Character n-gram tokenizer, the paper's choice for symptom and
     medication names with long forms (``min_gram=3, max_gram=25``).
 
     Like ES, the stream is split on non-alphanumeric characters first
-    (``token_chars: [letter, digit]``) and grams never cross splits.
-    Grams inherit the position of their source word so phrase queries
-    stay meaningful.
+    (``token_chars: [letter, digit]``, Unicode letters and digits, so
+    ``Sjögren`` is one word for ``asciifolding`` to fold) and grams
+    never cross splits.  Grams inherit the position of their source
+    word so phrase queries stay meaningful.
     """
 
     def __init__(self, min_gram: int = 3, max_gram: int = 25):
@@ -124,11 +143,12 @@ class NGramTokenizer:
         self.min_gram = min_gram
         self.max_gram = max_gram
 
+    def words(self, text: str) -> Iterator[tuple[str, int]]:
+        return _matches(_LETTERS_DIGITS_RE, text)
+
     def tokenize(self, text: str) -> list[AnalyzedToken]:
         out = []
-        for position, match in enumerate(re.finditer(r"[A-Za-z0-9]+", text)):
-            word = match.group()
-            base = match.start()
+        for position, (word, base) in enumerate(self.words(text)):
             if len(word) < self.min_gram:
                 # ES emits nothing for too-short words; we keep the word
                 # itself so 1-2 letter clinical codes remain searchable.
@@ -162,6 +182,9 @@ def asciifolding_filter(tokens: list[AnalyzedToken]) -> list[AnalyzedToken]:
     """Fold accented characters to ASCII (NFKD + strip combining marks)."""
     out = []
     for t in tokens:
+        if t.term.isascii():
+            out.append(t)
+            continue
         folded = unicodedata.normalize("NFKD", t.term)
         folded = "".join(ch for ch in folded if not unicodedata.combining(ch))
         out.append(AnalyzedToken(folded, t.position, t.start, t.end))
@@ -210,6 +233,23 @@ _CHAR_FILTERS: dict[str, CharFilter] = {
 }
 
 
+# Filters that map or drop each token by its own term alone.  After a
+# tokenizer with ``words`` a chain of these gives every occurrence of a
+# word the same terms and word-relative offsets, so the result is cached
+# per word.  ``unique`` looks at the other tokens of its position, and a
+# filter passed in from outside may look at anything: such chains run
+# the plain list pipeline on the whole text.
+_PER_TOKEN_FILTERS = frozenset(
+    {lowercase_filter, asciifolding_filter, stop_filter, stemmer_filter}
+)
+
+# Bound on one analyzer's word memo: the cached words' lengths plus one
+# per cached term (a 10-letter word under the paper's 3..25 n-gram
+# configuration costs 46).  A full memo is dropped whole and refills
+# from the text that follows.
+_MEMO_MAX_COST = 1 << 18
+
+
 class Analyzer:
     """A complete analysis chain."""
 
@@ -220,17 +260,56 @@ class Analyzer:
         char_filters: Sequence[CharFilter] = (),
     ):
         self.tokenizer = tokenizer
-        self.token_filters = list(token_filters)
-        self.char_filters = list(char_filters)
+        self.token_filters = tuple(token_filters)
+        self.char_filters = tuple(char_filters)
+        # word -> ((term, start offset, end offset), ...); None when the
+        # chain is not per-word (see _PER_TOKEN_FILTERS).
+        per_word = hasattr(
+            tokenizer, "words"
+        ) and _PER_TOKEN_FILTERS.issuperset(self.token_filters)
+        self._memo: dict[str, tuple[tuple[str, int, int], ...]] | None = (
+            {} if per_word else None
+        )
+        self._memo_cost = 0
+        self._memo_lock = threading.Lock()
 
     def analyze(self, text: str) -> list[AnalyzedToken]:
         """Run the chain over ``text``."""
         for char_filter in self.char_filters:
             text = char_filter(text)
+        memo = self._memo
+        if memo is None:
+            return self._run_chain(text)
+        out = []
+        for position, (word, base) in enumerate(self.tokenizer.words(text)):
+            entry = memo.get(word)
+            if entry is None:
+                entry = self._analyze_word(word)
+            for term, start, end in entry:
+                out.append(
+                    AnalyzedToken(term, position, base + start, base + end)
+                )
+        return out
+
+    def _run_chain(self, text: str) -> list[AnalyzedToken]:
         tokens = self.tokenizer.tokenize(text)
         for token_filter in self.token_filters:
             tokens = token_filter(tokens)
         return tokens
+
+    def _analyze_word(self, word: str) -> tuple[tuple[str, int, int], ...]:
+        """The chain's output for one source word, cached if it fits."""
+        entry = tuple((t.term, t.start, t.end) for t in self._run_chain(word))
+        cost = len(word) + len(entry)
+        if cost <= _MEMO_MAX_COST:
+            with self._memo_lock:
+                if self._memo_cost + cost > _MEMO_MAX_COST:
+                    self._memo.clear()
+                    self._memo_cost = 0
+                if word not in self._memo:
+                    self._memo[word] = entry
+                    self._memo_cost += cost
+        return entry
 
     def terms(self, text: str) -> list[str]:
         """Just the term strings."""

@@ -52,17 +52,24 @@ class InvertedIndex:
             self.remove_document(doc_ord)
         per_term: dict[str, list[int]] = {}
         for token in tokens:
-            per_term.setdefault(token.term, []).append(token.position)
+            positions = per_term.get(token.term)
+            if positions is None:
+                per_term[token.term] = [token.position]
+            else:
+                positions.append(token.position)
         for term, positions in per_term.items():
-            # Insert at the doc-ord position, not the tail: after a
-            # delete-then-reinsert an appended posting would land out of
-            # order, making iteration (and thus score accumulation /
-            # tie-break order) diverge from a cold rebuild.
-            insort(
-                self._postings.setdefault(term, []),
-                Posting(doc_ord, sorted(positions)),
-                key=attrgetter("doc_ord"),
-            )
+            # Postings stay in doc-ord order.  A new ordinal is almost
+            # always the largest and goes at the tail; after a
+            # delete-then-reinsert (restore path) it is not, and an
+            # appended posting would make iteration (and thus score
+            # accumulation / tie-break order) diverge from a cold
+            # rebuild, so it is inserted in place.
+            postings = self._postings.setdefault(term, [])
+            posting = Posting(doc_ord, sorted(positions))
+            if not postings or postings[-1].doc_ord < doc_ord:
+                postings.append(posting)
+            else:
+                insort(postings, posting, key=attrgetter("doc_ord"))
         self._doc_terms[doc_ord] = tuple(per_term)
         length = len(tokens)
         self._doc_lengths[doc_ord] = length

@@ -97,24 +97,26 @@ class TemporalGraph:
         inferred_total = 0
         for _round in range(max_rounds):
             new_relations: dict[tuple[str, str], str] = {}
-            events = self.events()
-            for i, a in enumerate(events):
-                for b in events:
-                    if a == b:
-                        continue
-                    r1 = self.relation(a, b)
-                    if r1 is None:
-                        continue
-                    for c in events:
-                        if c == a or c == b:
-                            continue
-                        r2 = self.relation(b, c)
-                        if r2 is None:
+            # This round's stored relations seen from both endpoints,
+            # events and neighbours in sorted order: the walk visits the
+            # same (a, b, c) chains in the same order as a scan of every
+            # ordered event pair, touching only pairs that are related.
+            directed = []
+            for (a, b), label in self._relations.items():
+                directed.append((a, b, label))
+                directed.append((b, a, self.algebra.inverse(label)))
+            adjacency: dict[str, dict[str, str]] = {}
+            for a, b, label in sorted(directed):
+                adjacency.setdefault(a, {})[b] = label
+            for a, from_a in adjacency.items():
+                for b, r1 in from_a.items():
+                    for c, r2 in adjacency[b].items():
+                        if c == a:
                             continue
                         entailed = self.algebra.compose(r1, r2)
                         if entailed is None:
                             continue
-                        existing = self.relation(a, c)
+                        existing = from_a.get(c)
                         if existing is None:
                             key, stored = self._canonicalize(a, c, entailed)
                             prior = new_relations.get(key)

@@ -47,10 +47,15 @@ def find_triples(
     index: dict[tuple[str, str], int] = {}
     for i, pair in enumerate(doc.pairs):
         index[(pair.src_id, pair.tgt_id)] = i
+    # Pairs grouped by their source event, each group in pair order, so
+    # (a, b) meets only the (b, c) pairs instead of every pair.
+    by_source: dict[str, list[tuple[str, int]]] = {}
+    for (b, c), i_bc in index.items():
+        by_source.setdefault(b, []).append((c, i_bc))
     triples = []
     for (a, b), i_ab in index.items():
-        for (b2, c), i_bc in index.items():
-            if b2 != b or c == a:
+        for c, i_bc in by_source.get(b, ()):
+            if c == a:
                 continue
             i_ac = index.get((a, c))
             if i_ac is not None:

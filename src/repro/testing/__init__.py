@@ -30,6 +30,7 @@ from repro.testing.differential import (
 from repro.testing.oracles import (
     ReferenceSearchEngine,
     brute_force_bindings,
+    brute_force_map,
     exhaustive_decode,
     reference_closure,
     reference_fuse,
@@ -49,6 +50,7 @@ __all__ = [
     "ReferenceSearchEngine",
     "apply_action",
     "brute_force_bindings",
+    "brute_force_map",
     "canonical_state",
     "case_rng",
     "check_case",

@@ -17,6 +17,8 @@ most naive algorithm that is obviously correct:
 * :func:`reference_closure` — temporal transitive closure by repeated
   full relaxation over a dense pair map with immediate updates
   (Floyd–Warshall style), detecting contradictions.
+* :func:`brute_force_map` — temporal global inference by enumerating
+  every joint label assignment and keeping the rule-consistent ones.
 * :func:`reference_fuse` — the Figure-6 fusion policy restated from
   its docstring contract.
 
@@ -513,6 +515,53 @@ def reference_closure(
         "ok",
         {key: label for key, label in relations.items() if key[0] < key[1]},
     )
+
+
+def brute_force_map(
+    pairs: Sequence[Sequence[str]],
+    probs: Sequence[Sequence[float]],
+    labels: Sequence[str],
+    algebra: RelationAlgebra,
+    tolerance: float = 1e-9,
+) -> tuple[float, list[tuple[str, ...]]]:
+    """MAP relation labels under transitivity, by enumeration.
+
+    ``pairs[i] = (source, target)`` owns row ``i`` of ``probs``.  Every
+    assignment of one label per pair is scored Σ log max(p, 1e-12); one
+    is consistent when, for all pairs (a,b), (b,c), (a,c) present with
+    c ≠ a, a composition of the first two labels that is itself one of
+    ``labels`` equals the third.  Returns the best score and every
+    consistent assignment within ``tolerance`` of it (more than one
+    only on ties).
+    """
+    index = {(source, target): i for i, (source, target) in enumerate(pairs)}
+    groundings = [
+        (i_ab, i_bc, index[(a, c)])
+        for (a, b), i_ab in index.items()
+        for (b2, c), i_bc in index.items()
+        if b2 == b and c != a and (a, c) in index
+    ]
+    log_probs = [[math.log(max(p, 1e-12)) for p in row] for row in probs]
+    scored = []
+    for assignment in itertools.product(range(len(labels)), repeat=len(pairs)):
+        chosen = [labels[k] for k in assignment]
+        consistent = True
+        for i_ab, i_bc, i_ac in groundings:
+            entailed = algebra.compose(chosen[i_ab], chosen[i_bc])
+            if (
+                entailed is not None
+                and entailed in labels
+                and chosen[i_ac] != entailed
+            ):
+                consistent = False
+                break
+        if consistent:
+            score = sum(log_probs[i][k] for i, k in enumerate(assignment))
+            scored.append((score, tuple(chosen)))
+    best = max(score for score, _ in scored)
+    return best, [
+        chosen for score, chosen in scored if score >= best - tolerance
+    ]
 
 
 # -- fusion ------------------------------------------------------------------

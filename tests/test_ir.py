@@ -1,7 +1,11 @@
 """Tests for CREATe-IR: ranking utilities, indexer, searcher, parser."""
 
+import json
+
 import pytest
 
+from repro.graphdb.cypher import CypherEngine
+from repro.graphdb.graph import PropertyGraph
 from repro.ir.indexer import CreateIrIndexer
 from repro.ir.query_parser import ParsedQuery, QueryConceptMention
 from repro.ir.ranking import fuse_results, label_similarity, labels_match
@@ -65,7 +69,75 @@ def build_index(reports):
     return indexer
 
 
+class CypherRouteGraph(PropertyGraph):
+    """Reference store: every ``add_node`` from outside is rendered as
+    the ``CREATE (n:Concept {...})`` statement the indexer used to issue
+    and goes through the cypher engine's lexer and parser."""
+
+    def __init__(self):
+        super().__init__()
+        self._cypher = CypherEngine(self)
+        self._in_cypher = False
+
+    def add_node(self, node_id, **properties):
+        if self._in_cypher:
+            return super().add_node(node_id, **properties)
+        label = properties.pop("_label")
+        rendered = []
+        for key, value in properties.items():
+            if value is True:
+                rendered.append(f"{key}: true")
+            else:
+                escaped = value.replace("\\", "\\\\").replace("'", "\\'")
+                rendered.append(f"{key}: '{escaped}'")
+        self._in_cypher = True
+        try:
+            self._cypher.run(
+                f"CREATE (n:{label} {{" + ", ".join(rendered) + "})"
+            )
+        finally:
+            self._in_cypher = False
+        return self.node(node_id)
+
+
 class TestIndexer:
+    def test_direct_nodes_equal_the_cypher_create_route(self, cvd_reports):
+        graphs = []
+        for graph in (PropertyGraph(), CypherRouteGraph()):
+            graph.journal = []
+            indexer = CreateIrIndexer(graph=graph)
+            for report in cvd_reports[:4]:
+                indexer.index_annotation_document(
+                    report.report_id, report.title, report.annotations
+                )
+            indexer.index_report(
+                "quoted",
+                "t",
+                "Crohn's \\ flare, no fever",
+                [
+                    ("T1", "Crohn's \\ flare", "Disease_disorder", "event"),
+                    ("T2", "fever", "Sign_symptom", "event"),
+                ],
+                [("T1", "T2", "BEFORE")],
+                negated_span_ids=["T2"],
+            )
+            graphs.append(graph)
+        direct, via_cypher = graphs
+        assert json.dumps(direct.journal) == json.dumps(via_cypher.journal)
+        assert direct.epoch == via_cypher.epoch
+        assert [
+            (node.node_id, list(node.properties.items()))
+            for node in direct.nodes()
+        ] == [
+            (node.node_id, list(node.properties.items()))
+            for node in via_cypher.nodes()
+        ]
+        flagged = direct.node("quoted:T2").properties
+        assert flagged["negated"] is True and flagged["_label"] == "Concept"
+        assert direct.node("quoted:T1").properties["label"] == (
+            "Crohn's \\ flare"
+        )
+
     def test_nodes_per_span(self, cvd_reports):
         indexer = build_index(cvd_reports[:3])
         report = cvd_reports[0]

@@ -1,10 +1,14 @@
 """Tests for the full-text search substrate (ElasticSearch analog + Solr)."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.exceptions import AnalyzerError, SearchError
+from repro.search import analysis
 from repro.search.analysis import (
+    Analyzer,
     CREATE_IR_ANALYZER_CONFIG,
     NGramTokenizer,
     STANDARD_ANALYZER_CONFIG,
@@ -125,6 +129,109 @@ class TestAnalyzerFactory:
         assert analyzer.terms("a b") == ["a", "b"]
 
 
+def plain_chain(analyzer, text):
+    """The chain as its definition reads: the whole text through the
+    tokenizer, then every filter over the whole token list."""
+    for char_filter in analyzer.char_filters:
+        text = char_filter(text)
+    tokens = analyzer.tokenizer.tokenize(text)
+    for token_filter in analyzer.token_filters:
+        tokens = token_filter(tokens)
+    return tokens
+
+
+EDGE_TEXTS = [
+    "",
+    "   \n\t ",
+    "Sjögren's syndrome in a naïve café patient; SJÖGREN again",
+    "BP of a pt on IV tx: 5 mg q8h",
+    "pseudopseudohypoparathyroidism and "
+    "pneumonoultramicroscopicsilicovolcanoconiosis were excluded",
+    "being shaken, both hands were cold",  # "be" / "and" appear by stemming
+    "x_y under_score 3.5 mg/dL beta-blocker 1,200 50mg",
+]
+
+
+class TestAnalyzerWordMemo:
+    @pytest.fixture(scope="class")
+    def texts(self, small_corpus):
+        rng = random.Random(1307)
+        texts = list(EDGE_TEXTS)
+        for report in rng.sample(small_corpus, 12):
+            texts.append(report.text)
+            words = report.text.split()
+            rng.shuffle(words)
+            texts.append(" ".join(words[:60]))
+        return texts
+
+    @pytest.mark.parametrize(
+        "config", [CREATE_IR_ANALYZER_CONFIG, STANDARD_ANALYZER_CONFIG]
+    )
+    def test_equals_plain_chain_token_for_token(self, config, texts):
+        analyzer = create_analyzer(config)
+        assert analyzer._memo is not None
+        for text in texts + texts:  # second pass is served from the memo
+            assert analyzer.analyze(text) == plain_chain(analyzer, text)
+        assert analyzer._memo
+
+    def test_edge_cases_are_exercised(self):
+        # "being" stems to the stopword "be": kept where ``stop`` runs
+        # before the stemmer, dropped where it runs after.
+        standard = create_analyzer(STANDARD_ANALYZER_CONFIG)
+        assert standard.terms("being shaken") == ["be", "shaken"]
+        ngram = create_analyzer(CREATE_IR_ANALYZER_CONFIG)
+        assert "be" not in ngram.terms("being")
+        assert "and" not in ngram.terms("hands")  # gram "ands" -> "and"
+        assert "bp" in ngram.terms("BP of a pt")
+        long_word = "pseudopseudohypoparathyroidism"
+        widths = {t.end - t.start for t in ngram.analyze(long_word)}
+        assert max(widths) == 25 and len(long_word) > 25
+
+    def test_unique_and_foreign_filters_keep_the_list_pipeline(self, texts):
+        def reverse_filter(tokens):
+            return tokens[::-1]
+
+        with_unique = create_analyzer(
+            {
+                "tokenizer": {"type": "ngram", "min_gram": 2, "max_gram": 3},
+                "filter": ["lowercase", "unique"],
+            }
+        )
+        foreign = Analyzer(StandardTokenizer(), [reverse_filter])
+        keyword = create_analyzer(
+            {"tokenizer": "keyword", "filter": ["lowercase"]}
+        )
+        for analyzer in (with_unique, foreign, keyword):
+            assert analyzer._memo is None
+            for text in texts:
+                assert analyzer.analyze(text) == plain_chain(analyzer, text)
+        # "banana": the second "an" / "na" / "ana" at position 0 is dropped.
+        assert with_unique.terms("Banana") == [
+            "ba", "ban", "an", "ana", "na", "nan",
+        ]
+
+    def test_memo_never_exceeds_its_bound(self, monkeypatch, texts):
+        monkeypatch.setattr(analysis, "_MEMO_MAX_COST", 400)
+        analyzer = create_analyzer(CREATE_IR_ANALYZER_CONFIG)
+        refills = 0
+        seen_cost = 0
+        for text in texts:
+            for word in text.split():
+                assert analyzer.analyze(word) == plain_chain(analyzer, word)
+                cost = sum(
+                    len(key) + len(entry)
+                    for key, entry in analyzer._memo.items()
+                )
+                assert cost == analyzer._memo_cost <= 400
+                refills += cost < seen_cost
+                seen_cost = cost
+        assert refills > 1
+        # One word dearer than the whole bound is analyzed, never kept.
+        assert "pneumonoultramicroscopicsilicovolcanoconiosis" not in (
+            analyzer._memo
+        )
+
+
 class TestInvertedIndex:
     def _index(self):
         index = InvertedIndex()
@@ -209,6 +316,30 @@ class TestSearchEngine:
     def test_title_field_query(self):
         hits = self._engine().search({"match": {"title": "stroke"}})
         assert hits[0].doc_id == "d3"
+
+    def test_accented_body_words_fold_like_the_title(self):
+        """The n-gram tokenizer used to split on ``[A-Za-z0-9]+``:
+        "Sjögren" indexed as ``sj`` + grams of ``gren`` and the body
+        analyzer's asciifolding never saw an accent."""
+        engine = self._engine()
+        body = "Primary Sjögren syndrome with dry eyes"
+        engine.index("d4", {"title": "Sjögren", "body": body})
+        assert "sjogren" in create_analyzer(CREATE_IR_ANALYZER_CONFIG).terms(
+            "Sjögren"
+        )
+        folded, accented, title = (
+            engine.search({"match": {field: text}})
+            for field, text in (
+                ("body", "sjogren"), ("body", "Sjögren"), ("title", "sjogren"),
+            )
+        )
+        assert folded[0].doc_id == accented[0].doc_id == "d4"
+        assert folded[0].score == accented[0].score
+        assert title[0].doc_id == "d4"
+        # Offsets still address the stored text, not the folded terms.
+        assert engine.highlight("d4", "body", "sjogren") == [
+            "Primary <em>Sjögren</em> syndrome with dry eyes"
+        ]
 
     def test_bool_must_not(self):
         engine = self._engine()

@@ -204,6 +204,19 @@ class TestPsl:
             assert ac.tgt_id == bc.tgt_id
         assert triples  # dense pair sets always ground some rules
 
+    def test_find_triples_keeps_the_all_pairs_scan_order(self, tiny_temporal):
+        for doc in tiny_temporal.train[:5]:
+            index = {
+                (p.src_id, p.tgt_id): i for i, p in enumerate(doc.pairs)
+            }
+            scan = [
+                (i_ab, i_bc, index[(a, c)])
+                for (a, b), i_ab in index.items()
+                for (b2, c), i_bc in index.items()
+                if b2 == b and c != a and (a, c) in index
+            ]
+            assert find_triples(doc) == scan
+
     def test_loss_zero_when_consistent(self):
         labels = ["BEFORE", "AFTER", "OVERLAP"]
         index = {label: i for i, label in enumerate(labels)}
@@ -257,6 +270,80 @@ class TestGlobalInference:
                 )
                 if entailed is not None and entailed in index:
                     assert assignment[i_ac] == entailed
+
+    @staticmethod
+    def _windowed_doc(n_events, window):
+        """Events e0..e(n-1), a pair for every two at most ``window``
+        apart in narrative order (what ``ClinicalExtractor`` builds)."""
+        from repro.annotation.model import AnnotationDocument
+        from repro.corpus.datasets import TemporalDocument, TemporalInstance
+
+        events = [f"e{i}" for i in range(n_events)]
+        pairs = [
+            TemporalInstance("d", events[i], events[j], "BEFORE", j - i)
+            for i in range(n_events)
+            for j in range(i + 1, min(i + 1 + window, n_events))
+        ]
+        return TemporalDocument(
+            "d", AnnotationDocument(doc_id="d", text=""), events, pairs
+        )
+
+    @pytest.mark.parametrize(
+        "algebra, n_events, window",
+        [(THREE_WAY_ALGEBRA, 5, 2), (THREE_WAY_ALGEBRA, 4, 3),
+         (DENSE_ALGEBRA, 4, 3)],
+        ids=["three-7pairs", "three-6pairs", "dense-6pairs"],
+    )
+    def test_equals_brute_force_map(self, algebra, n_events, window):
+        from repro.testing.oracles import brute_force_map
+
+        doc = self._windowed_doc(n_events, window)
+        pairs = [(pair.src_id, pair.tgt_id) for pair in doc.pairs]
+        labels = list(algebra.labels)
+        rng = np.random.default_rng(20210419)
+        cases = {"argmax consistent": 0, "argmax repaired": 0}
+        same_time = "OVERLAP" if "OVERLAP" in labels else "SIMULTANEOUS"
+        for _case in range(30):
+            # Noise around a consistent truth (events at random time
+            # points), so that the argmax is consistent in some cases
+            # and not in others.
+            times = dict(zip(doc.event_order, rng.integers(0, 3, n_events)))
+            probs = rng.dirichlet(np.ones(len(labels)), size=len(pairs))
+            for row, (a, b) in zip(probs, pairs):
+                truth = (
+                    "BEFORE" if times[a] < times[b]
+                    else "AFTER" if times[a] > times[b]
+                    else same_time
+                )
+                row[labels.index(truth)] += 0.5
+            probs /= probs.sum(axis=1, keepdims=True)
+            _best, optima = brute_force_map(pairs, probs, labels, algebra)
+            assert len(optima) == 1
+            local = tuple(labels[i] for i in np.argmax(probs, axis=1))
+            got = global_inference(doc, probs, labels, algebra)
+            assert tuple(got) == optima[0]
+            if local == optima[0]:
+                cases["argmax consistent"] += 1
+            else:
+                cases["argmax repaired"] += 1
+        assert min(cases.values()) >= 3, cases
+
+    def test_tied_row_returns_one_of_the_optima(self):
+        from repro.testing.oracles import brute_force_map
+
+        doc = self._windowed_doc(4, 3)
+        pairs = [(pair.src_id, pair.tgt_id) for pair in doc.pairs]
+        labels = list(THREE_WAY_ALGEBRA.labels)
+        # Every pair BEFORE (consistent), but e0-e1 ties BEFORE with
+        # OVERLAP: the argmax is one of two optima, not *the* optimum.
+        probs = np.tile([0.8, 0.05, 0.15], (len(pairs), 1))
+        probs[0] = [0.45, 0.1, 0.45]
+        _best, optima = brute_force_map(
+            pairs, probs, labels, THREE_WAY_ALGEBRA
+        )
+        assert len(optima) == 2
+        got = global_inference(doc, probs, labels, THREE_WAY_ALGEBRA)
+        assert tuple(got) in optima
 
     def test_empty_doc(self):
         from repro.annotation.model import AnnotationDocument

@@ -16,6 +16,7 @@ from repro.temporal.relations import DENSE_ALGEBRA, THREE_WAY_ALGEBRA
 from repro.testing.oracles import (
     ReferenceSearchEngine,
     brute_force_bindings,
+    brute_force_map,
     exhaustive_decode,
     reference_closure,
     reference_fuse,
@@ -171,6 +172,39 @@ class TestReferenceClosure:
         )
         assert status == "ok"
         assert relations[("a", "c")] == "INCLUDES"
+
+
+class TestBruteForceMap:
+    PAIRS = [("a", "b"), ("b", "c"), ("a", "c")]
+    LABELS = ["BEFORE", "AFTER", "OVERLAP"]
+
+    def test_repairs_the_cheapest_link(self):
+        # argmax (BEFORE, BEFORE, AFTER) breaks BEFORE∘BEFORE -> BEFORE;
+        # flipping a-c costs log(.4/.6), flipping a-b or b-c log(.05/.9).
+        probs = [[0.9, 0.05, 0.05], [0.9, 0.05, 0.05], [0.4, 0.6, 0.0]]
+        best, optima = brute_force_map(
+            self.PAIRS, probs, self.LABELS, THREE_WAY_ALGEBRA
+        )
+        assert optima == [("BEFORE", "BEFORE", "BEFORE")]
+        assert best == pytest.approx(2 * math.log(0.9) + math.log(0.4))
+
+    def test_reports_every_tied_optimum(self):
+        probs = [[0.5, 0.0, 0.5], [0.9, 0.05, 0.05], [0.9, 0.05, 0.05]]
+        _best, optima = brute_force_map(
+            self.PAIRS, probs, self.LABELS, THREE_WAY_ALGEBRA
+        )
+        assert sorted(optima) == [
+            ("BEFORE", "BEFORE", "BEFORE"),
+            ("OVERLAP", "BEFORE", "BEFORE"),
+        ]
+
+    def test_unentailed_compositions_constrain_nothing(self):
+        # BEFORE then AFTER entails nothing about a-c.
+        probs = [[0.9, 0.1, 0.0], [0.1, 0.9, 0.0], [0.0, 0.1, 0.9]]
+        _best, optima = brute_force_map(
+            self.PAIRS, probs, self.LABELS, THREE_WAY_ALGEBRA
+        )
+        assert optima == [("BEFORE", "AFTER", "OVERLAP")]
 
 
 class TestReferenceFuse:

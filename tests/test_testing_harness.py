@@ -167,3 +167,132 @@ class TestCli:
         monkeypatch.undo()
         # ... and to exit 0 once fixed.
         assert main(["--replay", str(out_file)]) == 0
+
+
+# -- planted bugs: a checker that cannot fail checks nothing ----------------
+
+
+def _plant_unsynced_ack(monkeypatch):
+    """WAL flush that appends but never fsyncs: commits are acknowledged
+    while their bytes still sit in the page cache."""
+    from repro.durability.wal import WriteAheadLog
+
+    def flush(self):
+        if self._buffer:
+            self.fs.append(self.name, b"".join(self._buffer))
+            self._buffer.clear()
+
+    monkeypatch.setattr(WriteAheadLog, "flush", flush)
+
+
+def _plant_replay_drops_index_deletes(monkeypatch):
+    """Keyword-index replay that ignores delete ops: a recovered index
+    resurrects reports the docstore and graph no longer hold."""
+    from repro.search.engine import SearchEngine
+
+    original = SearchEngine.durable_apply
+
+    def durable_apply(self, op):
+        if op.get("op") != "delete":
+            original(self, op)
+
+    monkeypatch.setattr(SearchEngine, "durable_apply", durable_apply)
+
+
+def _plant_cache_ignores_stamp(monkeypatch):
+    """Query cache that serves an entry whatever epoch it was stamped
+    under: answers survive the mutation that invalidated them."""
+    from repro.serving.cache import QueryCache
+
+    def get(self, key):
+        entry = self._entries.get(key)
+        if entry is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return entry[1]
+
+    monkeypatch.setattr(QueryCache, "get", get)
+
+
+def _plant_merge_forgets_deletes(monkeypatch):
+    """Segment merge that compacts without the delete bitmaps: deleted
+    rows come back to life in the merged segment."""
+    import repro.search.segment_engine as segment_engine
+
+    original = segment_engine.merge_segments
+
+    def merge_segments(out_path, inputs):
+        return original(
+            out_path, [(segment, None) for segment, _deleted in inputs]
+        )
+
+    monkeypatch.setattr(segment_engine, "merge_segments", merge_segments)
+
+
+def _plant_lagging_replica_reads(monkeypatch):
+    """Read routing that prefers a replica whether or not it has caught
+    up with the primary's durable LSN."""
+    from repro.serving.replica import ShardReplicaSet
+
+    original = ShardReplicaSet.read_store
+
+    def read_store(self):
+        if not self.down and self.replicas:
+            return self.replicas[0].store
+        return original(self)
+
+    monkeypatch.setattr(ShardReplicaSet, "read_store", read_store)
+
+
+def _plant_skipped_exclusion(monkeypatch):
+    """Cohort evaluation whose short-circuit drops the last exclusion
+    criterion unevaluated."""
+    from repro.cohort.engine import CohortEngine
+    from repro.cohort.model import CohortDefinition
+
+    original = CohortEngine.evaluate
+
+    def evaluate(self, definition):
+        return original(
+            self,
+            CohortDefinition(
+                name=definition.name,
+                inclusion=definition.inclusion,
+                exclusion=definition.exclusion[:-1],
+            ),
+        )
+
+    monkeypatch.setattr(CohortEngine, "evaluate", evaluate)
+
+
+class TestCheckersHaveTeeth:
+    @pytest.mark.parametrize(
+        "subsystem, plant",
+        [
+            ("durability", _plant_unsynced_ack),
+            ("durability", _plant_replay_drops_index_deletes),
+            ("serving", _plant_cache_ignores_stamp),
+            ("segments", _plant_merge_forgets_deletes),
+            ("replication", _plant_lagging_replica_reads),
+            ("cohort", _plant_skipped_exclusion),
+        ],
+        ids=lambda value: getattr(value, "__name__", value),
+    )
+    def test_planted_bug_is_reported_within_60_cases(
+        self, subsystem, plant, monkeypatch
+    ):
+        plant(monkeypatch)
+        messages = [
+            message
+            for index in range(60)
+            if (
+                message := check_case(
+                    subsystem, generate_case(subsystem, 0, index)
+                )
+            )
+            is not None
+        ]
+        assert messages, f"{plant.__name__} passed 60 {subsystem} cases"
+        # A contract violation, not the harness tripping over the plant.
+        assert not any("checker crashed" in m for m in messages), messages[0]

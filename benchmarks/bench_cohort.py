@@ -24,7 +24,6 @@ import time
 from conftest import write_json_result, write_result
 
 from repro.cohort import (
-    BruteForceCohortEvaluator,
     CohortDefinition,
     CohortEngine,
     EntityCriterion,
@@ -35,6 +34,7 @@ from repro.cohort import (
 from repro.corpus.generator import CaseReportGenerator
 from repro.docstore.store import DocumentStore
 from repro.ir.indexer import CreateIrIndexer
+from repro.testing.cohort_oracle import BruteForceCohortEvaluator
 
 N_DOCS = int(os.environ.get("BENCH_COHORT_DOCS", "400"))
 TIMED_ROUNDS = 3

@@ -23,8 +23,9 @@ Routes (method, path template):
 * ``GET  /review/agreement``     — inter-reviewer agreement over
   doubly-reviewed claims.
 
-All integer query parameters are validated by :func:`_int_param`:
-non-integers and negatives return 400, never 500.
+Query parameters are validated by :func:`_int_param` and
+:func:`_text_param`: non-integers, negatives and non-string ``q``
+return 400, never 500.
 """
 
 from __future__ import annotations
@@ -59,19 +60,30 @@ def _int_param(params: dict, name: str, default: int) -> int:
     """A non-negative integer query parameter, or 400.
 
     ``int()`` on raw query input raises bare ``ValueError``/``TypeError``
-    which the dispatcher would surface as a 500; this helper turns both
-    malformed and negative values into a client-visible 400.
+    (``OverflowError`` for an infinite float) which the dispatcher would
+    surface as a 500; this helper turns both malformed and negative
+    values into a client-visible 400.
     """
     raw = params.get(name, default)
     try:
         value = int(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ApiError(
             400, f"{name} must be an integer, got {raw!r}"
         ) from None
     if value < 0:
         raise ApiError(400, f"{name} must be non-negative, got {value}")
     return value
+
+
+def _text_param(params: dict, name: str) -> str:
+    """A required, non-empty string query parameter, or 400."""
+    raw = params.get(name, "")
+    if not isinstance(raw, str):
+        raise ApiError(400, f"{name} must be a string, got {raw!r}")
+    if not raw:
+        raise ApiError(400, f"missing query parameter {name}")
+    return raw
 
 
 def _opt_int_field(body: dict, name: str) -> int | None:
@@ -81,7 +93,7 @@ def _opt_int_field(body: dict, name: str) -> int | None:
         return None
     try:
         return int(raw)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ApiError(
             400, f"{name} must be an integer, got {raw!r}"
         ) from None
@@ -383,9 +395,7 @@ class CreateApplication:
         return Response(200, {"deleted": doc_id})
 
     def _search(self, body: Any, params: dict) -> Response:
-        query = params.get("q", "")
-        if not query:
-            raise ApiError(400, "missing query parameter q")
+        query = _text_param(params, "q")
         size = _int_param(params, "size", 10)
         want_highlight = str(params.get("highlight", "")).lower() in (
             "1",
@@ -464,9 +474,7 @@ class CreateApplication:
     def _suggest(self, body: Any, params: dict) -> Response:
         from repro.search.suggest import QuerySuggester
 
-        prefix = params.get("q", "")
-        if not prefix:
-            raise ApiError(400, "missing query parameter q")
+        prefix = _text_param(params, "q")
         if self._suggester is None:
             suggester = QuerySuggester()
             suggester.add_from_graph(self.indexer.graph)

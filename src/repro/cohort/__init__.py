@@ -4,8 +4,8 @@ The production-shaped CREATE workload — "patients with diagnosis X, on
 medication Y, event A before event B" — expressed as declarative
 :class:`CohortDefinition` objects, compiled per criterion to the
 cheapest backing store by :class:`CohortEngine`, checked end to end by
-:class:`BruteForceCohortEvaluator`, and exported as FHIR-style Bundles
-with span-level provenance.
+the correctness harness's brute-force per-document oracle, and exported
+as FHIR-style Bundles with span-level provenance.
 """
 
 from repro.cohort.engine import CohortEngine, CohortResult, CriterionReport
@@ -25,10 +25,8 @@ from repro.cohort.model import (
     ValueCriterion,
     criterion_from_json,
 )
-from repro.cohort.oracle import BruteForceCohortEvaluator
 
 __all__ = [
-    "BruteForceCohortEvaluator",
     "CohortDefinition",
     "CohortEngine",
     "CohortResult",

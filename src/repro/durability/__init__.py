@@ -13,7 +13,7 @@ document's three-store footprint appearing atomically or not at all.
 :class:`FaultInjector` and :class:`MemFS` make that claim testable:
 seed-driven crash schedules (torn writes, short writes, dropped
 fsyncs, mid-commit kills) drive the ``durability`` subsystem of the
-:mod:`repro.testing` differential harness.
+differential fuzz harness.
 """
 
 from repro.durability.fs import (

@@ -244,43 +244,9 @@ class ReviewQueue:
         Raises:
             ReviewError: the report is not enrolled.
         """
-        text = self._texts.get(doc_id)
-        if text is None:
+        if doc_id not in self._texts:
             raise ReviewError(f"report {doc_id!r} is not enrolled")
-        doc = AnnotationDocument(doc_id=doc_id, text=text)
-        for claim in self.claims_of(doc_id):
-            if claim.kind != MENTION:
-                continue
-            decision = self._decision_for(claim.claim_id, reviewer)
-            if decision is None or decision.verdict == "reject":
-                continue
-            label = claim.label
-            start, end = claim.start, claim.end
-            if decision.verdict == "edit":
-                label = decision.label or label
-                if decision.start is not None:
-                    start, end = decision.start, decision.end
-            tb = doc.add_textbound(label, start, end, ann_id=claim.span_id)
-            if claim.negated:
-                doc.add_attribute("Negated", tb.ann_id)
-        for claim in self.claims_of(doc_id):
-            if claim.kind != RELATION:
-                continue
-            decision = self._decision_for(claim.claim_id, reviewer)
-            if decision is None or decision.verdict == "reject":
-                continue
-            if (
-                claim.source not in doc.textbounds
-                or claim.target not in doc.textbounds
-            ):
-                continue  # an endpoint was rejected or re-spanned away
-            label = claim.label
-            if decision.verdict == "edit" and decision.label:
-                label = decision.label
-            doc.add_relation(
-                label, claim.source, claim.target, ann_id=claim.span_id
-            )
-        return doc
+        return self._reviewed_document(doc_id, reviewer)
 
     def accepted_corrections(self) -> list[ReviewExample]:
         """Reviewer-verified documents as incremental CRF training data.
@@ -338,11 +304,11 @@ class ReviewQueue:
             {self._claims[claim_id].doc_id for claim_id in shared}
         )
         docs_a = [
-            self._restricted_document(doc_id, reviewer_a, shared)
+            self._reviewed_document(doc_id, reviewer_a, shared)
             for doc_id in doc_ids
         ]
         docs_b = [
-            self._restricted_document(doc_id, reviewer_b, shared)
+            self._reviewed_document(doc_id, reviewer_b, shared)
             for doc_id in doc_ids
         ]
         verdicts_a = []
@@ -511,18 +477,26 @@ class ReviewQueue:
                 return decision
         return None
 
-    def _restricted_document(
-        self, doc_id: str, reviewer: str, allowed: set[str]
+    def _reviewed_document(
+        self,
+        doc_id: str,
+        reviewer: str | None,
+        allowed: set[str] | None = None,
     ) -> AnnotationDocument:
-        """One reviewer's effective annotations over only the claims in
-        ``allowed`` (the co-reviewed set), for agreement scoring."""
-        text = self._texts[doc_id]
-        doc = AnnotationDocument(doc_id=doc_id, text=text)
+        """Mentions, then relations, as amended by ``reviewer``'s
+        verdicts (``None`` = each claim's latest decision), over only
+        the claims in ``allowed`` when given (the co-reviewed set, for
+        agreement scoring)."""
+        doc = AnnotationDocument(doc_id=doc_id, text=self._texts[doc_id])
+        verdicts = []
         for claim in self.claims_of(doc_id):
-            if claim.claim_id not in allowed or claim.kind != MENTION:
+            if allowed is not None and claim.claim_id not in allowed:
                 continue
             decision = self._decision_for(claim.claim_id, reviewer)
-            if decision is None or decision.verdict == "reject":
+            if decision is not None and decision.verdict != "reject":
+                verdicts.append((claim, decision))
+        for claim, decision in verdicts:
+            if claim.kind != MENTION:
                 continue
             label = claim.label
             start, end = claim.start, claim.end
@@ -530,18 +504,17 @@ class ReviewQueue:
                 label = decision.label or label
                 if decision.start is not None:
                     start, end = decision.start, decision.end
-            doc.add_textbound(label, start, end, ann_id=claim.span_id)
-        for claim in self.claims_of(doc_id):
-            if claim.claim_id not in allowed or claim.kind != RELATION:
-                continue
-            decision = self._decision_for(claim.claim_id, reviewer)
-            if decision is None or decision.verdict == "reject":
+            tb = doc.add_textbound(label, start, end, ann_id=claim.span_id)
+            if claim.negated:
+                doc.add_attribute("Negated", tb.ann_id)
+        for claim, decision in verdicts:
+            if claim.kind != RELATION:
                 continue
             if (
                 claim.source not in doc.textbounds
                 or claim.target not in doc.textbounds
             ):
-                continue
+                continue  # an endpoint was rejected or re-spanned away
             label = claim.label
             if decision.verdict == "edit" and decision.label:
                 label = decision.label

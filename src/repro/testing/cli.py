@@ -20,7 +20,6 @@ import sys
 from repro.testing.differential import (
     SUBSYSTEMS,
     check_case,
-    generate_case,
     run,
 )
 from repro.testing.shrink import shrink

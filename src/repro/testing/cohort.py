@@ -176,11 +176,10 @@ def gen_cohort_case(rng: random.Random) -> dict:
 def _build_stack(reports):
     """(app, engine, oracle) over one regenerated corpus."""
     from repro.api.app import CreateApplication
-    from repro.cohort.engine import CohortEngine
-    from repro.cohort.oracle import BruteForceCohortEvaluator
     from repro.docstore.store import DocumentStore
     from repro.ir.indexer import CreateIrIndexer
     from repro.ir.searcher import CreateIrSearcher
+    from repro.testing.cohort_oracle import BruteForceCohortEvaluator
 
     indexer = CreateIrIndexer()
     app = CreateApplication(
@@ -195,13 +194,7 @@ def _build_stack(reports):
         oracle.add_report(
             report.report_id, report.title, document, report.annotations
         )
-    engine = CohortEngine(
-        app.store,
-        indexer.graph,
-        indexer.engine,
-        app._annotations.get,
-    )
-    return app, engine, oracle
+    return app, app.cohorts, oracle
 
 
 def check_cohort_case(case: dict) -> str | None:

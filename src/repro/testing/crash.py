@@ -1,46 +1,255 @@
-"""Crash-recovery fuzzing: injected faults vs. a brute-force oracle.
+"""Crash-recovery fuzzing: injected faults vs. a never-crashed oracle.
 
-One generated case is a short ingest/delete workload over the three
-stores (docstore, property graph, keyword index) run under a
-:class:`~repro.durability.DurabilityManager`, with one deterministic
-fault injected somewhere in the filesystem operation stream.  The
-checker then recovers from the surviving bytes and verifies the
-durability contract:
+:func:`check_crash_contract` owns the durability contract for any set
+of :class:`~repro.durability.manager.Durable` stores.  One case is an
+action schedule run under a :class:`~repro.durability.DurabilityManager`
+with (usually) one deterministic fault injected somewhere in the
+filesystem operation stream; the checker recovers from the surviving
+bytes and verifies:
 
 * **Prefix consistency** — the recovered state equals the state an
-  oracle reaches after some *whole* prefix of the workload.  Never a
-  partial document, never a reordering.
+  oracle reaches after some *whole* prefix of the schedule.  Never a
+  partial action, never a reordering, never a record replayed twice.
 * **No lost acknowledgements** — that prefix covers at least every
   action whose commit LSN was acknowledged (≤ ``durable_lsn``) before
   the fault.  Recovered state may legitimately be *ahead* of the
   acknowledged prefix: un-fsynced complete records can survive a
   crash via page-cache writeback, and that is allowed — losing an
   acknowledged write is not.
-* **Tripartite atomicity** — after recovery, exactly the same document
-  ids are visible in the docstore, the graph, and the keyword index.
 * **Continuation** — re-running the remaining actions on the recovered
   system converges to the same final state as a run that never
   crashed.
 
 Fault-free cases double as a snapshot+WAL equivalence check: the live
 in-memory state, the recovered state, and the oracle must all agree.
+
+A crash subsystem supplies its stores, its action vocabulary and its
+canonical state, plus any assertion of its own.  The ``durability``
+subsystem below is the spec for the docstore / property graph / keyword
+index triple, whose own assertion is **tripartite atomicity**: after
+recovery exactly the same document ids are visible in all three.
 """
 
 from __future__ import annotations
 
 import json
+from typing import Callable
 
 from repro.docstore.store import DocumentStore
 from repro.durability import DurabilityManager, FaultInjector, InjectedCrash, MemFS
 from repro.exceptions import DurabilityError
 from repro.graphdb.graph import PropertyGraph
 from repro.search.engine import SearchEngine
+from repro.testing.lockstep import positive_ints
 
 FAULT_KINDS = FaultInjector.CRASH_KINDS + FaultInjector.ERROR_KINDS
 
 
-def _fresh_stores() -> tuple[DocumentStore, PropertyGraph, SearchEngine]:
-    return DocumentStore(), PropertyGraph(), SearchEngine()
+# -- the contract ------------------------------------------------------------
+
+
+def valid_fault(fault, kinds=FAULT_KINDS) -> bool:
+    """``None`` (fault-free) or a well-formed planned filesystem fault."""
+    if fault is None:
+        return True
+    return (
+        isinstance(fault, dict)
+        and fault.get("kind") in kinds
+        and isinstance(fault.get("at_op"), int)
+        and fault["at_op"] >= 0
+        and isinstance(fault.get("seed"), int)
+    )
+
+
+def fault_fs(mem: MemFS, fault: dict | None):
+    """``mem`` itself, or ``mem`` behind the planned fault."""
+    if fault is None:
+        return mem
+    return FaultInjector(
+        mem, kind=fault["kind"], at_op=fault["at_op"], seed=fault["seed"]
+    )
+
+
+def valid_schedule(case, valid_actions: Callable[[list], bool]) -> bool:
+    """Structural validation; shrunk cases may violate any of this."""
+    if not isinstance(case, dict) or not positive_ints(case, "group_commit"):
+        return False
+    if case.get("snapshot_every") is not None and not positive_ints(
+        case, "snapshot_every"
+    ):
+        return False
+    actions = case.get("actions")
+    return (
+        isinstance(actions, list)
+        and valid_actions(actions)
+        and valid_fault(case.get("fault"))
+    )
+
+
+def valid_relations(relations, n_spans: int) -> bool:
+    """``[src, dst, label]`` triples between two distinct spans."""
+    return isinstance(relations, list) and all(
+        isinstance(relation, list)
+        and len(relation) == 3
+        and isinstance(relation[0], int)
+        and isinstance(relation[1], int)
+        and isinstance(relation[2], str)
+        and 0 <= relation[0] < n_spans
+        and 0 <= relation[1] < n_spans
+        and relation[0] != relation[1]
+        for relation in relations
+    )
+
+
+def _attached(fs, stores: dict, group_commit: int, snapshot_every):
+    manager = DurabilityManager(
+        fs, group_commit=group_commit, snapshot_every=snapshot_every
+    )
+    for name, store in stores.items():
+        manager.attach(name, store)
+    return manager
+
+
+def check_crash_contract(
+    case: dict,
+    *,
+    valid_actions: Callable[[list], bool],
+    fresh_stores: Callable[[], dict],
+    apply_action: Callable[[dict, dict], None],
+    canonical: Callable[[dict], str],
+    check_recovered: Callable[[dict], str | None] = lambda stores: None,
+    check_final: Callable[[dict, dict], str | None] = (
+        lambda stores, oracle_stores: None
+    ),
+) -> str | None:
+    """Run one crash schedule end to end; ``None`` means the contract
+    held (or the case was structurally malformed — vacuous).
+
+    Args:
+        valid_actions: structural validation of ``case["actions"]``.
+        fresh_stores: empty ``Durable`` stores keyed by the name each
+            attaches to the manager under (attach order = dict order).
+        apply_action: apply one action to such a dict (memory only).
+        canonical: identity-free rendering of such a dict's state.
+        check_recovered: the subsystem's own assertion on the stores
+            straight after recovery.
+        check_final: its own assertion on the recovered stores after
+            the schedule was finished on them, beside the never-crashed
+            oracle's stores.
+    """
+    if not valid_schedule(case, valid_actions):
+        return None
+    actions = case["actions"]
+
+    # oracle[j] = canonical state after the first j actions, on plain
+    # in-memory stores with no durability at all.
+    oracle_stores = fresh_stores()
+    oracle = [canonical(oracle_stores)]
+    for action in actions:
+        apply_action(oracle_stores, action)
+        oracle.append(canonical(oracle_stores))
+
+    mem = MemFS()
+    stores = fresh_stores()
+    manager = _attached(
+        fault_fs(mem, case["fault"]),
+        stores,
+        case["group_commit"],
+        case["snapshot_every"],
+    )
+    applied = 0  # actions whose memory mutation completed
+    action_lsns: list[int | None] = []  # lsn per *committed* action
+    crashed = False
+    try:
+        for action in actions:
+            apply_action(stores, action)
+            applied += 1
+            action_lsns.append(manager.commit())
+        manager.flush()
+    except (InjectedCrash, DurabilityError, OSError):
+        crashed = True
+
+    # Acknowledged prefix: the longest run of leading actions whose
+    # commits were fsynced (no-op actions — lsn None — ride along).
+    acked = 0
+    for lsn in action_lsns:
+        if lsn is not None and lsn > manager.durable_lsn:
+            break
+        acked += 1
+
+    # Recover from the surviving bytes with a fault-free filesystem.
+    recovered_stores = fresh_stores()
+    recovery = _attached(mem, recovered_stores, 1, case["snapshot_every"])
+    try:
+        recovery.recover()
+    except DurabilityError as exc:
+        # Includes a store's own double-commit detector raising inside
+        # ``durable_apply``.
+        return (
+            f"recovery failed after "
+            f"{'crash' if crashed else 'clean run'}: {exc}"
+        )
+    recovered = canonical(recovered_stores)
+    message = check_recovered(recovered_stores)
+    if message is not None:
+        return message
+
+    # Prefix consistency + no lost acknowledgements.
+    matched = [j for j in range(applied + 1) if oracle[j] == recovered]
+    if not matched:
+        return (
+            f"recovered state matches no action prefix "
+            f"(crashed={crashed}, applied={applied}, acked={acked})"
+        )
+    resume_from = max(matched)
+    if resume_from < acked:
+        return (
+            f"acknowledged writes lost: recovered to prefix "
+            f"{resume_from} but {acked} actions were acknowledged "
+            f"(durable_lsn={manager.durable_lsn})"
+        )
+
+    # Continuation: finish the schedule on the recovered system.
+    for action in actions[resume_from:]:
+        apply_action(recovered_stores, action)
+        recovery.commit()
+    recovery.flush()
+    message = check_final(recovered_stores, oracle_stores)
+    if message is not None:
+        return message
+    if canonical(recovered_stores) != oracle[-1]:
+        return (
+            f"continuation after recovery from prefix {resume_from} "
+            "diverged from the oracle's final state"
+        )
+
+    if not crashed:
+        # Fault-free (or fault never fired): live memory, recovered
+        # state, and oracle must all be the complete schedule.
+        if canonical(stores) != oracle[-1]:
+            return "fault-free live state diverged from the oracle"
+        if recovered != oracle[-1]:
+            return (
+                "fault-free recovery (snapshot + WAL replay) diverged "
+                "from the in-memory state"
+            )
+        if acked != len(actions):
+            return (
+                f"fault-free run acknowledged only {acked} of "
+                f"{len(actions)} actions"
+            )
+    return None
+
+
+# -- the durability subsystem: docstore + graph + keyword index --------------
+
+
+def _fresh_stores() -> dict:
+    return {
+        "docstore": DocumentStore(),
+        "graph": PropertyGraph(),
+        "index": SearchEngine(),
+    }
 
 
 def apply_action(
@@ -174,21 +383,7 @@ def visible_doc_ids(
     return doc_ids, graph_ids, engine_ids
 
 
-def _valid_case(case: dict) -> bool:
-    """Structural validation; shrunk cases may violate any of this."""
-    if not isinstance(case, dict):
-        return False
-    group_commit = case.get("group_commit")
-    if not isinstance(group_commit, int) or group_commit < 1:
-        return False
-    snapshot_every = case.get("snapshot_every")
-    if snapshot_every is not None and (
-        not isinstance(snapshot_every, int) or snapshot_every < 1
-    ):
-        return False
-    actions = case.get("actions")
-    if not isinstance(actions, list):
-        return False
+def _valid_actions(actions: list) -> bool:
     ingested = set()
     for action in actions:
         if not isinstance(action, dict):
@@ -212,173 +407,37 @@ def _valid_case(case: dict) -> bool:
                 for span in spans
             ):
                 return False
-            relations = action.get("relations")
-            if not isinstance(relations, list):
+            if not valid_relations(action.get("relations"), len(spans)):
                 return False
-            for relation in relations:
-                if not isinstance(relation, list) or len(relation) != 3:
-                    return False
-                src, dst, label = relation
-                if not (
-                    isinstance(src, int)
-                    and isinstance(dst, int)
-                    and isinstance(label, str)
-                    and 0 <= src < len(spans)
-                    and 0 <= dst < len(spans)
-                ):
-                    return False
         elif kind == "delete":
             if not isinstance(action.get("id"), str):
                 return False
         else:
             return False
-    fault = case.get("fault")
-    if fault is not None:
-        if not isinstance(fault, dict):
-            return False
-        if fault.get("kind") not in FAULT_KINDS:
-            return False
-        if not isinstance(fault.get("at_op"), int) or fault["at_op"] < 0:
-            return False
-        if not isinstance(fault.get("seed"), int):
-            return False
     return True
 
 
-def _oracle_states(actions: list[dict]) -> list[str]:
-    """``states[j]`` = canonical state after the first ``j`` actions,
-    computed on plain in-memory stores with no durability at all."""
-    store, graph, engine = _fresh_stores()
-    states = [canonical_state(store, graph, engine)]
-    for action in actions:
-        apply_action(store, graph, engine, action)
-        states.append(canonical_state(store, graph, engine))
-    return states
-
-
-def check_durability_case(case: dict) -> str | None:
-    """Run one crash schedule end to end; ``None`` means the contract
-    held (or the case was structurally malformed — vacuous)."""
-    if not _valid_case(case):
-        return None
-    actions = case["actions"]
-    fault = case["fault"]
-    oracle = _oracle_states(actions)
-
-    mem = MemFS()
-    if fault is not None:
-        fs = FaultInjector(
-            mem,
-            kind=fault["kind"],
-            at_op=fault["at_op"],
-            seed=fault["seed"],
-        )
-    else:
-        fs = mem
-    store, graph, engine = _fresh_stores()
-    manager = DurabilityManager(
-        fs,
-        group_commit=case["group_commit"],
-        snapshot_every=case["snapshot_every"],
-    )
-    manager.attach("docstore", store)
-    manager.attach("graph", graph)
-    manager.attach("index", engine)
-
-    applied = 0  # actions whose memory mutation completed
-    action_lsns: list[int | None] = []  # lsn per *committed* action
-    crashed = False
-    try:
-        for action in actions:
-            apply_action(store, graph, engine, action)
-            applied += 1
-            action_lsns.append(manager.commit())
-        manager.flush()
-    except (InjectedCrash, DurabilityError, OSError):
-        crashed = True
-
-    # Acknowledged prefix: the longest run of leading actions whose
-    # commits were fsynced (no-op actions — lsn None — ride along).
-    acked = 0
-    for lsn in action_lsns:
-        if lsn is not None and lsn > manager.durable_lsn:
-            break
-        acked += 1
-
-    # Recover from the surviving bytes with a fault-free filesystem.
-    recovered_store, recovered_graph, recovered_engine = _fresh_stores()
-    recovery = DurabilityManager(
-        mem, group_commit=1, snapshot_every=case["snapshot_every"]
-    )
-    recovery.attach("docstore", recovered_store)
-    recovery.attach("graph", recovered_graph)
-    recovery.attach("index", recovered_engine)
-    try:
-        recovery.recover()
-    except DurabilityError as exc:
-        return f"recovery failed after {'crash' if crashed else 'clean run'}: {exc}"
-    recovered = canonical_state(
-        recovered_store, recovered_graph, recovered_engine
-    )
-
-    # Tripartite atomicity: same ids everywhere, no partial documents.
-    doc_ids, graph_ids, engine_ids = visible_doc_ids(
-        recovered_store, recovered_graph, recovered_engine
-    )
+def _tripartite_atomicity(stores: dict) -> str | None:
+    """Same ids everywhere, no partial documents."""
+    doc_ids, graph_ids, engine_ids = visible_doc_ids(*stores.values())
     if not (doc_ids == graph_ids == engine_ids):
         return (
             "recovered stores disagree on visible documents: "
             f"docstore {sorted(doc_ids)}, graph {sorted(graph_ids)}, "
             f"index {sorted(engine_ids)}"
         )
-
-    # Prefix consistency + no lost acknowledgements.
-    matched = [
-        j for j in range(applied + 1) if oracle[j] == recovered
-    ]
-    if not matched:
-        return (
-            f"recovered state matches no action prefix "
-            f"(crashed={crashed}, applied={applied}, acked={acked})"
-        )
-    resume_from = max(matched)
-    if resume_from < acked:
-        return (
-            f"acknowledged writes lost: recovered to prefix "
-            f"{resume_from} but {acked} actions were acknowledged "
-            f"(durable_lsn={manager.durable_lsn})"
-        )
-
-    # Continuation: finish the workload on the recovered system.
-    for action in actions[resume_from:]:
-        apply_action(
-            recovered_store, recovered_graph, recovered_engine, action
-        )
-        recovery.commit()
-    recovery.flush()
-    final = canonical_state(
-        recovered_store, recovered_graph, recovered_engine
-    )
-    if final != oracle[-1]:
-        return (
-            f"continuation after recovery from prefix {resume_from} "
-            "diverged from the oracle's final state"
-        )
-
-    if not crashed:
-        # Fault-free (or fault never fired): live memory, recovered
-        # state, and oracle must all be the complete workload.
-        live = canonical_state(store, graph, engine)
-        if live != oracle[-1]:
-            return "fault-free live state diverged from the oracle"
-        if recovered != oracle[-1]:
-            return (
-                "fault-free recovery (snapshot + WAL replay) diverged "
-                "from the in-memory state"
-            )
-        if acked != len(actions):
-            return (
-                f"fault-free run acknowledged only {acked} of "
-                f"{len(actions)} actions"
-            )
     return None
+
+
+def check_durability_case(case: dict) -> str | None:
+    """The crash contract over the docstore / graph / index triple."""
+    return check_crash_contract(
+        case,
+        valid_actions=_valid_actions,
+        fresh_stores=_fresh_stores,
+        apply_action=lambda stores, action: apply_action(
+            *stores.values(), action
+        ),
+        canonical=lambda stores: canonical_state(*stores.values()),
+        check_recovered=_tripartite_atomicity,
+    )

@@ -14,29 +14,32 @@ import json
 import time
 import traceback
 from dataclasses import dataclass, field
+from random import Random
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.exceptions import TemporalInconsistencyError
-from repro.graphdb.graph import PropertyGraph
-from repro.graphdb.match import (
-    EdgePattern,
-    GraphPattern,
-    NodePattern,
-    iter_edge_bindings,
-    match_pattern,
-)
+from repro.graphdb.match import iter_edge_bindings, match_pattern
 from repro.graphdb.planner import explain_pattern
 from repro.ml import infer
-from repro.search.analysis import STANDARD_ANALYZER_CONFIG
 from repro.search.engine import SearchEngine
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.relations import DENSE_ALGEBRA, THREE_WAY_ALGEBRA
 from repro.testing import generators
 from repro.testing.crash import check_durability_case
 from repro.testing.invariants import (
+    binding_keys,
+    build_graph_case,
     check_edge_permutation_invariance,
     check_invariants_case,
+)
+from repro.testing.lockstep import (
+    apply_ops,
+    close,
+    compare_queries,
+    field_analyzers,
+    valid_ops,
 )
 from repro.testing.oracles import (
     ANALYZER_CONFIGS,
@@ -52,23 +55,6 @@ from repro.testing.review import check_review_case, gen_review_case
 from repro.testing.rng import case_rng
 from repro.testing.segments import check_segment_case
 from repro.testing.serving import check_serving_case
-
-SUBSYSTEMS = (
-    "search",
-    "graph",
-    "planner",
-    "crf",
-    "temporal",
-    "invariants",
-    "durability",
-    "serving",
-    "segments",
-    "replication",
-    "cohort",
-    "review",
-)
-
-_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
@@ -101,22 +87,7 @@ class RunReport:
 # -- per-subsystem checkers --------------------------------------------------
 
 
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _TOLERANCE * (1.0 + max(abs(a), abs(b)))
-
-
-def _search_once(engine, query):
-    """('error', type name) or a ranked (doc_id, score) list."""
-    try:
-        hits = engine.search(query, size=10)
-    except Exception as exc:
-        return ("error", type(exc).__name__)
-    if isinstance(engine, SearchEngine):
-        return [(hit.doc_id, hit.score) for hit in hits]
-    return list(hits)
-
-
-def _postings_order_invariant(engine, field_analyzers) -> str | None:
+def _postings_order_invariant(engine, analyzers) -> str | None:
     """Mutate-vs-rebuild: after any op stream, every postings list must
     be strictly doc-ord ascending and order-equivalent to a cold
     rebuild of the surviving documents.
@@ -127,7 +98,7 @@ def _postings_order_invariant(engine, field_analyzers) -> str | None:
     re-added ordinals.
     """
     live = sorted(engine._ids_by_ordinal.items())
-    rebuilt = SearchEngine(field_analyzers)
+    rebuilt = SearchEngine(analyzers)
     for _, doc_id in live:
         rebuilt.index(doc_id, engine._sources[doc_id])
     for field_name, index in engine._indexes.items():
@@ -161,86 +132,33 @@ def _postings_order_invariant(engine, field_analyzers) -> str | None:
 
 
 def check_search_case(case: dict) -> str | None:
-    if case.get("analyzer") not in ANALYZER_CONFIGS:
+    if case.get("analyzer") not in ANALYZER_CONFIGS or not valid_ops(
+        case.get("ops")
+    ):
         return None  # malformed (post-shrink) case: vacuous
-    field_analyzers = {
-        "body": ANALYZER_CONFIGS[case["analyzer"]],
-        "title": STANDARD_ANALYZER_CONFIG,
-    }
-    engine = SearchEngine(field_analyzers)
-    reference = ReferenceSearchEngine(field_analyzers)
-    for op in case["ops"]:
-        if op["op"] == "index":
-            engine.index(op["id"], op["fields"])
-            reference.index(op["id"], op["fields"])
-        else:
-            got = engine.delete(op["id"])
-            want = reference.delete(op["id"])
-            if got != want:
-                return f"delete({op['id']!r}) -> {got}, oracle {want}"
-        if engine.n_documents != reference.n_documents:
-            return (
-                f"doc count diverged after {op!r}: "
-                f"{engine.n_documents} vs {reference.n_documents}"
-            )
-    message = _postings_order_invariant(engine, field_analyzers)
+    analyzers = field_analyzers(case)
+    engine = SearchEngine(analyzers)
+    reference = ReferenceSearchEngine(analyzers)
+    message = apply_ops(case["ops"], engine, reference)
     if message is not None:
         return message
-    for query in case["queries"]:
-        got = _search_once(engine, query)
-        want = _search_once(reference, query)
-        if isinstance(got, tuple) or isinstance(want, tuple):
-            if got != want:
-                return f"{query!r}: engine {got!r}, oracle {want!r}"
-            continue
-        if [doc_id for doc_id, _ in got] != [doc_id for doc_id, _ in want]:
-            return f"{query!r}: ranking {got!r}, oracle {want!r}"
-        for (_, got_score), (_, want_score) in zip(got, want):
-            if not _close(got_score, want_score):
-                return (
-                    f"{query!r}: scores diverged {got!r} vs {want!r}"
-                )
-    return None
+    message = _postings_order_invariant(engine, analyzers)
+    if message is not None:
+        return message
+    return compare_queries(case["queries"], engine, reference, "search")
 
 
-def _build_graph_case(case: dict):
-    graph = PropertyGraph()
-    for node_id, props in case["nodes"]:
-        graph.add_node(node_id, **props)
-    if case.get("index_property"):
-        graph.create_property_index("entityType")
-    for src, dst, label in case["edges"]:
-        graph.add_edge(src, dst, label)
-    pattern = GraphPattern(
-        nodes=[
-            NodePattern(var, properties=tuple(sorted(props.items())))
-            for var, props in case["pattern_nodes"]
-        ],
-        edges=[
-            EdgePattern(src, dst, label=label, directed=bool(directed))
-            for src, dst, label, directed in case["pattern_edges"]
-        ],
-    )
-    return graph, pattern
-
-
-def check_graph_case(case: dict) -> str | None:
-    try:
-        graph, pattern = _build_graph_case(case)
-        pattern.validate()
-    except Exception:
-        return None  # malformed (post-shrink) case: vacuous
-    expected = {
+def _oracle_bindings(graph, pattern) -> set:
+    return {
         frozenset(binding.items())
         for binding in brute_force_bindings(graph, pattern)
     }
-    got_bindings = match_pattern(graph, pattern)
-    got = [
-        frozenset(
-            (var, node.node_id) for var, node in binding.items()
-        )
-        for binding in got_bindings
-    ]
+
+
+def _check_bindings(graph, pattern, limit, expected: set, bindings) -> str | None:
+    """``match_pattern`` vs. the exhaustive oracle: no duplicates, the
+    same binding set, and ``limit`` honoured with admissible bindings."""
+    got = binding_keys(bindings)
     if len(got) != len(set(got)):
         return f"match_pattern returned duplicate bindings: {got!r}"
     if set(got) != expected:
@@ -248,20 +166,34 @@ def check_graph_case(case: dict) -> str | None:
             f"bindings diverged: match_pattern {sorted(map(sorted, got))} "
             f"vs oracle {sorted(map(sorted, expected))}"
         )
-    limit = case.get("limit")
     if limit is not None:
-        limited = match_pattern(graph, pattern, limit=limit)
+        limited = binding_keys(match_pattern(graph, pattern, limit=limit))
         if len(limited) != min(limit, len(expected)):
             return (
                 f"limit={limit} returned {len(limited)} bindings, "
                 f"expected {min(limit, len(expected))}"
             )
-        for binding in limited:
-            key = frozenset(
-                (var, node.node_id) for var, node in binding.items()
-            )
+        for key in limited:
             if key not in expected:
                 return f"limited binding {sorted(key)} not admissible"
+    return None
+
+
+def check_graph_case(case: dict) -> str | None:
+    built = build_graph_case(case)
+    if built is None:
+        return None
+    graph, pattern = built
+    got_bindings = match_pattern(graph, pattern)
+    message = _check_bindings(
+        graph,
+        pattern,
+        case.get("limit"),
+        _oracle_bindings(graph, pattern),
+        got_bindings,
+    )
+    if message is not None:
+        return message
     for binding in got_bindings[:5]:
         realized = list(iter_edge_bindings(graph, binding, pattern))
         if len(realized) != len(pattern.edges):
@@ -298,31 +230,21 @@ def check_planner_case(case: dict) -> str | None:
     4. metamorphic: permuting edge-insertion order changes neither the
        plan nor the binding set.
     """
-    try:
-        graph, pattern = _build_graph_case(case)
-        pattern.validate()
-    except Exception:
-        return None  # malformed (post-shrink) case: vacuous
-    expected = {
-        frozenset(binding.items())
-        for binding in brute_force_bindings(graph, pattern)
-    }
-    planned = [
-        frozenset((var, node.node_id) for var, node in binding.items())
-        for binding in match_pattern(graph, pattern)
-    ]
-    if len(planned) != len(set(planned)):
-        return f"planned match returned duplicate bindings: {planned!r}"
-    if set(planned) != expected:
-        return (
-            f"planned bindings diverged from oracle: "
-            f"{sorted(map(sorted, planned))} vs "
-            f"{sorted(map(sorted, expected))}"
-        )
-    unplanned = {
-        frozenset((var, node.node_id) for var, node in binding.items())
-        for binding in match_pattern_unplanned(graph, pattern)
-    }
+    built = build_graph_case(case)
+    if built is None:
+        return None
+    graph, pattern = built
+    expected = _oracle_bindings(graph, pattern)
+    message = _check_bindings(
+        graph,
+        pattern,
+        case.get("limit"),
+        expected,
+        match_pattern(graph, pattern),
+    )
+    if message is not None:
+        return message
+    unplanned = set(binding_keys(match_pattern_unplanned(graph, pattern)))
     if unplanned != expected:
         return (
             f"pre-planner engine diverged from oracle: "
@@ -333,10 +255,7 @@ def check_planner_case(case: dict) -> str | None:
     _again, rows_again = explain_pattern(graph, pattern)
     if rows != rows_again:
         return f"EXPLAIN is not deterministic: {rows} vs {rows_again}"
-    explained = {
-        frozenset((var, node.node_id) for var, node in binding.items())
-        for binding in bindings
-    }
+    explained = set(binding_keys(bindings))
     if explained != expected:
         return (
             f"explain_pattern bindings diverged from oracle: "
@@ -357,20 +276,6 @@ def check_planner_case(case: dict) -> str | None:
                 f"EXPLAIN result row claims {rows[-1]['actual']} "
                 f"bindings, oracle has {len(expected)}"
             )
-    limit = case.get("limit")
-    if limit is not None:
-        limited = match_pattern(graph, pattern, limit=limit)
-        if len(limited) != min(limit, len(expected)):
-            return (
-                f"limit={limit} returned {len(limited)} bindings, "
-                f"expected {min(limit, len(expected))}"
-            )
-        for binding in limited:
-            key = frozenset(
-                (var, node.node_id) for var, node in binding.items()
-            )
-            if key not in expected:
-                return f"limited binding {sorted(key)} not admissible"
     return check_edge_permutation_invariance(
         case, case.get("permutation_seed", 0)
     )
@@ -397,20 +302,20 @@ def check_crf_case(case: dict) -> str | None:
         case["emissions"], case["transitions"], case["start"], case["end"]
     )
     path, score = infer.viterbi(emissions, transitions, start, end)
-    if not _close(score, best_score):
+    if not close(score, best_score):
         return (
             f"viterbi score {score} != exhaustive max {best_score}"
         )
     realized = infer.sequence_score(
         path, emissions, transitions, start, end
     )
-    if not _close(realized, best_score):
+    if not close(realized, best_score):
         return (
             f"viterbi path scores {realized}, exhaustive max {best_score} "
             f"(backpointers inconsistent with claimed score {score})"
         )
     _alpha, forward_z = infer.forward_log(emissions, transitions, start, end)
-    if not _close(forward_z, log_z):
+    if not close(forward_z, log_z):
         return f"forward log Z {forward_z} != exhaustive {log_z}"
     return None
 
@@ -462,35 +367,41 @@ def check_temporal_case(case: dict) -> str | None:
     return None
 
 
-GENERATORS = {
-    "search": generators.gen_search_case,
-    "graph": generators.gen_graph_case,
-    "planner": generators.gen_planner_case,
-    "crf": generators.gen_crf_case,
-    "temporal": generators.gen_temporal_case,
-    "invariants": generators.gen_invariants_case,
-    "durability": generators.gen_durability_case,
-    "serving": generators.gen_serving_case,
-    "segments": generators.gen_segment_case,
-    "replication": generators.gen_replication_case,
-    "cohort": gen_cohort_case,
-    "review": gen_review_case,
-}
+class Subsystem(NamedTuple):
+    """One fuzzed subsystem: a seeded case generator and its checker."""
 
-CHECKERS = {
-    "search": check_search_case,
-    "graph": check_graph_case,
-    "planner": check_planner_case,
-    "crf": check_crf_case,
-    "temporal": check_temporal_case,
-    "invariants": check_invariants_case,
-    "durability": check_durability_case,
-    "serving": check_serving_case,
-    "segments": check_segment_case,
-    "replication": check_replication_case,
-    "cohort": check_cohort_case,
-    "review": check_review_case,
-}
+    name: str
+    generate: Callable[[Random], dict]
+    check: Callable[[dict], str | None]
+
+
+TABLE = (
+    Subsystem("search", generators.gen_search_case, check_search_case),
+    Subsystem("graph", generators.gen_graph_case, check_graph_case),
+    Subsystem("planner", generators.gen_planner_case, check_planner_case),
+    Subsystem("crf", generators.gen_crf_case, check_crf_case),
+    Subsystem("temporal", generators.gen_temporal_case, check_temporal_case),
+    Subsystem(
+        "invariants", generators.gen_invariants_case, check_invariants_case
+    ),
+    Subsystem(
+        "durability", generators.gen_durability_case, check_durability_case
+    ),
+    Subsystem("serving", generators.gen_serving_case, check_serving_case),
+    Subsystem("segments", generators.gen_segment_case, check_segment_case),
+    Subsystem(
+        "replication",
+        generators.gen_replication_case,
+        check_replication_case,
+    ),
+    Subsystem("cohort", gen_cohort_case, check_cohort_case),
+    Subsystem("review", gen_review_case, check_review_case),
+)
+
+# Derived views of the one table.
+SUBSYSTEMS = tuple(subsystem.name for subsystem in TABLE)
+GENERATORS = {subsystem.name: subsystem.generate for subsystem in TABLE}
+CHECKERS = {subsystem.name: subsystem.check for subsystem in TABLE}
 
 
 def generate_case(subsystem: str, seed: int, case_index: int) -> dict:

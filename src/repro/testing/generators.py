@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from random import Random
 
+from repro.testing.crash import FAULT_KINDS
+
 VOCABULARY = [
     "fever",
     "fevers",
@@ -82,23 +84,38 @@ def gen_query(rng: Random, depth: int = 0) -> dict:
     return {"bool": body}
 
 
+def _gen_index_op(rng: Random, max_id: int) -> dict:
+    return {
+        "op": "index",
+        "id": f"d{rng.randint(0, max_id)}",
+        "fields": {"body": gen_text(rng, 10), "title": gen_text(rng, 4)},
+    }
+
+
+def _gen_delete_op(rng: Random, max_id: int) -> dict:
+    return {"op": "delete", "id": f"d{rng.randint(0, max_id)}"}
+
+
+def gen_ops(
+    rng: Random, n_min: int, n_max: int, delete_p: float, max_id: int = 11
+) -> list:
+    """An index/delete op stream; never opens with a delete.
+
+    The default id range is wider than the search cases' so every
+    shard count actually spreads documents across partitions.
+    """
+    ops: list[dict] = []
+    for _ in range(rng.randint(n_min, n_max)):
+        if ops and rng.random() < delete_p:
+            ops.append(_gen_delete_op(rng, max_id))
+        else:
+            ops.append(_gen_index_op(rng, max_id))
+    return ops
+
+
 def gen_search_case(rng: Random) -> dict:
     """Documents + index/delete operations + a query batch."""
-    ops = []
-    for _ in range(rng.randint(1, 8)):
-        if ops and rng.random() < 0.25:
-            ops.append({"op": "delete", "id": f"d{rng.randint(0, 5)}"})
-        else:
-            ops.append(
-                {
-                    "op": "index",
-                    "id": f"d{rng.randint(0, 5)}",
-                    "fields": {
-                        "body": gen_text(rng, 10),
-                        "title": gen_text(rng, 4),
-                    },
-                }
-            )
+    ops = gen_ops(rng, 1, 8, 0.25, max_id=5)
     return {
         "analyzer": rng.choice(ANALYZERS),
         "ops": ops,
@@ -112,6 +129,47 @@ _EDGE_LABELS = ["BEFORE", "OVERLAP", "CAUSES", "MODIFIES"]
 _NODE_TYPES = ["Sign_symptom", "Medication", "Lab_value"]
 
 
+def _gen_edges(
+    rng: Random, n_nodes: int, max_edges: int, loop_p: float
+) -> list:
+    edges = []
+    for _ in range(rng.randint(0, max_edges)):
+        src = f"n{rng.randint(0, n_nodes - 1)}"
+        dst = (
+            src  # deliberate self-loops
+            if rng.random() < loop_p
+            else f"n{rng.randint(0, n_nodes - 1)}"
+        )
+        edges.append([src, dst, rng.choice(_EDGE_LABELS)])
+    return edges
+
+
+def _gen_pattern(
+    rng: Random, n_nodes: int, max_vars: int, max_edges: int
+) -> tuple[list, list]:
+    """(pattern_nodes, pattern_edges) over at most ``max_vars``
+    variables, half of them typed, ~70% of the edges directed."""
+    variables = [
+        f"v{i}" for i in range(rng.randint(1, min(max_vars, n_nodes)))
+    ]
+    pattern_nodes = []
+    for var in variables:
+        props = {}
+        if rng.random() < 0.5:
+            props["entityType"] = rng.choice(_NODE_TYPES)
+        pattern_nodes.append([var, props])
+    pattern_edges = [
+        [
+            rng.choice(variables),
+            rng.choice(variables),
+            rng.choice(_EDGE_LABELS + [None]),
+            rng.random() < 0.7,  # directed?
+        ]
+        for _ in range(rng.randint(0, max_edges))
+    ]
+    return pattern_nodes, pattern_edges
+
+
 def gen_graph_case(rng: Random) -> dict:
     """A small multigraph (self-loops, parallel edges) plus a pattern."""
     n_nodes = rng.randint(1, 6)
@@ -119,33 +177,8 @@ def gen_graph_case(rng: Random) -> dict:
         [f"n{i}", {"entityType": rng.choice(_NODE_TYPES)}]
         for i in range(n_nodes)
     ]
-    edges = []
-    for _ in range(rng.randint(0, 10)):
-        src = f"n{rng.randint(0, n_nodes - 1)}"
-        dst = (
-            src  # deliberate self-loops ~20% of the time
-            if rng.random() < 0.2
-            else f"n{rng.randint(0, n_nodes - 1)}"
-        )
-        edges.append([src, dst, rng.choice(_EDGE_LABELS)])
-    n_vars = rng.randint(1, min(3, n_nodes))
-    variables = [f"v{i}" for i in range(n_vars)]
-    pattern_nodes = []
-    for var in variables:
-        props = {}
-        if rng.random() < 0.5:
-            props["entityType"] = rng.choice(_NODE_TYPES)
-        pattern_nodes.append([var, props])
-    pattern_edges = []
-    for _ in range(rng.randint(0, 4)):
-        pattern_edges.append(
-            [
-                rng.choice(variables),
-                rng.choice(variables),
-                rng.choice(_EDGE_LABELS + [None]),
-                rng.random() < 0.7,  # directed?
-            ]
-        )
+    edges = _gen_edges(rng, n_nodes, 10, 0.2)
+    pattern_nodes, pattern_edges = _gen_pattern(rng, n_nodes, 3, 4)
     return {
         "nodes": nodes,
         "edges": edges,
@@ -163,7 +196,8 @@ def gen_planner_case(rng: Random) -> dict:
     Compared to :func:`gen_graph_case` the graphs are a little larger
     (so scan-order choices actually differ) and skewed: one node type
     dominates, making property selectivity meaningful.  Patterns bias
-    toward multiple edges so expansion order matters.
+    toward multiple edges so expansion order matters; self-loops
+    exercise the planner's filter-only path.
     """
     n_nodes = rng.randint(2, 8)
     nodes = []
@@ -175,33 +209,8 @@ def gen_planner_case(rng: Random) -> dict:
             else rng.choice(_NODE_TYPES)
         )
         nodes.append([f"n{i}", {"entityType": node_type}])
-    edges = []
-    for _ in range(rng.randint(0, 14)):
-        src = f"n{rng.randint(0, n_nodes - 1)}"
-        dst = (
-            src  # self-loops exercise the planner's filter-only path
-            if rng.random() < 0.15
-            else f"n{rng.randint(0, n_nodes - 1)}"
-        )
-        edges.append([src, dst, rng.choice(_EDGE_LABELS)])
-    n_vars = rng.randint(1, min(4, n_nodes))
-    variables = [f"v{i}" for i in range(n_vars)]
-    pattern_nodes = []
-    for var in variables:
-        props = {}
-        if rng.random() < 0.5:
-            props["entityType"] = rng.choice(_NODE_TYPES)
-        pattern_nodes.append([var, props])
-    pattern_edges = []
-    for _ in range(rng.randint(0, 5)):
-        pattern_edges.append(
-            [
-                rng.choice(variables),
-                rng.choice(variables),
-                rng.choice(_EDGE_LABELS + [None]),
-                rng.random() < 0.7,  # directed?
-            ]
-        )
+    edges = _gen_edges(rng, n_nodes, 14, 0.15)
+    pattern_nodes, pattern_edges = _gen_pattern(rng, n_nodes, 4, 5)
     return {
         "nodes": nodes,
         "edges": edges,
@@ -332,36 +341,14 @@ def gen_serving_case(rng: Random) -> dict:
     """A sharded-serving workload: seed ops, a query batch (run twice
     to exercise the cache), a mutation batch, and a final query batch
     whose results must match a cold unsharded engine.
-
-    Doc ids span a wider range than the search cases so every shard
-    count actually spreads documents across partitions.
     """
-
-    def gen_ops(n_min: int, n_max: int) -> list:
-        ops = []
-        for _ in range(rng.randint(n_min, n_max)):
-            if ops and rng.random() < 0.3:
-                ops.append({"op": "delete", "id": f"d{rng.randint(0, 11)}"})
-            else:
-                ops.append(
-                    {
-                        "op": "index",
-                        "id": f"d{rng.randint(0, 11)}",
-                        "fields": {
-                            "body": gen_text(rng, 10),
-                            "title": gen_text(rng, 4),
-                        },
-                    }
-                )
-        return ops
-
     return {
         "n_shards": rng.choice([1, 2, 2, 3, 4, 4]),
         "cache_size": rng.choice([1, 2, 8, 32]),
         "analyzer": rng.choice(ANALYZERS),
-        "ops": gen_ops(1, 8),
+        "ops": gen_ops(rng, 1, 8, 0.3),
         "queries": [gen_query(rng) for _ in range(rng.randint(1, 4))],
-        "mutations": gen_ops(1, 4),
+        "mutations": gen_ops(rng, 1, 4, 0.3),
         "post_queries": [gen_query(rng) for _ in range(rng.randint(1, 3))],
     }
 
@@ -382,21 +369,7 @@ def gen_replication_case(rng: Random) -> dict:
     mid-fsync, or as a torn page-cache writeback — at a seed-chosen
     filesystem-op index.
     """
-    actions = []
-    for _ in range(rng.randint(2, 10)):
-        if actions and rng.random() < 0.25:
-            actions.append({"op": "delete", "id": f"d{rng.randint(0, 11)}"})
-        else:
-            actions.append(
-                {
-                    "op": "index",
-                    "id": f"d{rng.randint(0, 11)}",
-                    "fields": {
-                        "body": gen_text(rng, 10),
-                        "title": gen_text(rng, 4),
-                    },
-                }
-            )
+    actions = gen_ops(rng, 2, 10, 0.25)
     crash = None
     if rng.random() < 0.8:
         crash = {
@@ -432,36 +405,27 @@ def gen_segment_case(rng: Random) -> dict:
     automatic compaction on top of the explicit ``merge`` ops.
     """
 
-    def gen_ops(n_min: int, n_max: int) -> list:
+    def gen_schedule(n_min: int, n_max: int) -> list:
         ops: list[dict] = []
         for _ in range(rng.randint(n_min, n_max)):
             roll = rng.random()
             if ops and roll < 0.2:
-                ops.append({"op": "delete", "id": f"d{rng.randint(0, 11)}"})
+                ops.append(_gen_delete_op(rng, 11))
             elif roll < 0.35:
                 ops.append({"op": "flush"})
             elif roll < 0.45:
                 ops.append({"op": "merge"})
             else:
-                ops.append(
-                    {
-                        "op": "index",
-                        "id": f"d{rng.randint(0, 11)}",
-                        "fields": {
-                            "body": gen_text(rng, 10),
-                            "title": gen_text(rng, 4),
-                        },
-                    }
-                )
+                ops.append(_gen_index_op(rng, 11))
         return ops
 
     return {
         "analyzer": rng.choice(ANALYZERS),
         "flush_threshold": rng.choice([1, 2, 3, 3, 50]),
         "merge_factor": rng.choice([2, 2, 3, 8]),
-        "ops": gen_ops(2, 10),
+        "ops": gen_schedule(2, 10),
         "queries": [gen_query(rng) for _ in range(rng.randint(1, 4))],
-        "mutations": gen_ops(1, 5),
+        "mutations": gen_schedule(1, 5),
         "post_queries": [gen_query(rng) for _ in range(rng.randint(1, 3))],
         "reopen": rng.random() < 0.5,
     }
@@ -469,19 +433,49 @@ def gen_segment_case(rng: Random) -> dict:
 
 # -- durability / crash recovery ---------------------------------------------
 
-_DURABILITY_FAULTS = ["crash", "torn", "io_append", "io_fsync", "io_replace"]
-
 _CATEGORIES = ["cardiovascular", "neurological", "infectious"]
+
+
+def gen_relations(rng: Random, n_spans: int, labels) -> list:
+    """Up to two ``[src, dst, label]`` triples between distinct spans."""
+    relations = []
+    if n_spans >= 2:
+        for _ in range(rng.randint(0, 2)):
+            src = rng.randrange(n_spans)
+            dst = rng.randrange(n_spans)
+            if src != dst:
+                relations.append([src, dst, rng.choice(labels)])
+    return relations
+
+
+def gen_crash_schedule(rng: Random, actions: list) -> dict:
+    """``actions`` plus one planned fault and a commit/snapshot cadence.
+
+    ``fault: None`` (~1 in 5) makes the case a fault-free snapshot+WAL
+    equivalence check; ``at_op`` indexes into the stream of filesystem
+    operations, so the same schedule gets crashed at many different
+    WAL/snapshot boundaries across cases.
+    """
+    fault = None
+    if rng.random() < 0.8:
+        fault = {
+            "kind": rng.choice(FAULT_KINDS),
+            "at_op": rng.randint(0, 30),
+            "seed": rng.randint(0, 2**31),
+        }
+    return {
+        "actions": actions,
+        "fault": fault,
+        "group_commit": rng.choice([1, 1, 2, 3, 4]),
+        "snapshot_every": rng.choice([None, None, 2, 3, 5]),
+    }
 
 
 def gen_durability_case(rng: Random) -> dict:
     """An ingest/delete workload plus one planned fault.
 
     Ids are unique per case (``d0``, ``d1``, ...); deletes only target
-    previously ingested documents.  ``fault: None`` (~1 in 5) makes the
-    case a fault-free snapshot+WAL equivalence check; ``at_op`` indexes
-    into the stream of filesystem operations, so the same workload gets
-    crashed at many different WAL/snapshot boundaries across cases.
+    previously ingested documents.
     """
     actions = []
     live: list[str] = []
@@ -496,13 +490,7 @@ def gen_durability_case(rng: Random) -> dict:
             [rng.choice(_NODE_TYPES), gen_text(rng, 2, 1)]
             for _ in range(rng.randint(0, 3))
         ]
-        relations = []
-        if len(spans) >= 2:
-            for _ in range(rng.randint(0, 2)):
-                src = rng.randrange(len(spans))
-                dst = rng.randrange(len(spans))
-                if src != dst:
-                    relations.append([src, dst, rng.choice(_EDGE_LABELS)])
+        relations = gen_relations(rng, len(spans), _EDGE_LABELS)
         actions.append(
             {
                 "act": "ingest",
@@ -515,16 +503,4 @@ def gen_durability_case(rng: Random) -> dict:
             }
         )
         live.append(doc_id)
-    fault = None
-    if rng.random() < 0.8:
-        fault = {
-            "kind": rng.choice(_DURABILITY_FAULTS),
-            "at_op": rng.randint(0, 30),
-            "seed": rng.randint(0, 2**31),
-        }
-    return {
-        "group_commit": rng.choice([1, 1, 2, 3, 4]),
-        "snapshot_every": rng.choice([None, None, 2, 3, 5]),
-        "actions": actions,
-        "fault": fault,
-    }
+    return gen_crash_schedule(rng, actions)

@@ -26,26 +26,19 @@ message.
 from __future__ import annotations
 
 import random
-from typing import Any
 
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.match import EdgePattern, GraphPattern, NodePattern
 from repro.graphdb.planner import explain_pattern
 from repro.ir.ranking import fuse_results
 from repro.runtime.executor import BatchExecutor
-from repro.search.analysis import STANDARD_ANALYZER_CONFIG, create_analyzer
+from repro.search.analysis import create_analyzer
 from repro.search.engine import SearchEngine
 from repro.search.inverted_index import InvertedIndex
+from repro.testing.lockstep import field_analyzers, search_once
 from repro.testing.oracles import ANALYZER_CONFIGS, reference_fuse
 
 _TOLERANCE = 1e-9
-
-
-def _field_analyzers(case: dict) -> dict:
-    return {
-        "body": ANALYZER_CONFIGS[case["analyzer"]],
-        "title": STANDARD_ANALYZER_CONFIG,
-    }
 
 
 def _live_docs(case: dict) -> list[tuple[str, dict]]:
@@ -61,22 +54,14 @@ def _live_docs(case: dict) -> list[tuple[str, dict]]:
 
 
 def _build_engine(case: dict, docs: list[tuple[str, dict]]) -> SearchEngine:
-    engine = SearchEngine(_field_analyzers(case))
+    engine = SearchEngine(field_analyzers(case))
     for doc_id, fields in docs:
         engine.index(doc_id, fields)
     return engine
 
 
-def _rankings(engine: SearchEngine, queries) -> list[list[tuple[Any, float]]]:
-    out = []
-    for query in queries:
-        try:
-            hits = engine.search(query, size=50)
-        except Exception as exc:  # compared structurally below
-            out.append([("__error__", type(exc).__name__)])
-            continue
-        out.append([(hit.doc_id, hit.score) for hit in hits])
-    return out
+def _rankings(engine: SearchEngine, queries) -> list:
+    return [search_once(engine, query, size=50) for query in queries]
 
 
 def engine_index_snapshot(engine: SearchEngine) -> str:
@@ -155,7 +140,7 @@ def check_serial_parallel_ingest(case: dict) -> str | None:
         return None
     analyzers = {
         field: create_analyzer(config)
-        for field, config in _field_analyzers(case).items()
+        for field, config in field_analyzers(case).items()
     }
 
     def analyze(item):
@@ -291,35 +276,41 @@ def check_fusion_determinism(
     return None
 
 
-def _build_planner_graph(case: dict, edges: list) -> tuple:
-    """Build (graph, pattern) from a planner/graph fuzz case, using
-    ``edges`` as the insertion order (may be a permutation of
-    ``case["edges"]``)."""
-    graph = PropertyGraph()
-    for node_id, props in case["nodes"]:
-        graph.add_node(node_id, **props)
-    if case.get("index_property"):
-        graph.create_property_index("entityType")
-    for src, dst, label in edges:
-        graph.add_edge(src, dst, label)
-    pattern = GraphPattern(
-        nodes=[
-            NodePattern(var, properties=tuple(sorted(props.items())))
-            for var, props in case["pattern_nodes"]
-        ],
-        edges=[
-            EdgePattern(src, dst, label=label, directed=bool(directed))
-            for src, dst, label, directed in case["pattern_edges"]
-        ],
-    )
+def build_graph_case(case: dict, edges: list | None = None):
+    """(graph, pattern) of a graph/planner fuzz case, or ``None`` when
+    the case is malformed (post-shrink) and so vacuous.  ``edges``
+    overrides the insertion order with a permutation of
+    ``case["edges"]``."""
+    try:
+        graph = PropertyGraph()
+        for node_id, props in case["nodes"]:
+            graph.add_node(node_id, **props)
+        if case.get("index_property"):
+            graph.create_property_index("entityType")
+        for src, dst, label in case["edges"] if edges is None else edges:
+            graph.add_edge(src, dst, label)
+        pattern = GraphPattern(
+            nodes=[
+                NodePattern(var, properties=tuple(sorted(props.items())))
+                for var, props in case["pattern_nodes"]
+            ],
+            edges=[
+                EdgePattern(src, dst, label=label, directed=bool(directed))
+                for src, dst, label, directed in case["pattern_edges"]
+            ],
+        )
+        pattern.validate()
+    except Exception:
+        return None
     return graph, pattern
 
 
-def _binding_set(bindings) -> set:
-    return {
+def binding_keys(bindings) -> list:
+    """Each binding as a hashable ``frozenset((var, node_id), ...)``."""
+    return [
         frozenset((var, node.node_id) for var, node in binding.items())
         for binding in bindings
-    }
+    ]
 
 
 def check_edge_permutation_invariance(
@@ -333,29 +324,29 @@ def check_edge_permutation_invariance(
     (every EXPLAIN row, estimates included) and the binding set must be
     bit-identical however the same edge multiset arrives.
     """
-    try:
-        graph, pattern = _build_planner_graph(case, case["edges"])
-        pattern.validate()
-    except Exception:
-        return None  # malformed (post-shrink) case: vacuous
+    built = build_graph_case(case)
+    if built is None:
+        return None
+    graph, pattern = built
     base_bindings, base_rows = explain_pattern(graph, pattern)
-    base_set = _binding_set(base_bindings)
+    base_set = set(binding_keys(base_bindings))
     rng = random.Random(permutation_seed)
     for _ in range(3):
         shuffled = list(case["edges"])
         rng.shuffle(shuffled)
-        graph2, pattern2 = _build_planner_graph(case, shuffled)
+        graph2, pattern2 = build_graph_case(case, shuffled)
         bindings, rows = explain_pattern(graph2, pattern2)
         if rows != base_rows:
             return (
                 "edge-insertion permutation changed the plan:\n"
                 f"{base_rows}\nvs\n{rows}"
             )
-        if _binding_set(bindings) != base_set:
+        permuted_set = set(binding_keys(bindings))
+        if permuted_set != base_set:
             return (
                 "edge-insertion permutation changed the binding set: "
                 f"{sorted(map(sorted, base_set))} vs "
-                f"{sorted(map(sorted, _binding_set(bindings)))}"
+                f"{sorted(map(sorted, permuted_set))}"
             )
     return None
 

@@ -24,70 +24,48 @@ lockstep as the **no-crash oracle**.  The invariants:
 
 from __future__ import annotations
 
-from repro.durability.fs import FaultInjector, InjectedCrash, MemFS
+from repro.durability.fs import InjectedCrash, MemFS
 from repro.exceptions import DurabilityError, ReplicaError
-from repro.search.analysis import STANDARD_ANALYZER_CONFIG
 from repro.search.engine import SearchEngine
 from repro.serving.replica import ReplicatedShardedSearchEngine
-from repro.testing.crash import _engine_state
+from repro.testing.crash import _engine_state, fault_fs, valid_fault
 from repro.testing.generators import _REPLICATION_FAULTS
+from repro.testing.lockstep import (
+    apply_ops,
+    compare_queries,
+    field_analyzers,
+    positive_ints,
+    search_once,
+    valid_ops,
+)
 from repro.testing.oracles import ANALYZER_CONFIGS
-from repro.testing.serving import _compare, _search_once
 
 
 def _valid_case(case: dict) -> bool:
     """Structural validation; shrunk cases may violate any of this."""
-    if not isinstance(case, dict):
+    if not isinstance(case, dict) or not positive_ints(
+        case, "n_shards", "n_replicas", "cache_size", "ship_every"
+    ):
         return False
-    n_shards = case.get("n_shards")
-    if not isinstance(n_shards, int) or not 1 <= n_shards <= 8:
+    if case["n_shards"] > 8 or case["n_replicas"] > 4:
         return False
-    n_replicas = case.get("n_replicas")
-    if not isinstance(n_replicas, int) or not 1 <= n_replicas <= 4:
-        return False
-    cache_size = case.get("cache_size")
-    if not isinstance(cache_size, int) or cache_size < 1:
+    if case.get("snapshot_every") is not None and not positive_ints(
+        case, "snapshot_every"
+    ):
         return False
     if case.get("analyzer") not in ANALYZER_CONFIGS:
         return False
-    ship_every = case.get("ship_every")
-    if not isinstance(ship_every, int) or ship_every < 1:
+    if not case.get("actions") or not valid_ops(case["actions"]):
         return False
-    snapshot_every = case.get("snapshot_every")
-    if snapshot_every is not None and (
-        not isinstance(snapshot_every, int) or snapshot_every < 1
-    ):
-        return False
-    actions = case.get("actions")
-    if not isinstance(actions, list) or not actions:
-        return False
-    for op in actions:
-        if not isinstance(op, dict) or op.get("op") not in (
-            "index",
-            "delete",
-        ):
-            return False
-        if op["op"] == "index" and not isinstance(op.get("fields"), dict):
-            return False
     if not isinstance(case.get("queries"), list) or not case["queries"]:
         return False
     crash = case.get("crash")
-    if crash is not None:
-        if not isinstance(crash, dict):
-            return False
-        if crash.get("kind") not in _REPLICATION_FAULTS:
-            return False
-        for key in ("at_action", "at_op", "seed", "shard"):
-            if not isinstance(crash.get(key), int) or crash[key] < 0:
-                return False
-    return True
-
-
-def _apply_one(tier: ReplicatedShardedSearchEngine, op: dict) -> None:
-    if op["op"] == "index":
-        tier.index(op["id"], op["fields"])
-    else:
-        tier.delete(op["id"])
+    if not valid_fault(crash, _REPLICATION_FAULTS):
+        return False
+    return crash is None or all(
+        isinstance(crash.get(key), int) and crash[key] >= 0
+        for key in ("at_action", "shard")
+    )
 
 
 def check_replication_case(case: dict) -> str | None:
@@ -95,22 +73,14 @@ def check_replication_case(case: dict) -> str | None:
     held (or the case was structurally malformed — vacuous)."""
     if not _valid_case(case):
         return None
-    field_analyzers = {
-        "body": ANALYZER_CONFIGS[case["analyzer"]],
-        "title": STANDARD_ANALYZER_CONFIG,
-    }
+    analyzers = field_analyzers(case)
     crash = case["crash"]
     crash_shard = None
     injector = None
     if crash is not None:
         crash_shard = crash["shard"] % case["n_shards"]
         if crash["kind"] != "kill":
-            injector = FaultInjector(
-                MemFS(),
-                kind=crash["kind"],
-                at_op=crash["at_op"],
-                seed=crash["seed"],
-            )
+            injector = fault_fs(MemFS(), crash)
 
     def fs_factory(shard_id: int):
         if injector is not None and shard_id == crash_shard:
@@ -120,14 +90,14 @@ def check_replication_case(case: dict) -> str | None:
     tier = ReplicatedShardedSearchEngine(
         case["n_shards"],
         n_replicas=case["n_replicas"],
-        field_analyzers=field_analyzers,
+        field_analyzers=analyzers,
         cache_size=case["cache_size"],
         ship_every=case["ship_every"],
         snapshot_every=case["snapshot_every"],
         fs_factory=fs_factory,
         executor_mode="serial",
     )
-    oracle = SearchEngine(field_analyzers)
+    oracle = SearchEngine(analyzers)
 
     killed = False
     for action_index, op in enumerate(case["actions"]):
@@ -142,7 +112,7 @@ def check_replication_case(case: dict) -> str | None:
             tier.crash_primary(crash_shard)
             killed = True
         try:
-            _apply_one(tier, op)
+            apply_ops([op], tier)
         except (InjectedCrash, DurabilityError, ReplicaError):
             # The commit died mid-flight on the injected shard.  Only
             # the harness boundary may catch an InjectedCrash: declare
@@ -150,24 +120,18 @@ def check_replication_case(case: dict) -> str | None:
             # retry the (idempotent) op on the promoted primary.
             tier.crash_primary(crash_shard)
             tier.promote(crash_shard)
-            _apply_one(tier, op)
+            apply_ops([op], tier)
         # The oracle never crashes: it is the no-crash reference.
-        if op["op"] == "index":
-            oracle.index(op["id"], op["fields"])
-        else:
-            oracle.delete(op["id"])
+        apply_ops([op], oracle)
 
         # Steady reads: every action is followed by the full query
         # batch, so reads race shipping lag, epoch bumps, and the
         # promotion itself.
-        for query in case["queries"]:
-            want = _search_once(oracle, query)
-            got = _search_once(tier, query)
-            message = _compare(
-                query, got, want, f"after action {action_index}"
-            )
-            if message is not None:
-                return message
+        message = compare_queries(
+            case["queries"], tier, oracle, f"after action {action_index}"
+        )
+        if message is not None:
+            return message
 
     if tier.n_documents != oracle.n_documents:
         return (
@@ -177,8 +141,8 @@ def check_replication_case(case: dict) -> str | None:
 
     # Cache-hit determinism on the final state.
     for query in case["queries"]:
-        first = _search_once(tier, query)
-        second = _search_once(tier, query)
+        first = search_once(tier, query)
+        second = search_once(tier, query)
         if first != second:
             return (
                 f"cache hit not deterministic for {query!r}: "

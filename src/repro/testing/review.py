@@ -1,11 +1,10 @@
 """Review-queue crash fuzzing: seeded decision schedules vs. an oracle.
 
-One generated case is a short enroll/decide/drop workload over a
-:class:`~repro.review.queue.ReviewQueue` run under a
-:class:`~repro.durability.DurabilityManager`, usually with one
-deterministic fault injected into the filesystem operation stream.
-The checker recovers from the surviving bytes and verifies the review
-durability contract against a never-crashed oracle:
+One generated case is a short enroll/decide/drop schedule over a
+:class:`~repro.review.queue.ReviewQueue`, run through
+:func:`repro.testing.crash.check_crash_contract` — this module is the
+spec (store, action vocabulary, canonical state).  What the contract
+means for the review queue:
 
 * **No lost acked decision** — the recovered state covers at least
   every action whose commit LSN was acknowledged before the fault.
@@ -13,15 +12,12 @@ durability contract against a never-crashed oracle:
   once: a re-applied ``enqueue`` raises inside
   :meth:`ReviewQueue.durable_apply` (surfacing as a recovery failure),
   and a re-applied ``decide`` would break the whole-prefix state
-  equality below, since decision lists are part of the canonical state.
-* **Prefix consistency** — the recovered state equals the oracle's
-  state after some *whole* prefix of the schedule; never a partial
-  enroll, never a decision without its claim.
-* **Partition exactness** — after finishing the schedule on the
-  recovered queue, the queued/decided claim partition is bit-identical
-  to the never-crashed oracle's.
-
-Fault-free cases double as a snapshot+WAL equivalence check.
+  equality, since decision lists are part of the canonical state.
+* **Prefix consistency** — never a partial enroll, never a decision
+  without its claim.
+* **Partition exactness** (this spec's own assertion) — after finishing
+  the schedule on the recovered queue, the queued/decided claim
+  partition is bit-identical to the never-crashed oracle's.
 """
 
 from __future__ import annotations
@@ -30,18 +26,18 @@ import json
 from random import Random
 
 from repro.annotation.model import AnnotationDocument
-from repro.durability import (
-    DurabilityManager,
-    FaultInjector,
-    InjectedCrash,
-    MemFS,
-)
-from repro.exceptions import DurabilityError
 from repro.review.model import VERDICTS, claim_id_for
 from repro.review.queue import ReviewQueue
-from repro.testing.generators import gen_text
-
-FAULT_KINDS = FaultInjector.CRASH_KINDS + FaultInjector.ERROR_KINDS
+from repro.testing.crash import (
+    check_crash_contract,
+    valid_relations,
+    valid_schedule,
+)
+from repro.testing.generators import (
+    gen_crash_schedule,
+    gen_relations,
+    gen_text,
+)
 
 _LABELS = ("Symptom", "Disease", "Medication", "Procedure", "Test")
 _RELATION_LABELS = ("BEFORE", "OVERLAP", "TREATS")
@@ -69,13 +65,7 @@ def _gen_document(rng: Random, doc_id: str) -> dict:
                     rng.random() < 0.15,  # negated
                 ]
             )
-    relations = []
-    if len(spans) >= 2:
-        for _ in range(rng.randint(0, 2)):
-            src = rng.randrange(len(spans))
-            dst = rng.randrange(len(spans))
-            if src != dst:
-                relations.append([src, dst, rng.choice(_RELATION_LABELS)])
+    relations = gen_relations(rng, len(spans), _RELATION_LABELS)
     return {
         "act": "enroll",
         "id": doc_id,
@@ -83,6 +73,17 @@ def _gen_document(rng: Random, doc_id: str) -> dict:
         "spans": spans,
         "relations": relations,
     }
+
+
+def _claims_of(action: dict) -> list[tuple[str, str]]:
+    """(claim id, kind) of every claim an enroll action creates."""
+    return [
+        (claim_id_for(action["id"], f"T{k + 1}"), "mention")
+        for k in range(len(action["spans"]))
+    ] + [
+        (claim_id_for(action["id"], f"R{k + 1}"), "relation")
+        for k in range(len(action["relations"]))
+    ]
 
 
 def _gen_decision(rng: Random, action: dict, claim: dict) -> dict:
@@ -143,36 +144,12 @@ def gen_review_case(rng: Random) -> dict:
             n_docs += 1
             action = _gen_document(rng, doc_id)
             live[doc_id] = action
-            for k in range(len(action["spans"])):
-                live_claims.append(
-                    {
-                        "claim_id": claim_id_for(doc_id, f"T{k + 1}"),
-                        "kind": "mention",
-                        "doc": doc_id,
-                    }
-                )
-            for k in range(len(action["relations"])):
-                live_claims.append(
-                    {
-                        "claim_id": claim_id_for(doc_id, f"R{k + 1}"),
-                        "kind": "relation",
-                        "doc": doc_id,
-                    }
-                )
+            live_claims.extend(
+                {"claim_id": claim_id, "kind": kind, "doc": doc_id}
+                for claim_id, kind in _claims_of(action)
+            )
             actions.append(action)
-    fault = None
-    if rng.random() < 0.8:
-        fault = {
-            "kind": rng.choice(FAULT_KINDS),
-            "at_op": rng.randint(0, 30),
-            "seed": rng.randint(0, 2**31),
-        }
-    return {
-        "actions": actions,
-        "fault": fault,
-        "group_commit": rng.choice([1, 1, 2, 3, 4]),
-        "snapshot_every": rng.choice([None, None, 2, 3, 5]),
-    }
+    return gen_crash_schedule(rng, actions)
 
 
 # -- checking ----------------------------------------------------------------
@@ -239,21 +216,7 @@ def review_partition(queue: ReviewQueue) -> dict:
     }
 
 
-def _valid_case(case: dict) -> bool:
-    """Structural validation; shrunk cases may violate any of this."""
-    if not isinstance(case, dict):
-        return False
-    group_commit = case.get("group_commit")
-    if not isinstance(group_commit, int) or group_commit < 1:
-        return False
-    snapshot_every = case.get("snapshot_every")
-    if snapshot_every is not None and (
-        not isinstance(snapshot_every, int) or snapshot_every < 1
-    ):
-        return False
-    actions = case.get("actions")
-    if not isinstance(actions, list):
-        return False
+def _valid_actions(actions: list) -> bool:
     live: dict[str, dict] = {}
     claims: dict[str, str] = {}  # claim_id -> kind
     for action in actions:
@@ -284,25 +247,10 @@ def _valid_case(case: dict) -> bool:
                     return False
                 previous_end = span[2]
             relations = action.get("relations")
-            if not isinstance(relations, list):
+            if not valid_relations(relations, len(spans)):
                 return False
-            for relation in relations:
-                if not (
-                    isinstance(relation, list)
-                    and len(relation) == 3
-                    and isinstance(relation[0], int)
-                    and isinstance(relation[1], int)
-                    and isinstance(relation[2], str)
-                    and 0 <= relation[0] < len(spans)
-                    and 0 <= relation[1] < len(spans)
-                    and relation[0] != relation[1]
-                ):
-                    return False
             live[doc_id] = action
-            for k in range(len(spans)):
-                claims[claim_id_for(doc_id, f"T{k + 1}")] = "mention"
-            for k in range(len(relations)):
-                claims[claim_id_for(doc_id, f"R{k + 1}")] = "relation"
+            claims.update(_claims_of(action))
         elif kind == "decide":
             claim_id = action.get("claim")
             if claim_id not in claims:
@@ -350,142 +298,34 @@ def _valid_case(case: dict) -> bool:
             }
         else:
             return False
-    fault = case.get("fault")
-    if fault is not None:
-        if not isinstance(fault, dict):
-            return False
-        if fault.get("kind") not in FAULT_KINDS:
-            return False
-        if not isinstance(fault.get("at_op"), int) or fault["at_op"] < 0:
-            return False
-        if not isinstance(fault.get("seed"), int):
-            return False
     return True
 
 
-def _oracle_states(actions: list[dict]) -> list[str]:
-    """``states[j]`` = canonical state after the first ``j`` actions,
-    computed on a plain queue with no durability at all."""
-    queue = ReviewQueue()
-    states = [canonical_review_state(queue)]
-    for action in actions:
-        apply_review_action(queue, action)
-        states.append(canonical_review_state(queue))
-    return states
+def _valid_case(case: dict) -> bool:
+    """Structural validation; shrunk cases may violate any of this."""
+    return valid_schedule(case, _valid_actions)
+
+
+def _partition_exactness(stores: dict, oracle_stores: dict) -> str | None:
+    got = review_partition(stores["review"])
+    want = review_partition(oracle_stores["review"])
+    if got != want:
+        return (
+            f"queued/decided partition diverged after recovery: "
+            f"{got} vs oracle {want}"
+        )
+    return None
 
 
 def check_review_case(case: dict) -> str | None:
-    """Run one decision schedule end to end; ``None`` means the review
-    durability contract held (or the case was malformed — vacuous)."""
-    if not _valid_case(case):
-        return None
-    actions = case["actions"]
-    fault = case["fault"]
-    oracle = _oracle_states(actions)
-
-    oracle_queue = ReviewQueue()
-    for action in actions:
-        apply_review_action(oracle_queue, action)
-    oracle_partition = review_partition(oracle_queue)
-
-    mem = MemFS()
-    if fault is not None:
-        fs = FaultInjector(
-            mem,
-            kind=fault["kind"],
-            at_op=fault["at_op"],
-            seed=fault["seed"],
-        )
-    else:
-        fs = mem
-    queue = ReviewQueue()
-    manager = DurabilityManager(
-        fs,
-        group_commit=case["group_commit"],
-        snapshot_every=case["snapshot_every"],
+    """The crash contract over the review queue."""
+    return check_crash_contract(
+        case,
+        valid_actions=_valid_actions,
+        fresh_stores=lambda: {"review": ReviewQueue()},
+        apply_action=lambda stores, action: apply_review_action(
+            stores["review"], action
+        ),
+        canonical=lambda stores: canonical_review_state(stores["review"]),
+        check_final=_partition_exactness,
     )
-    manager.attach("review", queue)
-
-    applied = 0
-    action_lsns: list[int | None] = []
-    crashed = False
-    try:
-        for action in actions:
-            apply_review_action(queue, action)
-            applied += 1
-            action_lsns.append(manager.commit())
-        manager.flush()
-    except (InjectedCrash, DurabilityError, OSError):
-        crashed = True
-
-    # Acknowledged prefix: every decision (or enroll/drop) in it was
-    # fsynced before the fault — losing any of these is a bug.
-    acked = 0
-    for lsn in action_lsns:
-        if lsn is not None and lsn > manager.durable_lsn:
-            break
-        acked += 1
-
-    recovered_queue = ReviewQueue()
-    recovery = DurabilityManager(
-        mem, group_commit=1, snapshot_every=case["snapshot_every"]
-    )
-    recovery.attach("review", recovered_queue)
-    try:
-        recovery.recover()
-    except DurabilityError as exc:
-        # Includes the double-commit detector: durable_apply raises on
-        # a re-applied enqueue.
-        return (
-            f"recovery failed after "
-            f"{'crash' if crashed else 'clean run'}: {exc}"
-        )
-    recovered = canonical_review_state(recovered_queue)
-
-    matched = [j for j in range(applied + 1) if oracle[j] == recovered]
-    if not matched:
-        return (
-            f"recovered review state matches no schedule prefix "
-            f"(crashed={crashed}, applied={applied}, acked={acked})"
-        )
-    resume_from = max(matched)
-    if resume_from < acked:
-        return (
-            f"acked decisions lost: recovered to prefix {resume_from} "
-            f"but {acked} actions were acknowledged "
-            f"(durable_lsn={manager.durable_lsn})"
-        )
-
-    # Continuation: finish the schedule, then the partition (and the
-    # whole state) must be bit-identical to the never-crashed oracle.
-    for action in actions[resume_from:]:
-        apply_review_action(recovered_queue, action)
-        recovery.commit()
-    recovery.flush()
-    if review_partition(recovered_queue) != oracle_partition:
-        return (
-            f"queued/decided partition diverged after recovery from "
-            f"prefix {resume_from}: {review_partition(recovered_queue)} "
-            f"vs oracle {oracle_partition}"
-        )
-    if canonical_review_state(recovered_queue) != oracle[-1]:
-        return (
-            f"continuation after recovery from prefix {resume_from} "
-            "diverged from the oracle's final state"
-        )
-
-    if not crashed:
-        live = canonical_review_state(queue)
-        if live != oracle[-1]:
-            return "fault-free live state diverged from the oracle"
-        if recovered != oracle[-1]:
-            return (
-                "fault-free recovery (snapshot + WAL replay) diverged "
-                "from the in-memory state"
-            )
-        if acked != len(actions):
-            return (
-                f"fault-free run acknowledged only {acked} of "
-                f"{len(actions)} actions"
-            )
-    return None

@@ -22,91 +22,34 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+from functools import partial
 
-from repro.search.analysis import STANDARD_ANALYZER_CONFIG
 from repro.search.engine import SearchEngine
 from repro.search.segment_engine import SegmentSearchEngine
-from repro.testing.oracles import ANALYZER_CONFIGS
-
-_OPS = ("index", "delete", "flush", "merge")
+from repro.testing.lockstep import (
+    SEGMENT_OPS,
+    apply_ops,
+    compare_queries,
+    field_analyzers,
+    positive_ints,
+    valid_workload,
+)
 
 
 def _valid_case(case: dict) -> bool:
     """Structural validation; shrunk cases may violate any of this."""
-    if not isinstance(case, dict):
-        return False
-    if case.get("analyzer") not in ANALYZER_CONFIGS:
-        return False
-    for knob in ("flush_threshold", "merge_factor"):
-        value = case.get(knob)
-        if not isinstance(value, int) or value < 1:
-            return False
-    for key in ("ops", "mutations"):
-        ops = case.get(key)
-        if not isinstance(ops, list):
-            return False
-        for op in ops:
-            if not isinstance(op, dict) or op.get("op") not in _OPS:
-                return False
-            if op["op"] == "index" and not isinstance(
-                op.get("fields"), dict
-            ):
-                return False
-    if not isinstance(case.get("queries"), list):
-        return False
-    if not isinstance(case.get("post_queries"), list):
-        return False
-    return True
+    return valid_workload(case, SEGMENT_OPS) and positive_ints(
+        case, "flush_threshold", "merge_factor"
+    )
 
 
-def _search_once(engine, query):
-    """('error', type name) or a ranked (doc_id, score, source) list."""
-    try:
-        hits = engine.search(query, size=10)
-    except Exception as exc:
-        return ("error", type(exc).__name__)
-    return [(hit.doc_id, hit.score, hit.source) for hit in hits]
-
-
-def _apply_ops(ops: list, engine, reference) -> str | None:
-    for op in ops:
-        kind = op["op"]
-        if kind == "index":
-            engine.index(op["id"], op["fields"])
-            reference.index(op["id"], op["fields"])
-        elif kind == "delete":
-            got = engine.delete(op["id"])
-            want = reference.delete(op["id"])
-            if got != want:
-                return f"delete({op['id']!r}) -> {got}, oracle {want}"
-        elif kind == "flush":
-            engine.flush()
-        else:
-            engine.merge()
-        if engine.n_documents != reference.n_documents:
-            return (
-                f"doc count diverged after {op!r}: "
-                f"{engine.n_documents} vs {reference.n_documents}"
-            )
-    return None
-
-
-def _compare_queries(queries, engine, reference, label) -> str | None:
-    for query in queries:
-        got = _search_once(engine, query)
-        want = _search_once(reference, query)
-        if isinstance(got, tuple) or isinstance(want, tuple):
-            if got != want:
-                return f"{label} {query!r}: segment {got!r}, oracle {want!r}"
-            continue
-        if got != want:
-            # Tuple compare is exact (==) on scores: the segment path
-            # promises bit-identity, not tolerance-level agreement.
-            return (
-                f"{label} {query!r} not bit-identical: "
-                f"segment {got!r}, oracle {want!r}"
-            )
-    return None
+# Rows compare with == on scores and stored fields: the segment path
+# promises bit-identity, not tolerance-level agreement.
+_bit_identical = partial(
+    compare_queries,
+    exact=True,
+    row=lambda hit: (hit.doc_id, hit.score, hit.source),
+)
 
 
 def check_segment_case(case: dict) -> str | None:
@@ -114,25 +57,24 @@ def check_segment_case(case: dict) -> str | None:
     (or the case was structurally malformed — vacuous)."""
     if not _valid_case(case):
         return None
-    field_analyzers = {
-        "body": ANALYZER_CONFIGS[case["analyzer"]],
-        "title": STANDARD_ANALYZER_CONFIG,
-    }
+    analyzers = field_analyzers(case)
     segment_dir = tempfile.mkdtemp(prefix="repro-segfuzz-")
-    engine = SegmentSearchEngine(
-        field_analyzers,
-        segment_dir=segment_dir,
-        flush_threshold=case["flush_threshold"],
-        merge_factor=case["merge_factor"],
-    )
-    reference = SearchEngine(field_analyzers)
+
+    def open_engine():
+        return SegmentSearchEngine(
+            analyzers,
+            segment_dir=segment_dir,
+            flush_threshold=case["flush_threshold"],
+            merge_factor=case["merge_factor"],
+        )
+
+    engine = open_engine()
+    reference = SearchEngine(analyzers)
     try:
-        message = _apply_ops(case["ops"], engine, reference)
+        message = apply_ops(case["ops"], engine, reference)
         if message is not None:
             return message
-        message = _compare_queries(
-            case["queries"], engine, reference, "warm"
-        )
+        message = _bit_identical(case["queries"], engine, reference, "warm")
         if message is not None:
             return message
 
@@ -142,12 +84,7 @@ def check_segment_case(case: dict) -> str | None:
             engine.flush()
             next_ordinal = engine._next_ordinal
             engine.close()
-            engine = SegmentSearchEngine(
-                field_analyzers,
-                segment_dir=segment_dir,
-                flush_threshold=case["flush_threshold"],
-                merge_factor=case["merge_factor"],
-            )
+            engine = open_engine()
             if engine._next_ordinal != next_ordinal:
                 return (
                     f"manifest reopen lost ordinal clock: "
@@ -159,10 +96,10 @@ def check_segment_case(case: dict) -> str | None:
                     f" vs {reference.n_documents}"
                 )
 
-        message = _apply_ops(case["mutations"], engine, reference)
+        message = apply_ops(case["mutations"], engine, reference)
         if message is not None:
             return message
-        return _compare_queries(
+        return _bit_identical(
             case["post_queries"] + case["queries"],
             engine,
             reference,

@@ -19,83 +19,26 @@ a :class:`~repro.serving.engine.ShardedSearchEngine` and a plain
 
 from __future__ import annotations
 
-from repro.search.analysis import STANDARD_ANALYZER_CONFIG
 from repro.search.engine import SearchEngine
 from repro.serving.engine import ShardedSearchEngine
-from repro.testing.oracles import ANALYZER_CONFIGS
-
-_TOLERANCE = 1e-8
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _TOLERANCE * (1.0 + max(abs(a), abs(b)))
-
-
-def _search_once(engine, query):
-    """('error', type name) or a ranked (doc_id, score) list."""
-    try:
-        hits = engine.search(query, size=10)
-    except Exception as exc:
-        return ("error", type(exc).__name__)
-    return [(hit.doc_id, hit.score) for hit in hits]
-
-
-def _compare(query, got, want, label: str) -> str | None:
-    if isinstance(got, tuple) or isinstance(want, tuple):
-        if got != want:
-            return f"{label} {query!r}: sharded {got!r}, oracle {want!r}"
-        return None
-    if [doc_id for doc_id, _ in got] != [doc_id for doc_id, _ in want]:
-        return f"{label} {query!r}: ranking {got!r}, oracle {want!r}"
-    for (_, got_score), (_, want_score) in zip(got, want):
-        if not _close(got_score, want_score):
-            return f"{label} {query!r}: scores diverged {got!r} vs {want!r}"
-    return None
+from repro.testing.lockstep import (
+    apply_ops,
+    compare_queries,
+    compare_rankings,
+    field_analyzers,
+    positive_ints,
+    search_once,
+    valid_workload,
+)
 
 
 def _valid_case(case: dict) -> bool:
     """Structural validation; shrunk cases may violate any of this."""
-    if not isinstance(case, dict):
-        return False
-    n_shards = case.get("n_shards")
-    if not isinstance(n_shards, int) or not 1 <= n_shards <= 16:
-        return False
-    cache_size = case.get("cache_size")
-    if not isinstance(cache_size, int) or cache_size < 1:
-        return False
-    if case.get("analyzer") not in ANALYZER_CONFIGS:
-        return False
-    for key in ("ops", "mutations"):
-        ops = case.get(key)
-        if not isinstance(ops, list):
-            return False
-        for op in ops:
-            if not isinstance(op, dict) or op.get("op") not in (
-                "index",
-                "delete",
-            ):
-                return False
-            if op["op"] == "index" and not isinstance(
-                op.get("fields"), dict
-            ):
-                return False
-    if not isinstance(case.get("queries"), list):
-        return False
-    if not isinstance(case.get("post_queries"), list):
-        return False
-    return True
-
-
-def _apply_ops(ops: list, *engines) -> str | None:
-    for op in ops:
-        if op["op"] == "index":
-            for engine in engines:
-                engine.index(op["id"], op["fields"])
-        else:
-            results = [engine.delete(op["id"]) for engine in engines]
-            if len(set(results)) > 1:
-                return f"delete({op['id']!r}) verdicts diverged: {results}"
-    return None
+    return (
+        valid_workload(case)
+        and positive_ints(case, "n_shards", "cache_size")
+        and case["n_shards"] <= 16
+    )
 
 
 def check_serving_case(case: dict) -> str | None:
@@ -103,32 +46,24 @@ def check_serving_case(case: dict) -> str | None:
     (or the case was structurally malformed — vacuous)."""
     if not _valid_case(case):
         return None
-    field_analyzers = {
-        "body": ANALYZER_CONFIGS[case["analyzer"]],
-        "title": STANDARD_ANALYZER_CONFIG,
-    }
+    analyzers = field_analyzers(case)
     sharded = ShardedSearchEngine(
-        case["n_shards"], field_analyzers, cache_size=case["cache_size"]
+        case["n_shards"], analyzers, cache_size=case["cache_size"]
     )
-    reference = SearchEngine(field_analyzers)
+    reference = SearchEngine(analyzers)
 
-    message = _apply_ops(case["ops"], sharded, reference)
+    message = apply_ops(case["ops"], sharded, reference)
     if message is not None:
         return message
-    if sharded.n_documents != reference.n_documents:
-        return (
-            f"doc count diverged after seed ops: {sharded.n_documents} "
-            f"vs {reference.n_documents}"
-        )
 
     # Rank equivalence + guaranteed-hit cache determinism.
     for query in case["queries"]:
-        want = _search_once(reference, query)
-        got = _search_once(sharded, query)
-        message = _compare(query, got, want, "warm")
+        want = search_once(reference, query)
+        got = search_once(sharded, query)
+        message = compare_rankings(query, got, want, "warm")
         if message is not None:
             return message
-        again = _search_once(sharded, query)
+        again = search_once(sharded, query)
         if again != got:
             return (
                 f"cache hit not deterministic for {query!r}: "
@@ -137,18 +72,16 @@ def check_serving_case(case: dict) -> str | None:
 
     # Mutate, then check against a COLD engine replaying everything:
     # a stale cache entry surviving its epoch bump diverges here.
-    message = _apply_ops(case["mutations"], sharded, reference)
+    message = apply_ops(case["mutations"], sharded, reference)
     if message is not None:
         return message
-    cold = SearchEngine(field_analyzers)
-    _apply_ops(case["ops"] + case["mutations"], cold)
-
-    for query in case["post_queries"] + case["queries"]:
-        want = _search_once(cold, query)
-        got = _search_once(sharded, query)
-        message = _compare(query, got, want, "post-mutation")
-        if message is not None:
-            return message
+    cold = SearchEngine(analyzers)
+    apply_ops(case["ops"] + case["mutations"], cold)
+    message = compare_queries(
+        case["post_queries"] + case["queries"], sharded, cold, "post-mutation"
+    )
+    if message is not None:
+        return message
 
     # Structural cache health: bounded, and consistent counters.
     if sharded.cache is not None:

@@ -7,7 +7,6 @@ import pytest
 import repro.durability
 from repro.api.app import CreateApplication
 from repro.cohort import (
-    BruteForceCohortEvaluator,
     CohortDefinition,
     CohortEngine,
     EntityCriterion,
@@ -27,6 +26,7 @@ from repro.exceptions import CohortError
 from repro.ir.indexer import CreateIrIndexer
 from repro.ir.searcher import CreateIrSearcher
 from repro.testing.cohort import check_cohort_case, gen_cohort_case
+from repro.testing.cohort_oracle import BruteForceCohortEvaluator
 from repro.testing.rng import case_rng
 
 

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.testing import (
+    CHECKERS,
+    GENERATORS,
     SUBSYSTEMS,
     check_case,
     generate_case,
@@ -12,7 +14,7 @@ from repro.testing import (
     shrink,
 )
 from repro.testing.cli import main
-from repro.testing.differential import case_digest
+from repro.testing.differential import TABLE, case_digest
 from repro.testing.rng import case_rng, derive_seed
 
 
@@ -54,6 +56,20 @@ class TestBatchRun:
         report = run(seed=0, cases=25)
         assert report.ok, report.failures[0].message if report.failures else ""
         assert report.counts == {name: 25 for name in SUBSYSTEMS}
+        # The digest hashes the generated cases only: it moves when a
+        # generator (or the order it draws from its RNG) changes, never
+        # when a checker does.
+        assert report.digest.startswith("43ceffd4f90b77f7")
+
+    def test_one_table_of_subsystems(self):
+        names = tuple(subsystem.name for subsystem in TABLE)
+        assert len(set(names)) == len(names) == 12
+        assert SUBSYSTEMS == names
+        assert tuple(GENERATORS) == names
+        assert tuple(CHECKERS) == names
+        for subsystem in TABLE:
+            assert GENERATORS[subsystem.name] is subsystem.generate
+            assert CHECKERS[subsystem.name] is subsystem.check
 
     def test_unknown_subsystem_rejected(self):
         with pytest.raises(ValueError):
@@ -296,3 +312,28 @@ class TestCheckersHaveTeeth:
         assert messages, f"{plant.__name__} passed 60 {subsystem} cases"
         # A contract violation, not the harness tripping over the plant.
         assert not any("checker crashed" in m for m in messages), messages[0]
+
+
+class TestLayering:
+    def test_production_never_imports_the_fuzz_kit(self):
+        """``repro.testing`` depends on production, never the reverse
+        (a fresh interpreter, so this suite's own imports do not count)."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        probe = (
+            "import sys; import repro.api.app, repro.pipeline; "
+            "leaked = sorted(m for m in sys.modules "
+            "if m.startswith('repro.testing')); "
+            "assert not leaked, leaked"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr

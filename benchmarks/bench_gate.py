@@ -40,7 +40,6 @@ GATE_BENCHMARKS = {
     "wal_overhead": "benchmarks/bench_wal_overhead.py",
     "segment_serving": "benchmarks/bench_segment_serving.py",
     "graph_match": "benchmarks/bench_graph_match.py",
-    "serving_slo": "benchmarks/bench_serving_slo.py",
     "cohort": "benchmarks/bench_cohort.py",
 }
 

@@ -4,7 +4,9 @@ Supported line types (the full set brat emits for this schema):
 
 * ``T<id>\\t<label> <start> <end>\\t<text>`` — text-bound annotation.
   Discontinuous spans (``start end;start end``) are normalized to their
-  envelope span, matching how CREATe's indexer consumes them.
+  envelope span, matching how CREATe's indexer consumes them.  The
+  offsets are authoritative; ``<text>`` is the covered surface with
+  each line break written as a space, as brat writes it.
 * ``R<id>\\t<label> Arg1:<id> Arg2:<id>`` — binary relation.
 * ``E<id>\\t<label>:<trigger> <role>:<id> ...`` — event.
 * ``A<id>\\t<label> <target> [<value>]`` — attribute.
@@ -40,9 +42,27 @@ def parse_ann(doc_id: str, text: str, ann_content: str) -> AnnotationDocument:
     Raises:
         AnnotationError: on malformed lines or dangling references.
     """
+    doc = parse_ann_unverified(doc_id, text, ann_content)
+    doc.verify()
+    return doc
+
+
+def parse_ann_unverified(
+    doc_id: str, text: str, ann_content: str
+) -> AnnotationDocument:
+    """:func:`parse_ann` without the referential-integrity pass.
+
+    Lines must still be well formed and every span must cover its
+    surface text; references to absent annotations are kept as written.
+    The review queue enrolls, journals and replays documents through
+    this: enrollment skips a relation whose endpoint is absent rather
+    than refusing the document, so the standoff must read back too.
+    """
     doc = AnnotationDocument(doc_id=doc_id, text=text)
-    for lineno, raw_line in enumerate(ann_content.splitlines(), start=1):
-        line = raw_line.rstrip("\n")
+    # Split on "\n" only: ``str.splitlines`` would also cut a line at a
+    # form feed or U+2028 inside a surface string.
+    for lineno, raw_line in enumerate(ann_content.split("\n"), start=1):
+        line = raw_line.removesuffix("\r")
         if not line.strip():
             continue
         try:
@@ -53,7 +73,6 @@ def parse_ann(doc_id: str, text: str, ann_content: str) -> AnnotationDocument:
             raise AnnotationError(
                 f"{doc_id}:{lineno}: malformed annotation line: {line!r}"
             ) from exc
-    doc.verify()
     return doc
 
 
@@ -90,7 +109,7 @@ def _parse_textbound(doc: AnnotationDocument, line: str) -> None:
         # but record the original fragments as a note-free check only.
         pass
     else:
-        if surface != tb.text:
+        if surface != _one_line(tb.text):
             raise AnnotationError(
                 f"{ann_id}: surface text {surface!r} disagrees with "
                 f"offsets covering {tb.text!r}"
@@ -148,7 +167,9 @@ def serialize_ann(doc: AnnotationDocument) -> str:
     """
     lines: list[str] = []
     for tb in sorted(doc.textbounds.values(), key=_numeric_id_key):
-        lines.append(f"{tb.ann_id}\t{tb.label} {tb.start} {tb.end}\t{tb.text}")
+        lines.append(
+            f"{tb.ann_id}\t{tb.label} {tb.start} {tb.end}\t{_one_line(tb.text)}"
+        )
     for event in sorted(doc.events.values(), key=_numeric_id_key):
         args = " ".join(f"{role}:{ref}" for role, ref in event.arguments)
         suffix = f" {args}" if args else ""
@@ -163,6 +184,12 @@ def serialize_ann(doc: AnnotationDocument) -> str:
     for note in sorted(doc.notes.values(), key=_numeric_id_key):
         lines.append(f"{note.ann_id}\t{note.label} {note.target}\t{note.text}")
     return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _one_line(surface: str) -> str:
+    """A span's surface as a ``T`` line carries it: a span that crosses
+    a line break of the text still takes exactly one line."""
+    return surface.replace("\r", " ").replace("\n", " ")
 
 
 def _numeric_id_key(ann) -> tuple[str, int]:

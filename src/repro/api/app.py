@@ -131,15 +131,15 @@ class CreateApplication:
             ``/stats`` serves its counter/timer snapshot.
         runtime_stats: optional callable returning pipeline run
             counters (dead letters, failures) for ``/stats``.
-        frontend_stats: optional callable returning the async front
-            end's admission health (shed/timeout/retry counters,
-            per-route latency percentiles) for ``/stats``.
         durability: optional WAL manager; when present, every
             report-mutating request seals its journaled ops into one
             commit record, and ``/stats`` serves WAL/recovery health.
-        review: the durable review queue; registered reports with
-            annotations are enrolled automatically and ``/review``
-            routes serve it.
+        review: the durable review queue, and the one owner of every
+            report's annotation document: registered reports with
+            annotations are enrolled automatically, ``/review`` routes
+            serve it, and ``/ann``, ``/html``, cohort criteria and the
+            FHIR export read :meth:`ReviewQueue.annotations` — the
+            application keeps no per-report state of its own.
     """
 
     store: DocumentStore
@@ -150,12 +150,10 @@ class CreateApplication:
     validator: SchemaValidator = field(default_factory=SchemaValidator)
     metrics: "MetricsRegistry | None" = None
     runtime_stats: Callable[[], dict] | None = None
-    frontend_stats: Callable[[], dict] | None = None
     durability: "DurabilityManager | None" = None
     review: ReviewQueue = field(default_factory=ReviewQueue)
 
     def __post_init__(self) -> None:
-        self._annotations: dict[str, AnnotationDocument] = {}
         self._routes = [
             ("POST", re.compile(r"^/submissions$"), self._post_submission),
             ("GET", re.compile(r"^/reports$"), self._list_reports),
@@ -188,7 +186,7 @@ class CreateApplication:
             self.store,
             self.indexer.graph,
             self.indexer.engine,
-            self._annotations.get,
+            self.review.annotations,
         )
 
     # -- dispatch ------------------------------------------------------------
@@ -237,7 +235,6 @@ class CreateApplication:
         try:
             doc_id = self.store.collection("reports").insert_one(document)
             if annotations is not None:
-                self._annotations[doc_id] = annotations
                 self.indexer.index_annotation_document(
                     doc_id, document.get("title", ""), annotations
                 )
@@ -351,10 +348,7 @@ class CreateApplication:
         return Response(200, render_timeline_svg(graph, labels))
 
     def _get_ann(self, body: Any, params: dict, doc_id: str) -> Response:
-        annotations = self._annotations.get(doc_id)
-        if annotations is None:
-            raise ApiError(404, f"no annotations for {doc_id}")
-        return Response(200, serialize_ann(annotations))
+        return Response(200, serialize_ann(self._require_ann(doc_id)))
 
     def _put_ann(self, body: Any, params: dict, doc_id: str) -> Response:
         document = self._require_report(doc_id)
@@ -376,7 +370,6 @@ class CreateApplication:
                     ],
                 },
             )
-        self._annotations[doc_id] = annotations
         self.review.drop_document(doc_id)
         self.review.enqueue_document(doc_id, annotations)
         if self.durability is not None:
@@ -387,7 +380,6 @@ class CreateApplication:
         self._require_report(doc_id)
         self.store.collection("reports").delete_one({"_id": doc_id})
         self.indexer.delete_report(doc_id)
-        self._annotations.pop(doc_id, None)
         self.review.drop_document(doc_id)
         self._suggester = None  # vocabulary changed
         if self.durability is not None:
@@ -443,8 +435,6 @@ class CreateApplication:
             serving["ir_cache"] = self.searcher.cache.stats()
         if serving:
             payload["serving"] = serving
-        if self.frontend_stats is not None:
-            payload["frontend"] = self.frontend_stats()
         if self.metrics is not None:
             payload["metrics"] = self.metrics.snapshot()
         if self.durability is not None:
@@ -457,11 +447,8 @@ class CreateApplication:
         from repro.viz.report_html import render_report_html
 
         document = self._require_report(doc_id)
-        annotations = self._annotations.get(doc_id)
-        if annotations is None:
-            raise ApiError(404, f"no annotations for {doc_id}")
         html = render_report_html(
-            annotations,
+            self._require_ann(doc_id),
             title=document.get("title", ""),
             metadata={
                 key: document[key]
@@ -563,7 +550,7 @@ class CreateApplication:
         definition = self._require_cohort(name)
         result = self.cohorts.evaluate(definition)
         bundle = cohort_bundle(
-            name, result.members, self._annotations.get
+            name, result.members, self.review.annotations
         )
         return Response(200, bundle)
 
@@ -580,6 +567,12 @@ class CreateApplication:
         if document is None:
             raise ApiError(404, f"unknown report {doc_id}")
         return document
+
+    def _require_ann(self, doc_id: str) -> AnnotationDocument:
+        annotations = self.review.annotations(doc_id)
+        if annotations is None:
+            raise ApiError(404, f"no annotations for {doc_id}")
+        return annotations
 
     # -- review --------------------------------------------------------------
 
@@ -651,7 +644,7 @@ class CreateApplication:
         decision anchors."""
         from repro.review.html import render_review_html
 
-        if self.review.document_text(doc_id) is None:
+        if self.review.annotations(doc_id) is None:
             raise ApiError(404, f"report {doc_id} is not under review")
         return Response(200, render_review_html(self.review, doc_id))
 

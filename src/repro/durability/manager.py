@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
-from repro.durability.snapshot import SNAPSHOT_NAME, load_snapshot, write_snapshot
+from repro.durability.snapshot import load_snapshot, write_snapshot
 from repro.durability.wal import WriteAheadLog
 from repro.exceptions import DurabilityError
 from repro.runtime.metrics import MetricsRegistry
@@ -82,8 +82,6 @@ class DurabilityManager:
         group_commit: int = 1,
         snapshot_every: int | None = None,
         metrics: MetricsRegistry | None = None,
-        wal_name: str = "wal.log",
-        snapshot_name: str = SNAPSHOT_NAME,
     ):
         if group_commit < 1:
             raise DurabilityError("group_commit must be >= 1")
@@ -91,8 +89,7 @@ class DurabilityManager:
         self.group_commit = group_commit
         self.snapshot_every = snapshot_every
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.wal = WriteAheadLog(fs, wal_name)
-        self.snapshot_name = snapshot_name
+        self.wal = WriteAheadLog(fs)
         self._stores: dict[str, Durable] = {}
         self.next_lsn = 1
         self.durable_lsn = 0
@@ -190,9 +187,7 @@ class DurabilityManager:
             for name, store in self._stores.items()
         }
         with self.metrics.time("durability.snapshot_seconds"):
-            size = write_snapshot(
-                self.fs, self.durable_lsn, states, self.snapshot_name
-            )
+            size = write_snapshot(self.fs, self.durable_lsn, states)
             self.wal.reset()
         self.snapshot_lsn = self.durable_lsn
         self._commits_since_snapshot = 0
@@ -209,7 +204,7 @@ class DurabilityManager:
         a torn tail, and position LSNs for new commits.
         """
         report = RecoveryReport()
-        snapshot = load_snapshot(self.fs, self.snapshot_name)
+        snapshot = load_snapshot(self.fs)
         start_lsn = 0
         if snapshot is not None:
             start_lsn = int(snapshot.get("lsn", 0))

@@ -98,26 +98,12 @@ class DurabilityError(ReproError):
 
 
 class ServingError(ReproError):
-    """Base error for the replicated serving tier and async front end."""
+    """Base error for the replicated serving tier."""
 
 
 class ReplicaError(ServingError):
     """A shard replica set cannot serve: the primary is down and no
     replica is eligible for promotion (or promotion itself failed)."""
-
-
-class LoadShedError(ServingError):
-    """The front end rejected a request at admission: the bounded
-    queue is full.  This is the *fast* failure mode — the caller got an
-    immediate answer instead of queueing toward collapse."""
-
-    status = 429
-
-
-class DeadlineExceededError(ServingError):
-    """A request ran out of its deadline budget (queueing included)."""
-
-    status = 504
 
 
 class CrawlError(ReproError):

@@ -71,14 +71,14 @@ def render_review_html(queue: ReviewQueue, doc_id: str) -> str:
     Raises:
         ReviewError: the report is not enrolled in the queue.
     """
-    text = queue.document_text(doc_id)
-    if text is None:
+    enrolled = queue.annotations(doc_id)
+    if enrolled is None:
         raise ReviewError(f"report {doc_id!r} is not enrolled")
     claims = queue.claims_of(doc_id)
 
     # Rebuild the *extracted* annotations (pre-correction) so the
     # reviewer judges claims against the evidence as claimed.
-    doc = AnnotationDocument(doc_id=doc_id, text=text)
+    doc = AnnotationDocument(doc_id=doc_id, text=enrolled.text)
     anchors: dict[str, str] = {}
     for claim in claims:
         if claim.kind != MENTION:

@@ -84,25 +84,6 @@ class Claim:
             "target": self.target,
         }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "Claim":
-        try:
-            return cls(
-                claim_id=str(payload["claim_id"]),
-                doc_id=str(payload["doc_id"]),
-                span_id=str(payload["span_id"]),
-                kind=str(payload["kind"]),
-                label=str(payload["label"]),
-                value=str(payload["value"]),
-                start=int(payload["start"]),
-                end=int(payload["end"]),
-                negated=bool(payload.get("negated", False)),
-                source=str(payload.get("source", "")),
-                target=str(payload.get("target", "")),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReviewError(f"malformed claim payload: {exc}") from exc
-
 
 @dataclass(frozen=True, slots=True)
 class Decision:

@@ -16,11 +16,12 @@ reviewer-corrected documents as BIO-encoded CRF training examples
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from repro.annotation.agreement import AgreementReport, agreement, cohens_kappa
+from repro.annotation.brat import parse_ann_unverified, serialize_ann
 from repro.annotation.model import AnnotationDocument
-from repro.exceptions import ReviewError
+from repro.exceptions import AnnotationError, ReviewError
 from repro.ner.encoding import bio_encode, spans_of_document
 from repro.review.model import (
     MENTION,
@@ -56,10 +57,16 @@ class PairAgreement:
 class ReviewQueue:
     """Claims and decisions over the stored report corpus.
 
-    State is three insertion-ordered maps — document texts, claims,
-    and per-claim decision lists — every mutation of which journals a
-    replayable op when :attr:`journal` is a list (the ``Durable``
-    contract; the durability manager seals journals into WAL records).
+    The queue is the one owner of each enrolled report's annotation
+    document (:meth:`annotations`); claims are derived from it, never
+    stored beside it.  State is three insertion-ordered maps —
+    annotation documents, their claims, and per-claim decision lists —
+    every mutation of which journals a replayable op when
+    :attr:`journal` is a list (the ``Durable`` contract; the durability
+    manager seals journals into WAL records).  The journal and the
+    snapshot carry a report as its text plus BRAT standoff; enrollment
+    reads that standoff back and enrolls the result, so replay rebuilds
+    the very document, and derives the very claims, the live queue holds.
 
     A claim is *queued* until its first decision and *decided* after;
     later reviewers may still decide a decided claim (double review,
@@ -68,7 +75,7 @@ class ReviewQueue:
     """
 
     def __init__(self):
-        self._texts: dict[str, str] = {}
+        self._documents: dict[str, AnnotationDocument] = {}
         self._claims: dict[str, Claim] = {}
         self._decisions: dict[str, list[Decision]] = {}
         self.journal: list | None = None
@@ -80,21 +87,30 @@ class ReviewQueue:
     ) -> list[Claim]:
         """Turn every extracted mention/relation into a queued claim.
 
-        Returns the new claims in queue order.
+        ``doc_id`` — the stored report's id, not whatever id the
+        extractor gave ``annotations`` — keys the document and its
+        claims.  What is enrolled is ``annotations`` as read back from
+        its own standoff: a copy in standoff order that shares nothing
+        mutable with the caller's object, and exactly what replay of
+        the journaled op rebuilds.  Returns the new claims in queue
+        order.
 
         Raises:
-            ReviewError: the report is already enrolled (drop it first).
+            ReviewError: the report is already enrolled (drop it
+                first), or its annotations do not survive their own
+                standoff (a label with a space, a note with a line
+                break, a span whose recorded text is not its slice).
         """
-        claims = self._claims_of_annotations(doc_id, annotations)
-        self._apply_enqueue(doc_id, annotations.text, claims)
-        self._log(
-            {
-                "op": "enqueue",
-                "doc": doc_id,
-                "text": annotations.text,
-                "claims": [claim.to_json() for claim in claims],
-            }
-        )
+        annotations = replace(annotations, doc_id=doc_id)
+        payload = self._document_payload(annotations)
+        document = self._document_of_payload(payload)
+        if document != annotations:
+            raise ReviewError(
+                f"report {doc_id!r}: annotations do not survive their "
+                "own standoff"
+            )
+        claims = self._apply_enqueue(document)
+        self._log({"op": "enqueue", **payload})
         return claims
 
     def drop_document(self, doc_id: str) -> int:
@@ -102,7 +118,7 @@ class ReviewQueue:
 
         Returns the number of claims removed (0 when not enrolled).
         """
-        enrolled = doc_id in self._texts
+        enrolled = doc_id in self._documents
         removed = self._apply_drop(doc_id)
         if enrolled:
             # Journal even a zero-claim drop: the enrollment itself is
@@ -191,12 +207,15 @@ class ReviewQueue:
             if claim.doc_id == doc_id
         ]
 
-    def document_text(self, doc_id: str) -> str | None:
-        return self._texts.get(doc_id)
+    def annotations(self, doc_id: str) -> AnnotationDocument | None:
+        """The enrolled report's annotation document (None when not
+        enrolled) — what ``/ann``, ``/html``, cohort criteria and the
+        FHIR export read."""
+        return self._documents.get(doc_id)
 
     def documents(self) -> list[str]:
         """Enrolled report ids in enrollment order."""
-        return list(self._texts)
+        return list(self._documents)
 
     def stats(self) -> dict:
         """The ``/stats`` review section: queue depth, decided counts
@@ -218,7 +237,7 @@ class ReviewQueue:
                     reviewers.get(decision.reviewer, 0) + 1
                 )
         return {
-            "documents": len(self._texts),
+            "documents": len(self._documents),
             "claims": len(self._claims),
             "queue_depth": len(self._claims) - decided,
             "decided": decided,
@@ -244,7 +263,7 @@ class ReviewQueue:
         Raises:
             ReviewError: the report is not enrolled.
         """
-        if doc_id not in self._texts:
+        if doc_id not in self._documents:
             raise ReviewError(f"report {doc_id!r} is not enrolled")
         return self._reviewed_document(doc_id, reviewer)
 
@@ -258,7 +277,7 @@ class ReviewQueue:
         :class:`repro.ner.tagger.NerTagger` training set.
         """
         examples = []
-        for doc_id in self._texts:
+        for doc_id in self._documents:
             verified = [
                 claim
                 for claim in self.claims_of(doc_id)
@@ -335,11 +354,7 @@ class ReviewQueue:
         same commit twice is a WAL bug, not a recovery path."""
         kind = op.get("op")
         if kind == "enqueue":
-            self._apply_enqueue(
-                op["doc"],
-                op["text"],
-                [Claim.from_json(claim) for claim in op["claims"]],
-            )
+            self._apply_enqueue(self._document_of_payload(op))
         elif kind == "decide":
             self._apply_decision(Decision.from_json(op["decision"]))
         elif kind == "drop":
@@ -349,8 +364,10 @@ class ReviewQueue:
 
     def durable_snapshot(self) -> dict:
         return {
-            "docs": [[doc_id, text] for doc_id, text in self._texts.items()],
-            "claims": [claim.to_json() for claim in self._claims.values()],
+            "docs": [
+                self._document_payload(document)
+                for document in self._documents.values()
+            ],
             "decisions": [
                 [claim_id, [d.to_json() for d in decisions]]
                 for claim_id, decisions in self._decisions.items()
@@ -359,14 +376,11 @@ class ReviewQueue:
         }
 
     def durable_restore(self, state: dict) -> None:
-        self._texts.clear()
+        self._documents.clear()
         self._claims.clear()
         self._decisions.clear()
-        for doc_id, text in state.get("docs", ()):
-            self._texts[str(doc_id)] = str(text)
-        for payload in state.get("claims", ()):
-            claim = Claim.from_json(payload)
-            self._claims[claim.claim_id] = claim
+        for payload in state.get("docs", ()):
+            self._apply_enqueue(self._document_of_payload(payload))
         for claim_id, decisions in state.get("decisions", ()):
             self._decisions[str(claim_id)] = [
                 Decision.from_json(d) for d in decisions
@@ -374,9 +388,28 @@ class ReviewQueue:
 
     # -- internals ---------------------------------------------------------
 
-    def _claims_of_annotations(
-        self, doc_id: str, annotations: AnnotationDocument
-    ) -> list[Claim]:
+    @staticmethod
+    def _document_payload(document: AnnotationDocument) -> dict:
+        """A report as the journal and the snapshot carry it: its text
+        and its BRAT standoff, once."""
+        return {
+            "doc": document.doc_id,
+            "text": document.text,
+            "ann": serialize_ann(document),
+        }
+
+    @staticmethod
+    def _document_of_payload(payload: dict) -> AnnotationDocument:
+        try:
+            return parse_ann_unverified(
+                payload["doc"], payload["text"], payload["ann"]
+            )
+        except (KeyError, TypeError, AttributeError, AnnotationError) as exc:
+            raise ReviewError(f"malformed document payload: {exc}") from exc
+
+    @staticmethod
+    def _claims_of_annotations(annotations: AnnotationDocument) -> list[Claim]:
+        doc_id = annotations.doc_id
         claims = []
         for tb in annotations.spans_sorted():
             claims.append(
@@ -414,16 +447,21 @@ class ReviewQueue:
             )
         return claims
 
-    def _apply_enqueue(
-        self, doc_id: str, text: str, claims: list[Claim]
-    ) -> None:
-        if doc_id in self._texts:
+    def _apply_enqueue(self, document: AnnotationDocument) -> list[Claim]:
+        """Enroll ``document`` under its ``doc_id`` and derive its
+        claims — the one path enrollment, replay and restore share."""
+        doc_id = document.doc_id
+        if doc_id in self._documents:
             raise ReviewError(f"report {doc_id!r} is already enrolled")
-        self._texts[doc_id] = text
+        claims = self._claims_of_annotations(document)
+        new: dict[str, Claim] = {}
         for claim in claims:
-            if claim.claim_id in self._claims:
+            if claim.claim_id in self._claims or claim.claim_id in new:
                 raise ReviewError(f"duplicate claim {claim.claim_id!r}")
-            self._claims[claim.claim_id] = claim
+            new[claim.claim_id] = claim
+        self._documents[doc_id] = document
+        self._claims.update(new)
+        return claims
 
     def _apply_decision(self, decision: Decision) -> None:
         if decision.claim_id not in self._claims:
@@ -435,9 +473,9 @@ class ReviewQueue:
         decisions.append(decision)
 
     def _apply_drop(self, doc_id: str) -> int:
-        if doc_id not in self._texts:
+        if doc_id not in self._documents:
             return 0
-        del self._texts[doc_id]
+        del self._documents[doc_id]
         victims = [
             claim_id
             for claim_id, claim in self._claims.items()
@@ -457,7 +495,7 @@ class ReviewQueue:
                 "corrections only, not offsets"
             )
         if decision.start is not None:
-            text = self._texts[claim.doc_id]
+            text = self._documents[claim.doc_id].text
             if decision.end > len(text):
                 raise ReviewError(
                     f"{claim.claim_id}: corrected span end {decision.end} "
@@ -487,7 +525,7 @@ class ReviewQueue:
         verdicts (``None`` = each claim's latest decision), over only
         the claims in ``allowed`` when given (the co-reviewed set, for
         agreement scoring)."""
-        doc = AnnotationDocument(doc_id=doc_id, text=self._texts[doc_id])
+        doc = AnnotationDocument(doc_id=doc_id, text=self._documents[doc_id].text)
         verdicts = []
         for claim in self.claims_of(doc_id):
             if allowed is not None and claim.claim_id not in allowed:

@@ -338,6 +338,7 @@ class SegmentSearchEngine(SearchEngine):
         self._states: list[_SegmentState] = []
         self._generation = 0
         self._seg_counter = 0
+        self._manifest_ordinal = 0  # the ordinal clock as last persisted
         self._load_manifest()
 
     # -- manifest ----------------------------------------------------------
@@ -365,9 +366,8 @@ class SegmentSearchEngine(SearchEngine):
             manifest = json.load(handle)
         self._generation = int(manifest["generation"])
         self._seg_counter = int(manifest["seg_counter"])
-        self._next_ordinal = max(
-            self._next_ordinal, int(manifest["next_ordinal"])
-        )
+        self._manifest_ordinal = int(manifest["next_ordinal"])
+        self._next_ordinal = max(self._next_ordinal, self._manifest_ordinal)
         for entry in manifest["segments"]:
             segment = Segment.open(
                 os.path.join(self.segment_dir, entry["file"])
@@ -404,6 +404,7 @@ class SegmentSearchEngine(SearchEngine):
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
+        self._manifest_ordinal = self._next_ordinal
 
     # -- mutation ----------------------------------------------------------
 
@@ -434,6 +435,11 @@ class SegmentSearchEngine(SearchEngine):
         empty.  May trigger a compaction merge (``merge_factor``).
         """
         if not self._ids_by_ordinal:
+            # A document indexed and deleted while still buffered left
+            # no segment behind but did consume an ordinal; a reopen
+            # that forgot it would hand the ordinal out again.
+            if self._next_ordinal > self._manifest_ordinal:
+                self._write_manifest()
             return None
         buffered = sorted(self._ids_by_ordinal.items())
         docs = [

@@ -1,11 +1,10 @@
 """Sharded keyword serving: one fan-out core (parallel per-shard search
 with exact top-k merge and an invalidation-correct query cache), its
 process-pool segment tier and its replicated tier with WAL-shipped
-failover, and an admission-controlled asyncio front end."""
+failover."""
 
 from repro.serving.cache import QueryCache
 from repro.serving.engine import ShardedSearchEngine
-from repro.serving.frontend import Route, ServingFrontend
 from repro.serving.replica import (
     ReplicatedShardedSearchEngine,
     ShardReplicaSet,
@@ -17,8 +16,6 @@ __all__ = [
     "ProcessShardedSegmentEngine",
     "QueryCache",
     "ReplicatedShardedSearchEngine",
-    "Route",
-    "ServingFrontend",
     "ShardReplicaSet",
     "ShardRouter",
     "ShardedSearchEngine",

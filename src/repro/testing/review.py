@@ -14,7 +14,10 @@ means for the review queue:
   and a re-applied ``decide`` would break the whole-prefix state
   equality, since decision lists are part of the canonical state.
 * **Prefix consistency** — never a partial enroll, never a decision
-  without its claim.
+  without its claim.  The journal carries a report as text plus BRAT
+  standoff and replay re-derives its claims; the canonical state holds
+  both the standoff and the claims, so a replay that derives anything
+  enrollment did not is a prefix mismatch.
 * **Partition exactness** (this spec's own assertion) — after finishing
   the schedule on the recovered queue, the queued/decided claim
   partition is bit-identical to the never-crashed oracle's.
@@ -25,6 +28,7 @@ from __future__ import annotations
 import json
 from random import Random
 
+from repro.annotation.brat import serialize_ann
 from repro.annotation.model import AnnotationDocument
 from repro.review.model import VERDICTS, claim_id_for
 from repro.review.queue import ReviewQueue
@@ -180,12 +184,14 @@ def apply_review_action(queue: ReviewQueue, action: dict) -> None:
 
 
 def canonical_review_state(queue: ReviewQueue) -> str:
-    """Identity-free canonical rendering of the full review state,
-    including the queued/decided partition."""
+    """Identity-free canonical rendering of the full review state:
+    the annotation documents the queue owns, the claims derived from
+    them, the decisions, and the queued/decided partition."""
+    documents = [queue.annotations(doc_id) for doc_id in queue.documents()]
     payload = {
         "docs": sorted(
-            [doc_id, queue.document_text(doc_id)]
-            for doc_id in queue.documents()
+            [document.doc_id, document.text, serialize_ann(document)]
+            for document in documents
         ),
         "claims": sorted(
             json.dumps(claim.to_json(), sort_keys=True)

@@ -49,7 +49,7 @@ def _engine_of(app):
         app.store,
         app.indexer.graph,
         app.indexer.engine,
-        app._annotations.get,
+        app.review.annotations,
     )
 
 
@@ -333,7 +333,7 @@ class TestFhirExport:
             [entry["resource"]["id"]
              for entry in response.body["entry"]
              if entry["resource"]["resourceType"] == "Patient"],
-            app._annotations.get,
+            app.review.annotations,
             path,
         )
         bundle = parse_bundle(path.read_text(encoding="utf-8"))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.annotation.model import AnnotationDocument
 from repro.corpus.generator import CaseReportGenerator
 from repro.crawler.repository import SyntheticPubMed
 from repro.durability import Durable, DurabilityManager, MemFS
@@ -159,29 +160,112 @@ def test_injected_engine_matches_default_pipeline(demo_system, tmp_path, kind):
         assert _observe(recovered) == _observe(default)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: the WAL journals four renderings of a report "
-    "but not its annotation document, so CreateApplication._annotations "
-    "is empty after recover() (ROADMAP item 1(d) is the fix)",
-)
-def test_annotations_survive_recovery(demo_system):
-    """Every per-report route answers after recovery as it did live."""
+def _report_views(app, doc_ids) -> dict:
+    """Status and body of every per-report route, plus the cohort
+    export, for ``doc_ids``."""
+    views = {}
+    for doc_id in doc_ids:
+        for suffix in ("", "/graph", "/svg", "/timeline", "/ann", "/html"):
+            path = f"/reports/{doc_id}{suffix}"
+            views[path] = app.handle("GET", path)
+        path = f"/review/reports/{doc_id}"
+        views[path] = app.handle("GET", path)
+        views[f"/review/queue?doc_id={doc_id}"] = app.handle(
+            "GET", "/review/queue", params={"doc_id": doc_id, "limit": 500}
+        )
+        for claim in app.review.claims_of(doc_id):
+            path = f"/review/claims/{claim.claim_id}"
+            views[path] = app.handle("GET", path)
+    views["/cohorts/any/fhir"] = app.handle("GET", "/cohorts/any/fhir")
+    return {
+        path: (response.status, response.body)
+        for path, response in views.items()
+    }
+
+
+@pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot"])
+def test_annotations_survive_recovery(demo_system, snapshot):
+    """Every per-report route answers after recovery as it did live —
+    for a report as extracted, one whose annotations were PUT, one with
+    a recorded decision, one that was deleted and one whose mention
+    crosses a line break under two out-of-order ids — and the FHIR
+    export keeps its span provenance."""
+    from repro.cohort.fhir import bundle_provenance
+
     trained, reports = demo_system
     fs = MemFS()
     live = CreatePipeline(trained.extractor, durability=DurabilityManager(fs))
-    doc_id = live.app.register_report(
-        reports[0].to_document(), reports[0].annotations
+    app = live.app
+    created = app.handle(
+        "POST",
+        "/cohorts",
+        body={
+            "name": "any",
+            "inclusion": [{"kind": "entity", "entity_type": "Sign_symptom"}],
+        },
     )
+    assert created.status == 201
+    plain, edited, decided, deleted = (
+        app.register_report(report.to_document(), report.annotations)
+        for report in reports[:4]
+    )
+    # PUT: keep the first three spans under ids of the curator's choosing.
+    kept = app.review.annotations(edited).spans_sorted()[:3]
+    standoff = "".join(
+        f"T{40 + k}\t{tb.label} {tb.start} {tb.end}\t{tb.text}\n"
+        for k, tb in enumerate(kept)
+    )
+    put = app.handle("PUT", f"/reports/{edited}/ann", body=standoff)
+    assert (put.status, put.body["spans"]) == (200, 3)
+    claim = app.review.claims_of(decided)[0]
+    verdict = app.handle(
+        "POST",
+        f"/review/claims/{claim.claim_id}/decision",
+        body={"reviewer": "alice", "verdict": "edit", "label": "Finding"},
+    )
+    assert verdict.status == 201
+    assert app.handle("DELETE", f"/reports/{deleted}").ok
+    # A SimPDF block keeps its line breaks, so a mention may cross one;
+    # the curator then lists two spans over it, the higher id first.
+    wrapped_text = "She reported chest\npain and fever."
+    wrapped_ann = AnnotationDocument(doc_id="sub-1", text=wrapped_text)
+    wrapped_ann.add_textbound("Sign_symptom", 13, 23)
+    wrapped = app.register_report(
+        {"title": "wrapped", "text": wrapped_text}, wrapped_ann
+    )
+    put = app.handle(
+        "PUT",
+        f"/reports/{wrapped}/ann",
+        body=(
+            "T2\tSign_symptom 13 23\tchest pain\n"
+            "T1\tDisease_disorder 13 23\tchest pain\n"
+        ),
+    )
+    assert (put.status, put.body["spans"]) == (200, 2)
+    if snapshot:
+        live.durability.snapshot()
+
     recovered = CreatePipeline(
         trained.extractor, durability=DurabilityManager(fs)
     )
-    recovered.recover()
-    suffixes = ("/graph", "/ann", "/html")
-    paths = [f"/reports/{doc_id}{suffix}" for suffix in suffixes]
-    paths.append(f"/review/reports/{doc_id}")
-    for pipeline in (live, recovered):
-        statuses = {
-            path: pipeline.app.handle("GET", path).status for path in paths
-        }
-        assert statuses == dict.fromkeys(paths, 200)
+    assert recovered.recover().snapshot_loaded == snapshot
+    doc_ids = (plain, edited, decided, deleted, wrapped)
+    live_views = _report_views(app, doc_ids)
+    assert _report_views(recovered.app, doc_ids) == live_views
+
+    # The comparison above is not vacuous: live answers are the real ones.
+    for doc_id in (plain, edited, decided):
+        for suffix in ("/graph", "/ann", "/html"):
+            assert live_views[f"/reports/{doc_id}{suffix}"][0] == 200
+    assert live_views[f"/reports/{edited}/ann"] == (200, standoff)
+    assert live_views[f"/reports/{deleted}/ann"][0] == 404
+    assert [c.value for c in app.review.claims_of(wrapped)] == ["chest\npain"] * 2
+    assert live_views[f"/review/reports/{deleted}"][0] == 404
+    assert "verdict-edit" in live_views[f"/review/reports/{decided}"][1]
+    status, bundle = _report_views(recovered.app, ())["/cohorts/any/fhir"]
+    assert status == 200
+    spans = bundle_provenance(bundle)
+    assert {ref["reportId"] for ref in spans} >= {plain, decided}
+    for ref in spans:
+        text = recovered.app.review.annotations(ref["reportId"]).text
+        assert text[ref["start"] : ref["end"]] == ref["text"]

@@ -4,8 +4,14 @@ import json
 from xml.etree import ElementTree
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.annotation.model import AnnotationDocument
+from repro.annotation.brat import (
+    parse_ann,
+    parse_ann_unverified,
+    serialize_ann,
+)
+from repro.annotation.model import AnnotationDocument, RelationAnn
 from repro.api.app import CreateApplication
 from repro.docstore.store import DocumentStore
 from repro.durability import DurabilityManager, MemFS
@@ -62,14 +68,55 @@ class TestClaimModel:
         with pytest.raises(ReviewError):
             Claim("d:T1", "d", "T1", "mention", "Symptom", "x", 5, 5)
 
-    def test_json_roundtrip(self):
-        claim = Claim("d:R1", "d", "R1", "relation", "BEFORE",
-                      "a -BEFORE-> b", 0, 9, source="T1", target="T2")
-        assert Claim.from_json(claim.to_json()) == claim
+    def test_json_roundtrip(self, queue):
+        # A claim's journaled form is its report's BRAT standoff, not a
+        # per-claim object: every claim (negated mention and relation
+        # included) comes back equal from the JSON the WAL would carry.
+        queue.journal = []
+        queue.drop_document("r1")
+        claims = queue.enqueue_document(
+            "r1",
+            _doc(
+                "r1",
+                "a then b",
+                [("Symptom", "a"), ("Symptom", "b")],
+                relations=[(0, 1, "BEFORE")],
+                negated=("a",),
+            ),
+        )
+        assert [c.kind for c in claims] == ["mention", "mention", "relation"]
+        replayed = ReviewQueue()
+        for op in json.loads(json.dumps(queue.journal)):
+            replayed.durable_apply(op)
+        assert replayed.claims_of("r1") == claims
+        assert replayed.claim("r1:R1").to_json() == {
+            "claim_id": "r1:R1",
+            "doc_id": "r1",
+            "span_id": "R1",
+            "kind": "relation",
+            "label": "BEFORE",
+            "value": "a -BEFORE-> b",
+            "start": 0,
+            "end": 8,
+            "negated": False,
+            "source": "T1",
+            "target": "T2",
+        }
 
     def test_malformed_payload(self):
-        with pytest.raises(ReviewError):
-            Claim.from_json({"claim_id": "x"})
+        # A malformed enqueue op is refused whole: nothing is enrolled.
+        queue = ReviewQueue()
+        for payload in (
+            {"doc": "x"},  # no text, no standoff
+            {"doc": "x", "text": "fever", "ann": None},
+            {"doc": "x", "text": "fever", "ann": "T1\tSymptom 0 9\tfever\n"},
+            {"doc": "x", "text": "fever", "ann": "T1\tSymptom 0 5\tcough\n"},
+            {"doc": "x", "text": "fever", "ann": "Z1\twhat\n"},
+        ):
+            with pytest.raises(ReviewError):
+                queue.durable_apply({"op": "enqueue", **payload})
+            assert queue.documents() == []
+            assert queue.stats()["claims"] == 0
 
     def test_decision_verdict_validation(self):
         with pytest.raises(ReviewError):
@@ -246,6 +293,116 @@ class TestAgreement:
         assert pair.report.relation_f1.f1 == 1.0
 
 
+_WORDS = st.sampled_from(
+    ["fever", "Sjögren", "chest", "pain", "no", "β-blocker", "x", "2.5mg"]
+)
+# What separates two words of a report: a SimPDF block keeps its line
+# breaks, and str.splitlines() would cut at every one of these but the
+# space and the tab.
+_GAPS = st.sampled_from([" ", "\n", "\r\n", "\r", "\t", "\x0c", "\u2028"])
+_SPAN_LABELS = st.sampled_from(["Sign_symptom", "Medication", "Finding"])
+_ID_TAILS = st.sampled_from(["7", "07", "40", "x", "foo", "9a", "_1"])
+
+
+@st.composite
+def _standoff_documents(draw):
+    """Annotation documents over the shapes enrollment accepts:
+    zero-span documents, negated spans, spans that cross a line break,
+    spans over the same offsets with ids out of order, relations (some
+    with an endpoint that is not in the document), and ids of the
+    curator's choosing as ``PUT /reports/{id}/ann`` takes them."""
+    words = draw(st.lists(_WORDS, min_size=1, max_size=8))
+    text, starts = "", []
+    for word in words:
+        if starts:
+            text += draw(_GAPS)
+        starts.append(len(text))
+        text += word
+    doc = AnnotationDocument(doc_id="r", text=text)
+
+    def ann_id(prefix, pool):
+        if draw(st.booleans()):
+            return None  # the model's own numbering
+        chosen = prefix + draw(_ID_TAILS)
+        return None if chosen in pool else chosen
+
+    for first in draw(
+        st.lists(st.integers(0, len(words) - 1), max_size=5)
+    ):
+        last = draw(st.integers(first, len(words) - 1))
+        tb = doc.add_textbound(
+            draw(_SPAN_LABELS),
+            starts[first],
+            starts[last] + len(words[last]),
+            ann_id=ann_id("T", doc.textbounds),
+        )
+        if draw(st.integers(0, 3)) == 0:
+            doc.add_attribute(
+                "Negated", tb.ann_id, ann_id=ann_id("A", doc.attributes)
+            )
+    span_ids = list(doc.textbounds)
+    for _ in range(draw(st.integers(0, 4)) if len(span_ids) >= 2 else 0):
+        source, target = draw(
+            st.lists(
+                st.sampled_from(span_ids), min_size=2, max_size=2, unique=True
+            )
+        )
+        doc.add_relation(
+            draw(st.sampled_from(["BEFORE", "OVERLAP"])),
+            source,
+            target,
+            ann_id=ann_id("R", doc.relations),
+        )
+    if span_ids and draw(st.booleans()):
+        # add_relation refuses this; an extractor that filtered a span
+        # after relating it would produce it.
+        doc.relations["R99"] = RelationAnn(
+            "R99", "BEFORE", span_ids[0], "T_gone"
+        )
+    return doc
+
+
+class TestStandoffRoundTrip:
+    """What the journal relies on: text + ``.ann`` is the document."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_standoff_documents())
+    def test_serialize_parse_is_identity_and_preserves_claims(self, doc):
+        standoff = serialize_ann(doc)
+        back = parse_ann_unverified("r", doc.text, standoff)
+        assert serialize_ann(back) == standoff
+        assert back == parse_ann_unverified("r", doc.text, serialize_ann(back))
+
+        live = ReviewQueue()
+        live.journal = []
+        claims = live.enqueue_document("r", doc)
+        assert len(claims) == len(doc.textbounds) + sum(
+            rel.target in doc.textbounds for rel in doc.relations.values()
+        )
+        assert {c.span_id: c.negated for c in claims if c.kind == "mention"} == {
+            ann_id: doc.is_negated(ann_id) for ann_id in doc.textbounds
+        }
+        replayed, restored = ReviewQueue(), ReviewQueue()
+        for op in json.loads(json.dumps(live.journal)):
+            replayed.durable_apply(op)
+        restored.durable_restore(json.loads(json.dumps(live.durable_snapshot())))
+        for queue in (replayed, restored):
+            assert queue.claims_of("r") == claims
+            assert serialize_ann(queue.annotations("r")) == standoff
+            assert queue.durable_snapshot() == live.durable_snapshot()
+            # Same document, same dict order: nothing that walks the
+            # document can tell a recovered queue from the live one.
+            assert queue.annotations("r") == live.annotations("r")
+            assert list(queue.annotations("r").textbounds) == list(
+                live.annotations("r").textbounds
+            )
+
+        if "R99" not in doc.relations:
+            # Referentially whole documents also pass the strict parser
+            # PUT /ann uses, to the same document.
+            assert parse_ann("r", doc.text, standoff) == back
+
+
 class TestReviewDurability:
     def _enrolled_queue_manager(self, fs):
         queue = ReviewQueue()
@@ -274,7 +431,7 @@ class TestReviewDurability:
         recovery.recover()
         assert recovered.effective_decision("r1:T1").label == "Finding"
         assert [c.claim_id for c in recovered.queued()] == ["r1:T2"]
-        assert recovered.document_text("r1") == queue.document_text("r1")
+        assert recovered.annotations("r1").text == queue.annotations("r1").text
 
     def test_zero_claim_drop_is_journaled(self):
         # Regression: dropping a report with no claims must still write
@@ -303,11 +460,13 @@ class TestReviewDurability:
             "op": "enqueue",
             "doc": "r1",
             "text": "fever",
-            "claims": [],
+            "ann": "T1\tSymptom 0 5\tfever\n",
         }
         queue.durable_apply(dict(op))
+        assert [c.claim_id for c in queue.queued()] == ["r1:T1"]
         with pytest.raises(ReviewError):
             queue.durable_apply(dict(op))
+        assert [c.claim_id for c in queue.queued()] == ["r1:T1"]
 
     def test_snapshot_roundtrip(self, queue):
         queue.decide("r1:T1", "alice", "accept")
@@ -317,6 +476,125 @@ class TestReviewDurability:
         restored = ReviewQueue()
         restored.durable_restore(state)
         assert restored.durable_snapshot() == queue.durable_snapshot()
+        # Claims are not in the snapshot; restore derives them again.
+        assert "claims" not in state
+        assert restored.claims_of("r1") == queue.claims_of("r1")
+        assert restored.claim("r1:T1").negated
+        assert restored.effective_decision("r1:T1").verdict == "accept"
+        assert [c.claim_id for c in restored.queued()] == ["r1:T2", "r1:R1"]
+
+    def test_journal_and_snapshot_carry_the_document_once(self):
+        # The WAL enqueue op and the snapshot hold a report as text +
+        # standoff; no per-claim rendering rides beside it.
+        fs = MemFS()
+        queue, manager = self._enrolled_queue_manager(fs)
+        manager.flush()
+        (record,) = manager.wal.replay().records
+        (op,) = record["ops"]["review"]
+        assert sorted(op) == ["ann", "doc", "op", "text"]
+        assert op["op"] == "enqueue"
+        wal = json.dumps(record)
+        assert '"claims"' not in wal and '"claim_id"' not in wal
+        assert wal.count("patient denied fever but reported") == 1
+        (payload,) = queue.durable_snapshot()["docs"]
+        assert {"op": "enqueue", **payload} == op
+        assert payload == {
+            "doc": "r1",
+            "text": "patient denied fever but reported chest pain",
+            "ann": (
+                "T1\tSymptom 15 20\tfever\n"
+                "T2\tSymptom 34 44\tchest pain\n"
+                "A1\tNegated T1\n"
+            ),
+        }
+        manager.snapshot()
+        snapshot = fs.read_bytes("snapshot.json").decode("utf-8")
+        assert '"claims"' not in snapshot and '"claim_id"' not in snapshot
+
+    def test_annotations_survive_replay(self):
+        fs = MemFS()
+        queue, manager = self._enrolled_queue_manager(fs)
+        manager.flush()
+        recovered = ReviewQueue()
+        recovery = DurabilityManager(fs)
+        recovery.attach("review", recovered)
+        recovery.recover()
+        assert recovered.annotations("r1") == queue.annotations("r1")
+        assert recovered.claims_of("r1") == queue.claims_of("r1")
+        assert recovered.annotations("nope") is None
+
+    def test_enrollment_is_keyed_by_report_id(self):
+        # The extractor's own id for the document is not the report id.
+        queue = ReviewQueue()
+        doc = _doc("sub-7", "fever", [("Symptom", "fever")])
+        queue.enqueue_document("report-1", doc)
+        assert queue.annotations("report-1").doc_id == "report-1"
+        assert queue.annotations("sub-7") is None
+        assert doc.doc_id == "sub-7"  # the caller's object is untouched
+
+    def test_span_across_a_line_break_survives_recovery(self):
+        # A SimPDF block keeps its line breaks and a multi-token mention
+        # may cross one; the T line carries the break as a space and
+        # the offsets restore the surface.
+        text = "reported chest\npain and\u2028fever"
+        doc = AnnotationDocument(doc_id="r1", text=text)
+        doc.add_textbound("Symptom", 9, 19)
+        doc.add_textbound("Symptom", 20, 29)
+        for snapshot in (False, True):
+            fs = MemFS()
+            queue = ReviewQueue()
+            manager = DurabilityManager(fs)
+            manager.attach("review", queue)
+            claims = queue.enqueue_document("r1", doc)
+            assert [c.value for c in claims] == ["chest\npain", "and\u2028fever"]
+            manager.commit()
+            manager.flush()
+            if snapshot:
+                manager.snapshot()
+            recovered = ReviewQueue()
+            recovery = DurabilityManager(fs)
+            recovery.attach("review", recovered)
+            recovery.recover()
+            assert recovered.claims_of("r1") == claims
+            assert recovered.annotations("r1") == queue.annotations("r1")
+        assert serialize_ann(doc).splitlines()[0] == "T1\tSymptom 9 19\tchest pain"
+        assert parse_ann("r1", text, serialize_ann(doc)) == doc
+
+    def test_same_offset_spans_queue_in_one_order(self):
+        # Two spans over the same offsets, listed T2 first as a PUT
+        # body may: the live queue orders them as the recovered one.
+        text = "fever"
+        doc = parse_ann("r1", text, "T2\tA 0 5\tfever\nT1\tB 0 5\tfever\n")
+        assert list(doc.textbounds) == ["T2", "T1"]
+        live = ReviewQueue()
+        live.journal = []
+        claims = live.enqueue_document("r1", doc)
+        assert [c.span_id for c in claims] == ["T1", "T2"]
+        replayed = ReviewQueue()
+        for op in live.journal:
+            replayed.durable_apply(op)
+        assert replayed.claims_of("r1") == claims
+
+    def test_enrolled_document_is_the_queues_own(self):
+        queue = ReviewQueue()
+        doc = _doc("r1", "fever and cough", [("Symptom", "fever")])
+        queue.enqueue_document("r1", doc)
+        before = queue.durable_snapshot()
+        doc.add_textbound("Symptom", 10, 15)  # the caller's copy only
+        assert queue.durable_snapshot() == before
+        assert list(queue.annotations("r1").textbounds) == ["T1"]
+
+    def test_annotations_standoff_cannot_carry_are_refused_unjournaled(self):
+        queue = ReviewQueue()
+        queue.journal = []
+        doc = _doc("r1", "fever", [("Sign symptom", "fever")])
+        with pytest.raises(ReviewError):
+            queue.enqueue_document("r1", doc)
+        noted = _doc("r2", "fever", [("Symptom", "fever")])
+        noted.add_note("T1", "two\nlines")
+        with pytest.raises(ReviewError):
+            queue.enqueue_document("r2", noted)
+        assert queue.journal == [] and queue.documents() == []
 
     def test_unknown_journal_op(self):
         with pytest.raises(ReviewError):
@@ -593,3 +871,33 @@ class TestReviewFuzz:
             assert messages, "lossy recovery passed 60 cases undetected"
         finally:
             queue_module.ReviewQueue.durable_apply = original
+
+    def test_checker_catches_replay_that_derives_differently(self, monkeypatch):
+        # Claims are not journaled; replay derives them from the
+        # standoff.  Plant a replay that loses the Negated attributes.
+        from repro.review import queue as queue_module
+        from repro.testing import generate_case
+        from repro.testing.review import check_review_case
+
+        original = queue_module.ReviewQueue.durable_apply
+
+        def forgets_negation(self, op):
+            if op.get("op") == "enqueue":
+                kept = [
+                    line
+                    for line in op["ann"].split("\n")
+                    if not line.startswith("A")
+                ]
+                op = {**op, "ann": "\n".join(kept)}
+            original(self, op)
+
+        monkeypatch.setattr(
+            queue_module.ReviewQueue, "durable_apply", forgets_negation
+        )
+        messages = [
+            message
+            for index in range(60)
+            if (message := check_review_case(generate_case("review", 2, index)))
+        ]
+        assert messages, "a replay that loses negation passed 60 cases"
+        assert not any("checker crashed" in message for message in messages)

@@ -12,8 +12,9 @@ it touches each criterion's backing index once, while the oracle runs
 every criterion against every report (per-document exhaustive pattern
 enumeration, linear-scan BM25, full closure recomputation).
 
-``BENCH_COHORT_DOCS`` overrides the corpus size (CI smoke uses a
-reduced corpus; the committed baseline was recorded at the default).
+The acceptance bar is the in-run ratio: engine ≥ 2x the brute-force
+evaluator timed in the same process.  ``BENCH_COHORT_DOCS`` overrides
+the corpus size (CI runs 400 reports, nightly 2000).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import os
 import time
 
-from conftest import write_json_result, write_result
+from conftest import write_result
 
 from repro.cohort import (
     CohortDefinition,
@@ -109,25 +110,6 @@ def test_cohort_engine_vs_brute_force():
         f"{'cohort engine':<28}{engine_s:>12.4f}{speedup:>9.2f}x",
     ]
     write_result("bench_cohort", lines)
-    write_json_result(
-        "cohort",
-        {
-            "evals_per_s_engine": {
-                "value": 1.0 / engine_s,
-                "direction": "higher",
-            },
-            "evals_per_s_brute_force": {
-                "value": 1.0 / oracle_s,
-                "direction": "higher",
-            },
-            # Ratio of two timings: volatile, report without gating.
-            "engine_speedup": {
-                "value": speedup,
-                "direction": "higher",
-                "gate": False,
-            },
-        },
-    )
 
     assert speedup >= 2.0, (
         f"cohort engine only {speedup:.2f}x the brute-force evaluator "

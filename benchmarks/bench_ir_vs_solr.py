@@ -11,10 +11,14 @@ from gold annotations, never from system output).  Systems:
 Metrics target the *relational* relevance grade (grade 2: the document
 realizes the queried temporal relation), which is exactly the axis the
 paper claims relation-based retrieval wins on.
+
+Part of the ``paper-claims`` CI gate: beside the ordering, MAP and
+nDCG@10 of CREATe-IR and of the Solr baseline may not fall below
+:data:`FLOORS` (a baseline that quietly gets worse inflates the margin).
 """
 
 import numpy as np
-from conftest import write_result
+from conftest import assert_floors, write_result
 
 from repro.corpus.queries import make_query_workload
 from repro.ir.indexer import CreateIrIndexer
@@ -30,6 +34,13 @@ from repro.search.solr import SolrBaseline
 
 N_QUERIES = 25
 SIZE = 10
+# As committed in EXPERIMENTS.md (seeded; reproduces to three decimals).
+FLOORS = {
+    "CREATe-IR MAP": 1.000,
+    "CREATe-IR nDCG@10": 0.992,
+    "Solr MAP": 0.798,
+    "Solr nDCG@10": 0.845,
+}
 
 
 def gold_parse(query) -> ParsedQuery:
@@ -132,4 +143,13 @@ def test_ir_vs_solr(benchmark, ir_corpus, gold_ir_index):
     assert (
         scores["CREATe-IR"]["MAP"]
         >= scores["CREATe-IR (keyword only)"]["MAP"]
+    )
+    assert_floors(
+        {
+            f"{system} {metric}": scores[system][metric]
+            for system in ("CREATe-IR", "Solr")
+            for metric in ("MAP", "nDCG@10")
+        },
+        FLOORS,
+        places=3,
     )

@@ -10,8 +10,6 @@ Three series over the same 400-report corpus and query set:
   engine's throughput once the epoch-stamped cache is serving repeats.
 * **Hit-rate sweep**: a skewed query mix (a few hot queries, a long
   tail) against cache capacity, reporting measured hit rate.
-
-Feeds the CI regression gate via ``BENCH_query_throughput.json``.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import random
 import time
 
-from conftest import write_json_result, write_result
+from conftest import write_result
 
 from repro.search.analysis import (
     CREATE_IR_ANALYZER_CONFIG,
@@ -146,25 +144,6 @@ def test_query_throughput(ir_corpus):
         lines.append(f"{capacity:<26}{rate:>10.2f}{qps:>10.0f}")
 
     write_result("bench_query_throughput", lines)
-    write_json_result(
-        "query_throughput",
-        {
-            "qps_unsharded": {"value": base_qps, "direction": "higher"},
-            "qps_4shard_cold": {"value": sweep[4], "direction": "higher"},
-            # Warm-cache numbers divide by microseconds; report them
-            # but exclude them from the regression gate.
-            "qps_4shard_warm": {
-                "value": warm_qps,
-                "direction": "higher",
-                "gate": False,
-            },
-            "warm_speedup": {
-                "value": warm_speedup,
-                "direction": "higher",
-                "gate": False,
-            },
-        },
-    )
 
     # Monotone-ish capacity -> hit rate (full capacity must beat tiny).
     assert capacity_sweep[80] > capacity_sweep[2]

@@ -69,9 +69,11 @@ def test_recovery_throughput(ir_corpus):
         lines = [
             "recovery shape                docs/sec   records replayed"
         ]
-        for label, snapshot_every in (
-            ("WAL replay only", None),
-            (f"snapshot + WAL tail", SNAPSHOT_EVERY),
+        # Both shapes restore all N_DOCS (asserted in _recover); the
+        # snapshot's job is to leave only the tail to replay.
+        for label, snapshot_every, expect_replayed in (
+            ("WAL replay only", None, N_DOCS),
+            (f"snapshot + WAL tail", SNAPSHOT_EVERY, N_DOCS - SNAPSHOT_EVERY),
         ):
             root = tmp + f"/{snapshot_every}"
             fs = OsFileSystem(root)
@@ -80,6 +82,7 @@ def test_recovery_throughput(ir_corpus):
             fs2 = OsFileSystem(root)
             elapsed, replayed = _recover(fs2)
             fs2.close()
+            assert replayed == expect_replayed
             lines.append(
                 f"{label:<28} {N_DOCS / elapsed:>9.0f}   {replayed:>16d}"
             )

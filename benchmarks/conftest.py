@@ -1,20 +1,16 @@
-"""Shared benchmark fixtures and the result writers.
+"""Shared benchmark fixtures and the result printer.
 
 Importing this conftest puts ``src/`` on ``sys.path``, so
 ``pytest benchmarks/`` works from any directory with no ad-hoc
 ``PYTHONPATH`` — the repo checkout is self-sufficient.
 
-Every benchmark prints the rows/series it reproduces and also appends
-them to ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can quote
-measured numbers without re-running anything.  Benchmarks that feed
-the CI regression gate additionally emit machine-readable metrics as
-``BENCH_<name>.json`` in the repo root (see ``bench_gate.py``).
+Every benchmark prints the rows/series it reproduces (run with ``-s``
+to see them) and asserts its own claim; nothing is written into the
+checkout.  EXPERIMENTS.md quotes the printed tables.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import sys
 from pathlib import Path
 
@@ -25,52 +21,25 @@ if _SRC not in sys.path:
 
 import pytest  # noqa: E402
 
-RESULTS_DIR = Path(__file__).parent / "results"
-
 
 def write_result(name: str, lines: list[str]) -> None:
-    """Print a result table and persist it under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
-    text = "\n".join(lines)
-    print("\n" + text)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+    """Print one benchmark's result table under its name."""
+    print(f"\n[{name}]\n" + "\n".join(lines))
 
 
-def write_json_result(name: str, metrics: dict) -> None:
-    """Emit gate-readable metrics as ``BENCH_<name>.json``.
-
-    ``metrics`` maps metric name to ``{"value": float, "direction":
-    "higher"|"lower"}`` — direction says which way is better, so the
-    gate knows what a regression looks like.  An entry may add
-    ``"gate": False`` for report-only metrics too timing-volatile to
-    gate on (e.g. pure cache-hit throughput, where the denominator is
-    microseconds).
-
-    ``BENCH_GATE_INJECT_SLOWDOWN`` (a float factor < 1, test hook for
-    the gate itself) degrades every metric by that factor so a
-    deliberate regression can be verified to trip the gate.
-    """
-    inject = os.environ.get("BENCH_GATE_INJECT_SLOWDOWN")
-    if inject:
-        factor = float(inject)
-        metrics = {
-            key: {
-                **entry,
-                "value": (
-                    entry["value"] * factor
-                    if entry["direction"] == "higher"
-                    else entry["value"] / factor
-                ),
-            }
-            for key, entry in metrics.items()
-        }
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    path.write_text(
-        json.dumps({"name": name, "metrics": metrics}, indent=2, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
-    print(f"\nwrote {path}")
+def assert_floors(
+    measured: dict[str, float], floors: dict[str, float], places: int
+) -> None:
+    """The ``paper-claims`` gate: every committed headline number still
+    holds.  The quality benches are seeded and reproduce exactly, so
+    ``floors`` carries the numbers as EXPERIMENTS.md prints them and
+    the comparison is made at that precision (``places`` decimals)."""
+    shaved = {
+        key: (value, floor)
+        for key, floor in floors.items()
+        if (value := round(measured[key], places)) < floor
+    }
+    assert not shaved, f"below the committed floor (measured, floor): {shaved}"
 
 
 @pytest.fixture(scope="session")

@@ -132,8 +132,9 @@ class CreateApplication:
         runtime_stats: optional callable returning pipeline run
             counters (dead letters, failures) for ``/stats``.
         durability: optional WAL manager; when present, every
-            report-mutating request seals its journaled ops into one
-            commit record, and ``/stats`` serves WAL/recovery health.
+            request that is not a ``GET`` seals its journaled ops into
+            one commit record (:meth:`handle` commits, the handlers do
+            not), and ``/stats`` serves WAL/recovery health.
         review: the durable review queue, and the one owner of every
             report's annotation document: registered reports with
             annotations are enrolled automatically, ``/review`` routes
@@ -198,16 +199,30 @@ class CreateApplication:
         body: Any = None,
         params: dict | None = None,
     ) -> Response:
-        """Route a request; never raises (errors map to status codes)."""
+        """Route a request; never raises (errors map to status codes).
+
+        Every request that is not a ``GET`` ends with one durability
+        commit, whether its handler returned or raised: whatever the
+        handler journaled is sealed before the response acknowledges
+        it, and a handler that failed half-way leaves the log matching
+        memory.  A request that journaled nothing commits nothing.
+        """
         params = params or {}
+        method = method.upper()
         for route_method, pattern, handler in self._routes:
-            if route_method != method.upper():
+            if route_method != method:
                 continue
             match = pattern.match(path)
             if match is None:
                 continue
             try:
-                return handler(body=body, params=params, **match.groupdict())
+                try:
+                    return handler(
+                        body=body, params=params, **match.groupdict()
+                    )
+                finally:
+                    if method != "GET" and self.durability is not None:
+                        self.durability.commit()
             except ApiError as exc:
                 return Response(exc.status, {"error": exc.message})
             except ReproError as exc:
@@ -372,8 +387,6 @@ class CreateApplication:
             )
         self.review.drop_document(doc_id)
         self.review.enqueue_document(doc_id, annotations)
-        if self.durability is not None:
-            self.durability.commit()
         return Response(200, {"id": doc_id, "spans": len(annotations.textbounds)})
 
     def _delete_report(self, body: Any, params: dict, doc_id: str) -> Response:
@@ -382,8 +395,6 @@ class CreateApplication:
         self.indexer.delete_report(doc_id)
         self.review.drop_document(doc_id)
         self._suggester = None  # vocabulary changed
-        if self.durability is not None:
-            self.durability.commit()
         return Response(200, {"deleted": doc_id})
 
     def _search(self, body: Any, params: dict) -> Response:
@@ -629,8 +640,6 @@ class CreateApplication:
             end=_opt_int_field(body, "end"),
             note=str(body.get("note", "")),
         )
-        if self.durability is not None:
-            self.durability.commit()
         return Response(
             201,
             {

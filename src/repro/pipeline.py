@@ -40,7 +40,6 @@ from repro.ner.negation import NegationDetector
 from repro.ner.tagger import NerTagger
 from repro.runtime.executor import BatchExecutor
 from repro.runtime.metrics import MetricsRegistry
-from repro.runtime.tracing import SpanTracer
 from repro.schema.types import is_event_label
 from repro.temporal.classifier import TemporalClassifier
 from repro.temporal.global_inference import global_inference
@@ -367,7 +366,6 @@ class CreatePipeline:
     parse_retries: int = 2
     indexer: CreateIrIndexer = field(default_factory=CreateIrIndexer)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
-    tracer: SpanTracer = field(default_factory=SpanTracer)
     durability: DurabilityManager | None = None
 
     def __post_init__(self) -> None:
@@ -437,23 +435,15 @@ class CreatePipeline:
            index contents byte-identical at any worker count.
         """
         workers = self.workers if workers is None else workers
-        with self.tracer.span(
-            "pipeline.ingest", workers=workers
-        ), self.metrics.time("pipeline.ingest_seconds"):
-            with self.tracer.span("pipeline.crawl"), self.metrics.time(
-                "pipeline.crawl_seconds"
-            ):
+        with self.metrics.time("pipeline.ingest_seconds"):
+            with self.metrics.time("pipeline.crawl_seconds"):
                 crawler = Crawler(site, metrics=self.metrics)
                 results = crawler.crawl(max_pages=max_pages)
             self.stats.crawled += len(results)
             self.metrics.increment("pipeline.crawled", len(results))
 
             payloads = self._assign_doc_ids(results)
-            with self.tracer.span(
-                "pipeline.parse_extract",
-                documents=len(payloads),
-                workers=workers,
-            ), self.metrics.time("pipeline.parse_extract_seconds"):
+            with self.metrics.time("pipeline.parse_extract_seconds"):
                 executor = BatchExecutor(
                     workers=workers,
                     mode=self.executor_mode,
@@ -463,9 +453,7 @@ class CreatePipeline:
                 outcomes = executor.map(_parse_extract, payloads)
             extracted = self._collect_outcomes(payloads, outcomes)
 
-            with self.tracer.span(
-                "pipeline.index", documents=len(extracted)
-            ), self.metrics.time("pipeline.index_stage_seconds"):
+            with self.metrics.time("pipeline.index_stage_seconds"):
                 self._index_documents(extracted)
 
         self.stats.graph_nodes = self.indexer.graph.n_nodes

@@ -1,21 +1,18 @@
-"""Execution runtime: batch executor, metrics, and span tracing.
+"""Execution runtime: batch executor and metrics.
 
 The production-scale substrate under the ingestion pipeline
 (``repro.pipeline``): a fault-isolating batch executor with ordered,
-deterministic results; a registry of counters and latency timers with
-percentile summaries; and a lightweight span tracer for end-to-end
-request/ingest timing.
+deterministic results, and a registry of counters and latency timers
+with percentile summaries — the one record of stage time, served by
+``/stats``.
 """
 
 from repro.runtime.executor import BatchExecutor, TaskOutcome
 from repro.runtime.metrics import MetricsRegistry, TimerStats
-from repro.runtime.tracing import Span, SpanTracer
 
 __all__ = [
     "BatchExecutor",
     "TaskOutcome",
     "MetricsRegistry",
     "TimerStats",
-    "Span",
-    "SpanTracer",
 ]

@@ -7,9 +7,9 @@ deterministic regardless of completion order, which is what lets the
 pipeline produce byte-identical indexes serial vs parallel.
 
 A failing item never takes down the batch: its exception is captured in
-its outcome and every other item still completes.  Transient failures
-can be retried a bounded number of times by listing their exception
-types in ``retry_on``.
+its outcome and every other item still completes.  Retrying a transient
+failure is the mapped function's business (ingest bounds its Grobid
+retries inside ``pipeline._parse_extract``).
 
 Process mode requires ``fn`` (and the items and return values) to be
 picklable; per-worker state that is expensive to ship — a trained
@@ -24,7 +24,7 @@ import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable
 
 from repro.exceptions import ReproError
 
@@ -39,14 +39,12 @@ class TaskOutcome:
         index: position of the item in the input batch.
         value: the function's return value (None on failure).
         error: the captured exception (None on success).
-        attempts: executions performed (> 1 when retried).
-        duration: seconds spent in the final attempt.
+        duration: seconds the execution took.
     """
 
     index: int
     value: Any
     error: BaseException | None
-    attempts: int
     duration: float
 
     @property
@@ -54,33 +52,14 @@ class TaskOutcome:
         return self.error is None
 
 
-def _run_one(
-    fn: Callable[[Any], Any],
-    item: Any,
-    index: int,
-    retries: int,
-    retry_on: tuple[type[BaseException], ...],
-) -> TaskOutcome:
-    """Execute one item with bounded retry; never raises."""
-    attempts = 0
-    while True:
-        attempts += 1
-        start = time.perf_counter()
-        try:
-            value = fn(item)
-        except retry_on as exc:
-            if attempts <= retries:
-                continue
-            return TaskOutcome(
-                index, None, exc, attempts, time.perf_counter() - start
-            )
-        except BaseException as exc:  # isolation: captured, not raised
-            return TaskOutcome(
-                index, None, exc, attempts, time.perf_counter() - start
-            )
-        return TaskOutcome(
-            index, value, None, attempts, time.perf_counter() - start
-        )
+def _run_one(fn: Callable[[Any], Any], item: Any, index: int) -> TaskOutcome:
+    """Execute one item; never raises."""
+    start = time.perf_counter()
+    try:
+        value = fn(item)
+    except BaseException as exc:  # isolation: captured, not raised
+        return TaskOutcome(index, None, exc, time.perf_counter() - start)
+    return TaskOutcome(index, value, None, time.perf_counter() - start)
 
 
 class BatchExecutor:
@@ -90,8 +69,6 @@ class BatchExecutor:
         workers: pool size; ``<= 1`` runs inline (serial).
         mode: ``"thread"`` (default), ``"process"``, or ``"serial"``.
             Serial is forced when ``workers <= 1``.
-        retries: extra attempts granted per item for retryable errors.
-        retry_on: exception types considered transient/retryable.
         initializer / initargs: per-worker setup hook (also invoked
             once, inline, for serial and thread mode).
         persistent: keep the worker pool alive across ``map`` calls
@@ -105,8 +82,6 @@ class BatchExecutor:
         self,
         workers: int = 1,
         mode: str = "thread",
-        retries: int = 0,
-        retry_on: Sequence[type[BaseException]] = (),
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
         persistent: bool = False,
@@ -119,8 +94,6 @@ class BatchExecutor:
             mode = "serial"
         self.workers = max(1, int(workers))
         self.mode = mode
-        self.retries = max(0, int(retries))
-        self.retry_on = tuple(retry_on)
         self.initializer = initializer
         self.initargs = tuple(initargs)
         self.persistent = bool(persistent)
@@ -150,10 +123,7 @@ class BatchExecutor:
         if self.mode == "serial":
             if self.initializer is not None:
                 self.initializer(*self.initargs)
-            return [
-                _run_one(fn, item, i, self.retries, self.retry_on)
-                for i, item in enumerate(batch)
-            ]
+            return [_run_one(fn, item, i) for i, item in enumerate(batch)]
         if self.persistent:
             return self._submit_batch(
                 self._persistent_pool(), fn, batch, timeout
@@ -177,7 +147,7 @@ class BatchExecutor:
         timeout: float | None = None,
     ) -> list[TaskOutcome]:
         futures = [
-            pool.submit(_run_one, fn, item, i, self.retries, self.retry_on)
+            pool.submit(_run_one, fn, item, i)
             for i, item in enumerate(batch)
         ]
         if timeout is None:
@@ -198,7 +168,6 @@ class BatchExecutor:
                             f"batch item {index} missed the {timeout:.3f}s "
                             "deadline"
                         ),
-                        1,
                         timeout,
                     )
                 )

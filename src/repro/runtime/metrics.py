@@ -6,6 +6,12 @@ into it (``pipeline.parse_seconds``, ``engine.search_seconds``, ...),
 and the API's ``/stats`` endpoint serves :meth:`MetricsRegistry.snapshot`
 so operators can see throughput and tail latency without attaching a
 profiler.
+
+A timer's ``count``, ``total``, ``min`` and ``max`` are exact over the
+life of the process; its percentiles are taken over the most recent
+:data:`PERCENTILE_WINDOW` observations, so a long-running server holds
+a bounded number of floats per timer and ``/stats`` sorts at most that
+many.
 """
 
 from __future__ import annotations
@@ -13,10 +19,12 @@ from __future__ import annotations
 import math
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 _PERCENTILES = (50.0, 90.0, 99.0)
+PERCENTILE_WINDOW = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,10 +68,23 @@ def _percentile(ordered: list[float], pct: float) -> float:
 
 
 class _Timer:
-    __slots__ = ("durations",)
+    __slots__ = ("count", "total", "minimum", "maximum", "recent")
 
     def __init__(self):
-        self.durations: list[float] = []
+        self.count = 0
+        self.total = 0.0
+        self.minimum = math.inf
+        self.maximum = -math.inf
+        self.recent: deque[float] = deque(maxlen=PERCENTILE_WINDOW)
+
+    def add(self, seconds: float) -> None:
+        self.count += 1
+        self.total += seconds
+        if seconds < self.minimum:
+            self.minimum = seconds
+        if seconds > self.maximum:
+            self.maximum = seconds
+        self.recent.append(seconds)
 
 
 class MetricsRegistry:
@@ -96,7 +117,7 @@ class MetricsRegistry:
             timer = self._timers.get(name)
             if timer is None:
                 timer = self._timers[name] = _Timer()
-            timer.durations.append(float(seconds))
+            timer.add(float(seconds))
 
     @contextmanager
     def time(self, name: str):
@@ -108,20 +129,24 @@ class MetricsRegistry:
             self.record(name, time.perf_counter() - start)
 
     def timer_stats(self, name: str) -> TimerStats | None:
-        """Percentile summary for a timer (None when never recorded)."""
+        """Summary for a timer (None when never recorded): exact
+        count/total/mean/min/max, percentiles of the recent window."""
         with self._lock:
             timer = self._timers.get(name)
-            if timer is None or not timer.durations:
+            if timer is None:
                 return None
-            ordered = sorted(timer.durations)
+            count, total = timer.count, timer.total
+            minimum, maximum = timer.minimum, timer.maximum
+            recent = list(timer.recent)
+        recent.sort()
         return TimerStats(
-            count=len(ordered),
-            total=sum(ordered),
-            mean=sum(ordered) / len(ordered),
-            minimum=ordered[0],
-            maximum=ordered[-1],
+            count=count,
+            total=total,
+            mean=total / count,
+            minimum=minimum,
+            maximum=maximum,
             percentiles={
-                pct: _percentile(ordered, pct) for pct in _PERCENTILES
+                pct: _percentile(recent, pct) for pct in _PERCENTILES
             },
         )
 

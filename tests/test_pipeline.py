@@ -269,3 +269,42 @@ def test_annotations_survive_recovery(demo_system, snapshot):
     for ref in spans:
         text = recovered.app.review.annotations(ref["reportId"]).text
         assert text[ref["start"] : ref["end"]] == ref["text"]
+
+
+@pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot"])
+def test_cohorts_survive_recovery(demo_system, snapshot):
+    """A cohort defined, and one deleted, through ``handle`` is durable
+    once the response acknowledges it — no later report mutation has to
+    seal the docstore journal first.  With a snapshot, the delete and
+    the last definition are the WAL tail behind it."""
+    trained, _ = demo_system
+    fs = MemFS()
+    live = CreatePipeline(trained.extractor, durability=DurabilityManager(fs))
+    app = live.app
+
+    def define(name):
+        body = {
+            "name": name,
+            "inclusion": [{"kind": "entity", "entity_type": "Sign_symptom"}],
+        }
+        return app.handle("POST", "/cohorts", body=body).status
+
+    assert define("kept") == 201
+    assert define("dropped") == 201
+    if snapshot:
+        live.durability.snapshot()
+    assert app.handle("DELETE", "/cohorts/dropped").status == 200
+    assert define("late") == 201
+
+    recovered = CreatePipeline(
+        trained.extractor, durability=DurabilityManager(fs)
+    )
+    assert recovered.recover().snapshot_loaded == snapshot
+    statuses = {}
+    for name in ("", "/kept", "/dropped", "/late"):
+        was = app.handle("GET", f"/cohorts{name}")
+        now = recovered.app.handle("GET", f"/cohorts{name}")
+        assert (now.status, now.body) == (was.status, was.body)
+        statuses[name] = was.status
+    assert statuses == {"": 200, "/kept": 200, "/dropped": 404, "/late": 200}
+

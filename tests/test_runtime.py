@@ -1,12 +1,13 @@
-"""The runtime substrate: batch executor, metrics, span tracer."""
+"""The runtime substrate: batch executor and metrics."""
 
 import threading
 import time
 
 import pytest
 
-from repro.exceptions import ReproError, StageFailure, TransientParseError
-from repro.runtime import BatchExecutor, MetricsRegistry, SpanTracer
+from repro.exceptions import ReproError, StageFailure
+from repro.runtime import BatchExecutor, MetricsRegistry
+from repro.runtime.metrics import PERCENTILE_WINDOW
 
 
 def _square(x):
@@ -19,18 +20,6 @@ def _fail_on_three(x):
     return x
 
 
-_FLAKY_CALLS = {}
-
-
-def _flaky(x):
-    """Fails the first two calls for each item, then succeeds."""
-    count = _FLAKY_CALLS.get(x, 0) + 1
-    _FLAKY_CALLS[x] = count
-    if count <= 2:
-        raise TransientParseError(f"transient #{count} for {x}")
-    return x * 10
-
-
 class TestBatchExecutor:
     @pytest.mark.parametrize(
         "workers,mode",
@@ -41,7 +30,7 @@ class TestBatchExecutor:
         outcomes = executor.map(_square, range(20))
         assert [o.index for o in outcomes] == list(range(20))
         assert [o.value for o in outcomes] == [i * i for i in range(20)]
-        assert all(o.ok and o.attempts == 1 for o in outcomes)
+        assert all(o.ok for o in outcomes)
 
     def test_fault_isolation(self):
         executor = BatchExecutor(workers=4, mode="thread")
@@ -51,33 +40,6 @@ class TestBatchExecutor:
         assert isinstance(failed.error, ValueError)
         assert failed.value is None
         assert [o.value for o in outcomes if o.ok] == [1, 2, 4]
-
-    def test_retry_bounded_success(self):
-        _FLAKY_CALLS.clear()
-        executor = BatchExecutor(
-            workers=1, retries=2, retry_on=(TransientParseError,)
-        )
-        outcomes = executor.map(_flaky, [7])
-        assert outcomes[0].ok
-        assert outcomes[0].value == 70
-        assert outcomes[0].attempts == 3
-
-    def test_retry_exhausted(self):
-        _FLAKY_CALLS.clear()
-        executor = BatchExecutor(
-            workers=1, retries=1, retry_on=(TransientParseError,)
-        )
-        outcomes = executor.map(_flaky, [7])
-        assert not outcomes[0].ok
-        assert isinstance(outcomes[0].error, TransientParseError)
-        assert outcomes[0].attempts == 2
-
-    def test_no_retry_for_unlisted_exception(self):
-        executor = BatchExecutor(
-            workers=1, retries=5, retry_on=(TransientParseError,)
-        )
-        outcomes = executor.map(_fail_on_three, [3])
-        assert outcomes[0].attempts == 1
 
     def test_initializer_runs_for_serial_and_thread(self):
         seen = []
@@ -117,6 +79,26 @@ class TestMetricsRegistry:
         assert stats.maximum == pytest.approx(0.100)
         assert stats.percentiles[50.0] == pytest.approx(0.0505, abs=1e-4)
         assert stats.percentiles[99.0] == pytest.approx(0.09901, abs=1e-4)
+
+    def test_percentiles_cover_the_recent_window_only(self):
+        metrics = MetricsRegistry()
+        n = 3 * PERCENTILE_WINDOW
+        for i in range(n):  # 0, 1, 2, ... seconds, oldest first
+            metrics.record("lat", float(i))
+        stats = metrics.timer_stats("lat")
+        # Exact over every observation ever recorded.
+        assert stats.count == n
+        assert stats.total == pytest.approx(n * (n - 1) / 2)
+        assert stats.minimum == 0.0
+        assert stats.maximum == float(n - 1)
+        # Storage is bounded by the window, not by the process's age.
+        assert len(metrics._timers["lat"].recent) == PERCENTILE_WINDOW
+        # Percentiles describe the newest PERCENTILE_WINDOW values.
+        oldest_kept = n - PERCENTILE_WINDOW
+        assert stats.percentiles[50.0] == pytest.approx(
+            oldest_kept + (PERCENTILE_WINDOW - 1) / 2
+        )
+        assert stats.percentiles[99.0] > stats.percentiles[50.0] > oldest_kept
 
     def test_time_context_manager(self):
         metrics = MetricsRegistry()
@@ -158,45 +140,6 @@ class TestMetricsRegistry:
         metrics.record("y", 1.0)
         metrics.reset()
         assert metrics.snapshot() == {"counters": {}, "timers": {}}
-
-
-class TestSpanTracer:
-    def test_nesting_parent_ids(self):
-        tracer = SpanTracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("inner", doc="d1") as inner:
-                pass
-        assert inner.parent_id == outer.span_id
-        assert outer.parent_id is None
-        assert inner.attributes == {"doc": "d1"}
-        names = [s.name for s in tracer.finished()]
-        assert names == ["inner", "outer"]  # finished in close order
-
-    def test_durations_and_export(self):
-        tracer = SpanTracer()
-        with tracer.span("work"):
-            time.sleep(0.005)
-        span = tracer.finished("work")[0]
-        assert span.duration >= 0.005
-        exported = tracer.export()
-        assert exported[0]["name"] == "work"
-        assert exported[0]["duration"] >= 0.005
-
-    def test_bounded_retention(self):
-        tracer = SpanTracer(max_spans=5)
-        for i in range(12):
-            with tracer.span(f"s{i}"):
-                pass
-        finished = tracer.finished()
-        assert len(finished) == 5
-        assert finished[-1].name == "s11"
-
-    def test_clear(self):
-        tracer = SpanTracer()
-        with tracer.span("x"):
-            pass
-        tracer.clear()
-        assert tracer.finished() == []
 
 
 class TestStageFailure:

@@ -1,15 +1,16 @@
-"""Sharded serving throughput: fan-out speedup and cache hit rates.
+"""CREATe-IR result cache: repeated-query throughput and hit rates.
 
-Three series over the same 400-report corpus and query set:
+The whole Figure-6 flow — query parse, graph match, BM25, fusion —
+through one :class:`CreateIrSearcher` over a 400-report gold index,
+with and without ``searcher.cache = QueryCache(n, indexer.epochs)``,
+on a skewed query mix (a few hot queries, a long tail):
 
-* **Shard sweep** (cold cache): query throughput of the sharded engine
-  at 1/2/4/8 partitions vs the classic unsharded engine, with the
-  per-query results asserted identical — the speedup must not come
-  from answering a different question.
-* **Warm cache at 4 shards**: the acceptance bar — >= 2x the unsharded
-  engine's throughput once the epoch-stamped cache is serving repeats.
-* **Hit-rate sweep**: a skewed query mix (a few hot queries, a long
-  tail) against cache capacity, reporting measured hit rate.
+* **Identity first**: every distinct query answers the same from the
+  cached searcher (cold and warm) as from the uncached one — the
+  speedup must not come from answering a different question.
+* **Warm cache**: the acceptance bar — >= 2x the uncached searcher's
+  throughput once the epoch-stamped cache is serving repeats.
+* **Hit-rate sweep**: cache capacity against measured hit rate.
 """
 
 from __future__ import annotations
@@ -19,37 +20,26 @@ import time
 
 from conftest import write_result
 
-from repro.search.analysis import (
-    CREATE_IR_ANALYZER_CONFIG,
-    STANDARD_ANALYZER_CONFIG,
-)
-from repro.search.engine import create_ir_engine
-from repro.serving import ShardedSearchEngine
+from repro.corpus.queries import make_query_workload
+from repro.ir import CreateIrSearcher, QueryCache, QueryParser
 
-SHARD_COUNTS = [1, 2, 4, 8]
 N_QUERIES = 400
 N_DISTINCT = 40
 WARM_PASSES = 3
 
 
-def _documents(ir_corpus):
-    return [
-        (report.report_id, {"title": report.title, "body": report.text})
-        for report in ir_corpus
-    ]
-
-
 def _queries(ir_corpus):
-    """Distinct keyword queries drawn from corpus symptom mentions."""
+    """Distinct Figure-6 query strings and a skewed mix over them."""
+    distinct = list(
+        dict.fromkeys(
+            query.text
+            for query in make_query_workload(
+                ir_corpus, n_queries=3 * N_DISTINCT, seed=23
+            )
+        )
+    )[:N_DISTINCT]
+    # Hot head + uniform tail, fixed length for every run.
     rng = random.Random(23)
-    distinct = []
-    for report in ir_corpus:
-        spans = report.annotations.spans_with_label("Sign_symptom")
-        if spans:
-            distinct.append(spans[0].text)
-        if len(distinct) >= N_DISTINCT:
-            break
-    # Skewed mix: hot head + uniform tail, fixed length for every run.
     mix = []
     for _ in range(N_QUERIES):
         if rng.random() < 0.6:
@@ -59,87 +49,55 @@ def _queries(ir_corpus):
     return distinct, mix
 
 
-def _build_sharded(documents, n_shards, cache_size):
-    engine = ShardedSearchEngine(
-        n_shards,
-        {
-            "body": CREATE_IR_ANALYZER_CONFIG,
-            "title": STANDARD_ANALYZER_CONFIG,
-        },
-        cache_size=cache_size,
-    )
-    for doc_id, fields in documents:
-        engine.index(doc_id, fields)
-    return engine
-
-
-def _qps(engine, queries) -> float:
+def _qps(searcher, queries) -> float:
     start = time.perf_counter()
     for query in queries:
-        engine.search(query, size=10)
+        searcher.search(query, size=10)
     return len(queries) / (time.perf_counter() - start)
 
 
-def test_query_throughput(ir_corpus):
-    documents = _documents(ir_corpus)
+def test_query_throughput(ir_corpus, gold_ir_index, trained_extractor):
     distinct, mix = _queries(ir_corpus)
     assert len(distinct) == N_DISTINCT
+    parser = QueryParser(trained_extractor.ner, trained_extractor.temporal)
 
-    unsharded = create_ir_engine()
-    for doc_id, fields in documents:
-        unsharded.index(doc_id, fields)
-    base_qps = _qps(unsharded, mix)
+    def searcher(capacity=None):
+        built = CreateIrSearcher(gold_ir_index, parser=parser)
+        if capacity is not None:
+            built.cache = QueryCache(capacity, gold_ir_index.epochs)
+        return built
 
-    # -- shard sweep, cold cache (cache disabled entirely) ------------------
-    lines = [
-        f"Sharded query serving ({len(documents)} docs, "
-        f"{len(mix)} queries, {N_DISTINCT} distinct)",
-        f"{'configuration':<26}{'qps':>10}{'vs unsharded':>14}",
-        f"{'unsharded':<26}{base_qps:>10.0f}{1.0:>13.2f}x",
-    ]
-    sweep = {}
-    reference_answers = [
-        [(h.doc_id, h.score) for h in unsharded.search(q, size=10)]
-        for q in distinct
-    ]
-    for n_shards in SHARD_COUNTS:
-        sharded = _build_sharded(documents, n_shards, cache_size=1)
-        sharded.cache = None  # cold series: measure pure fan-out
-        answers = [
-            [(h.doc_id, h.score) for h in sharded.search(q, size=10)]
-            for q in distinct
-        ]
-        assert answers == reference_answers, (
-            f"{n_shards}-shard results diverged from unsharded"
-        )
-        qps = _qps(sharded, mix)
-        sweep[n_shards] = qps
-        lines.append(
-            f"{f'{n_shards} shards (cold)':<26}{qps:>10.0f}"
-            f"{qps / base_qps:>13.2f}x"
-        )
+    uncached = searcher()
+    reference = [uncached.search(query, size=10) for query in distinct]
+    assert any(
+        result.engine == "graph" for results in reference for result in results
+    )
+    warm = searcher(2 * N_DISTINCT)
+    for label in ("cold", "warm"):
+        answers = [warm.search(query, size=10) for query in distinct]
+        assert answers == reference, f"{label} cache diverged from uncached"
+    assert warm.cache.hits == N_DISTINCT
 
-    # -- warm cache at 4 shards (the acceptance bar) ------------------------
-    warm = _build_sharded(documents, 4, cache_size=2 * N_DISTINCT)
-    _qps(warm, mix)  # warm-up pass fills the cache
+    base_qps = _qps(uncached, mix)
     warm_qps = min(_qps(warm, mix) for _ in range(WARM_PASSES))
     warm_speedup = warm_qps / base_qps
-    hit_rate = warm.cache.stats()["hit_rate"]
-    lines.append(
-        f"{'4 shards (warm cache)':<26}{warm_qps:>10.0f}"
-        f"{warm_speedup:>13.2f}x  (hit rate {hit_rate:.2f})"
-    )
+    lines = [
+        f"CREATe-IR result cache ({gold_ir_index.n_reports} reports, "
+        f"{len(mix)} queries, {N_DISTINCT} distinct)",
+        f"{'configuration':<26}{'qps':>10}{'vs uncached':>14}",
+        f"{'uncached':<26}{base_qps:>10.0f}{1.0:>13.2f}x",
+        f"{'warm cache':<26}{warm_qps:>10.0f}{warm_speedup:>13.2f}x",
+        "",
+        f"{'cache capacity':<26}{'hit rate':>10}{'qps':>10}",
+    ]
 
-    # -- cache hit-rate sweep over capacity ---------------------------------
-    lines.append("")
-    lines.append(f"{'cache capacity':<26}{'hit rate':>10}{'qps':>10}")
     capacity_sweep = {}
     for capacity in [2, 8, 16, 40, 80]:
-        engine = _build_sharded(documents, 4, cache_size=capacity)
-        _qps(engine, mix)
-        engine.cache.hits = engine.cache.misses = 0
-        qps = _qps(engine, mix)
-        rate = engine.cache.stats()["hit_rate"]
+        swept = searcher(capacity)
+        _qps(swept, mix)
+        swept.cache.hits = swept.cache.misses = 0
+        qps = _qps(swept, mix)
+        rate = swept.cache.stats()["hit_rate"]
         capacity_sweep[capacity] = rate
         lines.append(f"{capacity:<26}{rate:>10.2f}{qps:>10.0f}")
 
@@ -147,8 +105,8 @@ def test_query_throughput(ir_corpus):
 
     # Monotone-ish capacity -> hit rate (full capacity must beat tiny).
     assert capacity_sweep[80] > capacity_sweep[2]
-    # Acceptance: >= 2x unsharded throughput at 4 shards on warm cache.
+    # Acceptance: >= 2x the uncached searcher on a warm cache.
     assert warm_speedup >= 2.0, (
-        f"warm-cache 4-shard serving only {warm_speedup:.2f}x unsharded "
+        f"warm-cache search only {warm_speedup:.2f}x uncached "
         f"({warm_qps:.0f} vs {base_qps:.0f} qps)"
     )

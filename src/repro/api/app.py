@@ -117,10 +117,7 @@ class CreateApplication:
 
     Args:
         store: document store holding report metadata + text.
-        indexer: populated dual index.  When its keyword engine has a
-            ``stats()`` (the sharded serving tiers: shards, epochs,
-            cache hit rates, replica lag, promotions), ``/stats``
-            serves it as ``serving.engine``.
+        indexer: populated dual index.
         searcher: the CREATe-IR searcher over ``indexer``; its result
             cache, when set, is served as ``serving.ir_cache``.
         grobid: publication parsing service.
@@ -438,14 +435,8 @@ class CreateApplication:
             payload["planner"] = planner_stats()
         if self.runtime_stats is not None:
             payload["pipeline"] = self.runtime_stats()
-        serving = {}
-        engine_stats = getattr(self.indexer.engine, "stats", None)
-        if engine_stats is not None:
-            serving["engine"] = engine_stats()
         if self.searcher.cache is not None:
-            serving["ir_cache"] = self.searcher.cache.stats()
-        if serving:
-            payload["serving"] = serving
+            payload["serving"] = {"ir_cache": self.searcher.cache.stats()}
         if self.metrics is not None:
             payload["metrics"] = self.metrics.snapshot()
         if self.durability is not None:

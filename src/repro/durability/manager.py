@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from repro.durability.snapshot import load_snapshot, write_snapshot
-from repro.durability.wal import WriteAheadLog
+from repro.durability.wal import WAL_NAME, WriteAheadLog
 from repro.exceptions import DurabilityError
 from repro.runtime.metrics import MetricsRegistry
 
@@ -295,8 +295,8 @@ class DurabilityManager:
         filesystem has a real root, bare log name otherwise."""
         root = getattr(self.fs, "root", None)
         if root is not None:
-            return str(Path(root) / self.wal.name)
-        return self.wal.name
+            return str(Path(root) / WAL_NAME)
+        return WAL_NAME
 
     @staticmethod
     def _quiet_apply(store: Durable, op: dict) -> None:

@@ -23,7 +23,7 @@ def _stores_digest(stores: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def write_snapshot(fs, lsn: int, stores: dict, name: str = SNAPSHOT_NAME) -> int:
+def write_snapshot(fs, lsn: int, stores: dict) -> int:
     """Atomically persist a snapshot; returns its size in bytes."""
     from repro.durability.fs import fs_write_atomic
 
@@ -34,13 +34,13 @@ def write_snapshot(fs, lsn: int, stores: dict, name: str = SNAPSHOT_NAME) -> int
         separators=(",", ":"),
     ).encode("utf-8")
     try:
-        fs_write_atomic(fs, name, payload)
+        fs_write_atomic(fs, SNAPSHOT_NAME, payload)
     except OSError as exc:
         raise DurabilityError(f"snapshot write failed: {exc}") from exc
     return len(payload)
 
 
-def load_snapshot(fs, name: str = SNAPSHOT_NAME) -> dict | None:
+def load_snapshot(fs) -> dict | None:
     """Load and verify the snapshot; ``None`` when none exists.
 
     Raises:
@@ -50,15 +50,21 @@ def load_snapshot(fs, name: str = SNAPSHOT_NAME) -> dict | None:
             arbitrarily old state.
     """
     try:
-        data = fs.read_bytes(name)
+        data = fs.read_bytes(SNAPSHOT_NAME)
     except FileNotFoundError:
         return None
     try:
         payload = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DurabilityError(f"snapshot {name} is not valid JSON") from exc
+        raise DurabilityError(
+            f"snapshot {SNAPSHOT_NAME} is not valid JSON"
+        ) from exc
     if not isinstance(payload, dict) or "stores" not in payload:
-        raise DurabilityError(f"snapshot {name} has no stores payload")
+        raise DurabilityError(
+            f"snapshot {SNAPSHOT_NAME} has no stores payload"
+        )
     if payload.get("sha256") != _stores_digest(payload["stores"]):
-        raise DurabilityError(f"snapshot {name} failed checksum verification")
+        raise DurabilityError(
+            f"snapshot {SNAPSHOT_NAME} failed checksum verification"
+        )
     return payload

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 
 from repro.exceptions import DurabilityError
 
+WAL_NAME = "wal.log"
+
 _MAGIC = b"WALR"
 _HEADER = struct.Struct(">4sII")
 _MAX_RECORD_BYTES = 64 * 1024 * 1024  # sanity bound on the length field
@@ -81,16 +83,15 @@ def scan_records(data: bytes) -> ReplayResult:
 
 
 class WriteAheadLog:
-    """Buffered appends to one log file on a durability filesystem.
+    """Buffered appends to the log file (``WAL_NAME``) on a durability
+    filesystem.
 
     Args:
         fs: filesystem (``OsFileSystem``, ``MemFS``, or an injector).
-        name: log file name within the filesystem.
     """
 
-    def __init__(self, fs, name: str = "wal.log"):
+    def __init__(self, fs):
         self.fs = fs
-        self.name = name
         self._buffer: list[bytes] = []
         self.appended_records = 0
         self.flushes = 0
@@ -117,8 +118,8 @@ class WriteAheadLog:
             return
         batch = b"".join(self._buffer)
         try:
-            self.fs.append(self.name, batch)
-            self.fs.fsync(self.name)
+            self.fs.append(WAL_NAME, batch)
+            self.fs.fsync(WAL_NAME)
         except OSError as exc:
             raise DurabilityError(f"WAL flush failed: {exc}") from exc
         self._buffer.clear()
@@ -128,12 +129,12 @@ class WriteAheadLog:
     def replay(self, truncate_torn: bool = True) -> ReplayResult:
         """Scan the log; optionally truncate a torn tail in place."""
         try:
-            data = self.fs.read_bytes(self.name)
+            data = self.fs.read_bytes(WAL_NAME)
         except FileNotFoundError:
             return ReplayResult()
         result = scan_records(data)
         if result.torn and truncate_torn:
-            self.fs.truncate(self.name, result.valid_bytes)
+            self.fs.truncate(WAL_NAME, result.valid_bytes)
         return result
 
     def reset(self) -> None:
@@ -142,6 +143,6 @@ class WriteAheadLog:
 
         self._buffer.clear()
         try:
-            fs_write_atomic(self.fs, self.name, b"")
+            fs_write_atomic(self.fs, WAL_NAME, b"")
         except OSError as exc:
             raise DurabilityError(f"WAL reset failed: {exc}") from exc

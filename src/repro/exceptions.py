@@ -97,15 +97,6 @@ class DurabilityError(ReproError):
     """
 
 
-class ServingError(ReproError):
-    """Base error for the replicated serving tier."""
-
-
-class ReplicaError(ServingError):
-    """A shard replica set cannot serve: the primary is down and no
-    replica is eligible for promotion (or promotion itself failed)."""
-
-
 class CrawlError(ReproError):
     """The crawler could not fetch or process a URL."""
 

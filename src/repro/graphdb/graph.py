@@ -84,7 +84,7 @@ class PropertyGraph:
         self.planner_counters: dict[str, int] = {}
         # Mutation counter: every node/edge (un)indexing and every
         # restore advances it, so a cached read stamped with an older
-        # value can be recognised as stale (see repro.serving.cache).
+        # value can be recognised as stale (see repro.ir.cache).
         self.epoch = 0
         self._next_edge_id = 0
         # Durability journal (repro.durability.Durable protocol): when a

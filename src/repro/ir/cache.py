@@ -1,8 +1,8 @@
 """Epoch-stamped LRU query cache.
 
-Entries are stamped with the shard epoch vector at compute time and
-validated against the *current* vector on every lookup — a hit is only
-served when no shard has mutated since the entry was stored.  There is
+Entries are stamped with the store epochs at compute time and
+validated against the *current* epochs on every lookup — a hit is only
+served when no store has mutated since the entry was stored.  There is
 no TTL and no explicit invalidation call to forget: correctness falls
 out of the epoch comparison, and stale entries are evicted lazily on
 the lookup that discovers them.
@@ -17,12 +17,13 @@ from repro.exceptions import ReproError
 
 
 class QueryCache:
-    """Bounded LRU keyed by query, validated by shard epochs.
+    """Bounded LRU keyed by query, validated by store epochs.
 
     Args:
         capacity: maximum live entries (LRU eviction beyond it).
-        epochs: callable returning the current epoch vector; entries
-            stored under an older vector never hit.
+        epochs: callable returning the current store epochs (e.g.
+            ``CreateIrIndexer.epochs``); entries stored under older
+            epochs never hit.
 
     Example:
         >>> epochs = [0]
@@ -69,13 +70,13 @@ class QueryCache:
     def put(
         self, key: Hashable, value: Any, stamp: tuple | None = None
     ) -> None:
-        """Store a value stamped with an epoch vector.
+        """Store a value stamped with store epochs.
 
-        Callers that compute ``value`` outside the cache (a query
-        fan-out) pass the vector they captured *before* computing, so a
+        Callers that compute ``value`` outside the cache (a search)
+        pass the epochs they captured *before* computing, so a
         mutation racing the computation makes the entry stale-on-
         arrival instead of masking itself behind a fresh stamp.  With
-        ``stamp=None`` the current vector is used.
+        ``stamp=None`` the current epochs are used.
         """
         if stamp is None:
             stamp = self._epochs()

@@ -57,10 +57,10 @@ class CreateIrIndexer:
             indexing (set False for the "no temporal reasoning"
             ablation).
 
-    Any store pair works: ``engine`` may be the in-memory
-    :class:`SearchEngine`, a segment engine, or one of the sharded
-    serving tiers — the indexer only needs ``index`` / ``delete`` /
-    ``search`` / ``n_documents`` / ``epoch``.
+    ``engine`` may be the in-memory :class:`SearchEngine` or a
+    :class:`~repro.search.segment_engine.SegmentSearchEngine` — the
+    indexer only needs ``index`` / ``delete`` / ``search`` /
+    ``n_documents`` / ``epoch``.
     """
 
     def __init__(

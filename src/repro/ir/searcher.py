@@ -29,7 +29,7 @@ from repro.schema.types import is_event_label
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.metrics import MetricsRegistry
-    from repro.serving.cache import QueryCache
+    from repro.ir.cache import QueryCache
 
 
 @dataclass(frozen=True, slots=True)

@@ -341,20 +341,17 @@ class CreatePipeline:
         parse_retries: bounded retries for transient Grobid errors.
         indexer: the dual index to load and serve.  The default is the
             paper's configuration (in-memory graph + in-memory keyword
-            engine); inject another store to change the serving tier —
-            ``CreateIrIndexer(engine=create_segment_ir_engine(dir))``,
-            ``…engine=ShardedSearchEngine(4, …)``,
-            ``…engine=ProcessShardedSegmentEngine(…)`` or
-            ``…engine=ReplicatedShardedSearchEngine(…)``.  Results are
-            exactly rank-equivalent across all of them.
+            engine); inject
+            ``CreateIrIndexer(engine=create_segment_ir_engine(dir))`` to
+            serve the keyword index from on-disk segments.  Results
+            are exactly rank-equivalent (bit-identical scores).
         durability: optional WAL/snapshot manager.  When set, the
             docstore, property graph, keyword index, and review queue
             are attached to it, every registered report commits as one
             atomic WAL record, and :meth:`recover` rebuilds all four
             stores from disk after a crash.  Both index stores must
-            speak the ``Durable`` protocol (the sharded engines do: one
-            WAL record still carries a whole document; the replicated
-            tier keeps its own per-shard WALs and is refused).
+            speak the ``Durable`` protocol; one that does not is
+            refused with :class:`PipelineError`.
     """
 
     extractor: ClinicalExtractor
@@ -383,9 +380,10 @@ class CreatePipeline:
                         f"{type(store).__name__} does not implement the "
                         "Durable protocol; recovery could not rebuild it"
                     )
-            # Attach order is replay order; all three stores recover
-            # together so a document is either fully visible everywhere
-            # or absent everywhere.
+            # Attach order is replay order; these three and the review
+            # queue (attached below, once the application owns it)
+            # recover together, so a document is either fully visible
+            # everywhere or absent everywhere.
             self.durability.attach("docstore", self.store)
             self.durability.attach("graph", self.indexer.graph)
             self.durability.attach("index", self.indexer.engine)
@@ -405,8 +403,8 @@ class CreatePipeline:
             self.durability.attach("review", self.app.review)
 
     def recover(self) -> RecoveryReport:
-        """Rebuild the docstore, graph, and keyword index from the
-        durability manager's snapshot + WAL.
+        """Rebuild the docstore, graph, keyword index, and review queue
+        from the durability manager's snapshot + WAL.
 
         Raises:
             PipelineError: the pipeline has no durability manager.

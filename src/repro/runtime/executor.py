@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -71,11 +70,6 @@ class BatchExecutor:
             Serial is forced when ``workers <= 1``.
         initializer / initargs: per-worker setup hook (also invoked
             once, inline, for serial and thread mode).
-        persistent: keep the worker pool alive across ``map`` calls
-            instead of opening one per batch.  Long-lived serving tiers
-            set this so process workers keep their warm per-process
-            state (mmap'd segments, caches); call :meth:`close` (or use
-            the executor as a context manager) when done.
     """
 
     def __init__(
@@ -84,7 +78,6 @@ class BatchExecutor:
         mode: str = "thread",
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
-        persistent: bool = False,
     ):
         if mode not in _MODES:
             raise ReproError(
@@ -96,27 +89,13 @@ class BatchExecutor:
         self.mode = mode
         self.initializer = initializer
         self.initargs = tuple(initargs)
-        self.persistent = bool(persistent)
-        self._live_pool: Executor | None = None
 
     # -- execution ---------------------------------------------------------
 
     def map(
-        self,
-        fn: Callable[[Any], Any],
-        items: Iterable[Any],
-        timeout: float | None = None,
+        self, fn: Callable[[Any], Any], items: Iterable[Any]
     ) -> list[TaskOutcome]:
-        """Run ``fn`` over ``items``; outcomes come back in input order.
-
-        ``timeout`` is a deadline in seconds for the *whole batch*: an
-        item whose result is not available when the deadline passes
-        gets a ``TimeoutError`` outcome instead of blocking the caller
-        forever (a hung or killed pool worker otherwise wedges the
-        parent).  The worker may still be running — callers that need
-        the slot back must :meth:`recycle` the pool.  Serial mode runs
-        inline and cannot be interrupted, so the deadline is ignored.
-        """
+        """Run ``fn`` over ``items``; outcomes come back in input order."""
         batch = list(items)
         if not batch:
             return []
@@ -124,89 +103,12 @@ class BatchExecutor:
             if self.initializer is not None:
                 self.initializer(*self.initargs)
             return [_run_one(fn, item, i) for i, item in enumerate(batch)]
-        if self.persistent:
-            return self._submit_batch(
-                self._persistent_pool(), fn, batch, timeout
-            )
-        pool = self._pool()
-        try:
-            return self._submit_batch(pool, fn, batch, timeout)
-        finally:
-            if timeout is None:
-                pool.shutdown(wait=True)
-            else:
-                # A deadlined batch must not wait out a hung worker at
-                # shutdown either — abandon it and return.
-                pool.shutdown(wait=False, cancel_futures=True)
-
-    def _submit_batch(
-        self,
-        pool: Executor,
-        fn: Callable[[Any], Any],
-        batch: list,
-        timeout: float | None = None,
-    ) -> list[TaskOutcome]:
-        futures = [
-            pool.submit(_run_one, fn, item, i)
-            for i, item in enumerate(batch)
-        ]
-        if timeout is None:
+        with self._pool() as pool:
+            futures = [
+                pool.submit(_run_one, fn, item, i)
+                for i, item in enumerate(batch)
+            ]
             return [future.result() for future in futures]
-        deadline = time.perf_counter() + timeout
-        outcomes: list[TaskOutcome] = []
-        for index, future in enumerate(futures):
-            remaining = deadline - time.perf_counter()
-            try:
-                outcomes.append(future.result(timeout=max(0.0, remaining)))
-            except (_FuturesTimeout, TimeoutError):
-                future.cancel()
-                outcomes.append(
-                    TaskOutcome(
-                        index,
-                        None,
-                        TimeoutError(
-                            f"batch item {index} missed the {timeout:.3f}s "
-                            "deadline"
-                        ),
-                        timeout,
-                    )
-                )
-        return outcomes
-
-    def _persistent_pool(self) -> Executor:
-        if self._live_pool is None:
-            self._live_pool = self._pool()
-        return self._live_pool
-
-    def close(self) -> None:
-        """Shut down a persistent pool (no-op otherwise)."""
-        if self._live_pool is not None:
-            self._live_pool.shutdown(wait=True)
-            self._live_pool = None
-
-    def recycle(self) -> None:
-        """Tear down a persistent pool without waiting on its workers.
-
-        After a deadline miss the stuck worker still occupies its pool
-        slot (and for process pools may be hung in unkillable C code);
-        recycling terminates process workers outright and abandons the
-        pool, so the next :meth:`map` starts against fresh workers.
-        """
-        pool = self._live_pool
-        self._live_pool = None
-        if pool is None:
-            return
-        processes = getattr(pool, "_processes", None)
-        if processes:
-            for process in list(processes.values()):
-                process.terminate()
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def __enter__(self) -> "BatchExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     @staticmethod
     def _mp_context():

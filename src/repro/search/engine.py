@@ -62,14 +62,6 @@ class SearchEngine:
     ):
         self.default_field = default_field
         self.metrics = metrics
-        # When set (by a sharded serving layer), BM25 scoring reads
-        # corpus statistics (N, df, avgdl) through this callable
-        # instead of the local field index, so a shard holding a
-        # fraction of the corpus still scores every document exactly
-        # as the unsharded engine would.  ``stats_provider(field)``
-        # returns an object with ``n_documents``, ``total_length``
-        # and ``document_frequency(term)``.
-        self.stats_provider = None
         self._analyzer_configs = dict(field_analyzers or {})
         self._analyzers: dict[str, Analyzer] = {}
         self._indexes: dict[str, InvertedIndex] = {}
@@ -82,7 +74,7 @@ class SearchEngine:
         # replayable op dicts here.
         self.journal: list | None = None
         # Mutation counter (index / delete / restore): a cached result
-        # stamped with an older value is stale (repro.serving.cache).
+        # stamped with an older value is stale (repro.ir.cache).
         self.epoch = 0
 
     # -- indexing ---------------------------------------------------------
@@ -380,62 +372,10 @@ class SearchEngine:
             self._indexes[field_name] = index
         return index
 
-    def field_stats(self, field_name: str):
-        """Live local statistics for one field (``n_documents``,
-        ``total_length``, ``document_frequency``), ignoring any attached
-        ``stats_provider`` — what a sharded tier sums across shards."""
-        return self._field_index(field_name)
-
     def _scoring_index(self, field_name: str):
-        """The index BM25 reads statistics from: the local field index,
-        or a corpus-stats view of it when a ``stats_provider`` is set."""
-        index = self._field_index(field_name)
-        if self.stats_provider is None:
-            return index
-        return CorpusStatsIndexView(index, self.stats_provider(field_name))
-
-
-class CorpusStatsIndexView:
-    """An :class:`InvertedIndex` facade scoring against global statistics.
-
-    Postings, positions and per-document lengths come from the local
-    (shard) index; the corpus-level quantities BM25 depends on — ``N``,
-    ``df`` and the average document length — come from ``stats``, which
-    aggregates across every shard.  Scoring a document through this
-    view therefore produces bit-identical BM25 contributions to the
-    unsharded engine.
-    """
-
-    __slots__ = ("_local", "_stats")
-
-    def __init__(self, local: InvertedIndex, stats):
-        self._local = local
-        self._stats = stats
-
-    # Local (per-document) quantities.
-    def postings(self, term: str):
-        return self._local.postings(term)
-
-    def doc_length(self, doc_ord: int) -> int:
-        return self._local.doc_length(doc_ord)
-
-    def phrase_positions(self, doc_ord, terms, offsets=None):
-        return self._local.phrase_positions(doc_ord, terms, offsets)
-
-    # Corpus-wide quantities.
-    @property
-    def n_documents(self) -> int:
-        return self._stats.n_documents
-
-    def document_frequency(self, term: str) -> int:
-        return self._stats.document_frequency(term)
-
-    @property
-    def average_length(self) -> float:
-        n = self._stats.n_documents
-        if not n:
-            return 0.0
-        return self._stats.total_length / n
+        """The index BM25 reads postings and statistics from (subclass
+        hook, like the document-resolution hooks above)."""
+        return self._field_index(field_name)
 
 
 def create_ir_engine() -> SearchEngine:

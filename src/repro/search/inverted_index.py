@@ -115,7 +115,7 @@ class InvertedIndex:
 
     @property
     def total_length(self) -> int:
-        """Sum of all document token counts (for cross-shard avgdl)."""
+        """Sum of all document token counts."""
         return self._total_length
 
     @property

@@ -15,9 +15,7 @@ Deletes never touch a sealed file: they flip a bit in the engine's
 delete bitmap, persisted in ``manifest.json`` next to the segments.
 Merges compact sealed segments (dropping deleted rows) into a new file
 and atomically swap the manifest.  The manifest carries a generation
-counter so external readers (process-pool shard workers) can cache an
-open engine per ``(directory, generation)`` and reload only when it
-moves.
+counter that moves on every flush, sealed delete and merge.
 """
 
 from __future__ import annotations
@@ -63,8 +61,7 @@ class CompositeFieldIndex:
 
     Reads (postings, positions, per-doc lengths) resolve against
     whichever tier holds the document; corpus statistics (``N``, ``df``,
-    total length) sum live documents across every tier — or come from
-    ``stats`` when a serving layer supplies cross-shard aggregates.
+    total length) sum live documents across every tier.
 
     The extra :meth:`bm25_scores` / :meth:`bm25_score_arrays` methods
     are the vectorized scoring fast path;
@@ -72,7 +69,7 @@ class CompositeFieldIndex:
     present.
     """
 
-    __slots__ = ("_field", "_buffer", "_states", "_size", "_stats")
+    __slots__ = ("_field", "_buffer", "_states", "_size")
 
     def __init__(
         self,
@@ -80,13 +77,11 @@ class CompositeFieldIndex:
         buffer: InvertedIndex,
         states: list[_SegmentState],
         size: int,
-        stats=None,
     ):
         self._field = field_name
         self._buffer = buffer
         self._states = states
         self._size = size
-        self._stats = stats
 
     def _field_readers(self):
         for state in self._states:
@@ -107,8 +102,6 @@ class CompositeFieldIndex:
 
     @property
     def n_documents(self) -> int:
-        if self._stats is not None:
-            return self._stats.n_documents
         n = self._buffer.n_documents
         for state, reader in self._field_readers():
             mask = np.asarray(reader.has_field, dtype=bool)
@@ -119,8 +112,6 @@ class CompositeFieldIndex:
 
     @property
     def total_length(self) -> int:
-        if self._stats is not None:
-            return self._stats.total_length
         total = self._buffer.total_length
         for state, reader in self._field_readers():
             mask = np.asarray(reader.has_field, dtype=bool)
@@ -137,8 +128,6 @@ class CompositeFieldIndex:
         return self.total_length / n
 
     def document_frequency(self, term: str) -> int:
-        if self._stats is not None:
-            return self._stats.document_frequency(term)
         df = self._buffer.document_frequency(term)
         for state, reader in self._field_readers():
             decoded = reader.postings_arrays(term)
@@ -551,27 +540,11 @@ class SegmentSearchEngine(SearchEngine):
         return ords
 
     def _scoring_index(self, field_name: str) -> CompositeFieldIndex:
-        stats = (
-            self.stats_provider(field_name)
-            if self.stats_provider is not None
-            else None
-        )
         return CompositeFieldIndex(
             field_name,
             self._field_index(field_name),
             self._states,
             self._next_ordinal,
-            stats,
-        )
-
-    def field_stats(self, field_name: str) -> CompositeFieldIndex:
-        """Live statistics over the buffer and every sealed segment."""
-        return CompositeFieldIndex(
-            field_name,
-            self._field_index(field_name),
-            self._states,
-            self._next_ordinal,
-            None,
         )
 
     # -- search ------------------------------------------------------------

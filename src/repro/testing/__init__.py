@@ -35,10 +35,8 @@ from repro.testing.oracles import (
     reference_closure,
     reference_fuse,
 )
-from repro.testing.replication import check_replication_case
 from repro.testing.review import check_review_case, gen_review_case
 from repro.testing.rng import case_rng, derive_seed
-from repro.testing.serving import check_serving_case
 from repro.testing.shrink import shrink
 
 __all__ = [
@@ -55,9 +53,7 @@ __all__ = [
     "case_rng",
     "check_case",
     "check_durability_case",
-    "check_replication_case",
     "check_review_case",
-    "check_serving_case",
     "derive_seed",
     "gen_review_case",
     "visible_doc_ids",

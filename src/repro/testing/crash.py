@@ -48,13 +48,13 @@ FAULT_KINDS = FaultInjector.CRASH_KINDS + FaultInjector.ERROR_KINDS
 # -- the contract ------------------------------------------------------------
 
 
-def valid_fault(fault, kinds=FAULT_KINDS) -> bool:
+def valid_fault(fault) -> bool:
     """``None`` (fault-free) or a well-formed planned filesystem fault."""
     if fault is None:
         return True
     return (
         isinstance(fault, dict)
-        and fault.get("kind") in kinds
+        and fault.get("kind") in FAULT_KINDS
         and isinstance(fault.get("at_op"), int)
         and fault["at_op"] >= 0
         and isinstance(fault.get("seed"), int)

@@ -50,11 +50,9 @@ from repro.testing.oracles import (
     reference_closure,
 )
 from repro.testing.cohort import check_cohort_case, gen_cohort_case
-from repro.testing.replication import check_replication_case
 from repro.testing.review import check_review_case, gen_review_case
 from repro.testing.rng import case_rng
 from repro.testing.segments import check_segment_case
-from repro.testing.serving import check_serving_case
 
 
 @dataclass(frozen=True)
@@ -387,13 +385,7 @@ TABLE = (
     Subsystem(
         "durability", generators.gen_durability_case, check_durability_case
     ),
-    Subsystem("serving", generators.gen_serving_case, check_serving_case),
     Subsystem("segments", generators.gen_segment_case, check_segment_case),
-    Subsystem(
-        "replication",
-        generators.gen_replication_case,
-        check_replication_case,
-    ),
     Subsystem("cohort", gen_cohort_case, check_cohort_case),
     Subsystem("review", gen_review_case, check_review_case),
 )

@@ -96,26 +96,15 @@ def _gen_delete_op(rng: Random, max_id: int) -> dict:
     return {"op": "delete", "id": f"d{rng.randint(0, max_id)}"}
 
 
-def gen_ops(
-    rng: Random, n_min: int, n_max: int, delete_p: float, max_id: int = 11
-) -> list:
-    """An index/delete op stream; never opens with a delete.
-
-    The default id range is wider than the search cases' so every
-    shard count actually spreads documents across partitions.
-    """
-    ops: list[dict] = []
-    for _ in range(rng.randint(n_min, n_max)):
-        if ops and rng.random() < delete_p:
-            ops.append(_gen_delete_op(rng, max_id))
-        else:
-            ops.append(_gen_index_op(rng, max_id))
-    return ops
-
-
 def gen_search_case(rng: Random) -> dict:
-    """Documents + index/delete operations + a query batch."""
-    ops = gen_ops(rng, 1, 8, 0.25, max_id=5)
+    """Documents + index/delete operations (never opening with a
+    delete) + a query batch."""
+    ops: list[dict] = []
+    for _ in range(rng.randint(1, 8)):
+        if ops and rng.random() < 0.25:
+            ops.append(_gen_delete_op(rng, 5))
+        else:
+            ops.append(_gen_index_op(rng, 5))
     return {
         "analyzer": rng.choice(ANALYZERS),
         "ops": ops,
@@ -331,64 +320,6 @@ def gen_invariants_case(rng: Random) -> dict:
         "search": gen_search_case(rng),
         "fusion": gen_fusion_case(rng),
         "shuffle_seed": rng.randint(0, 2**31),
-    }
-
-
-# -- serving (sharded fan-out + query cache) ---------------------------------
-
-
-def gen_serving_case(rng: Random) -> dict:
-    """A sharded-serving workload: seed ops, a query batch (run twice
-    to exercise the cache), a mutation batch, and a final query batch
-    whose results must match a cold unsharded engine.
-    """
-    return {
-        "n_shards": rng.choice([1, 2, 2, 3, 4, 4]),
-        "cache_size": rng.choice([1, 2, 8, 32]),
-        "analyzer": rng.choice(ANALYZERS),
-        "ops": gen_ops(rng, 1, 8, 0.3),
-        "queries": [gen_query(rng) for _ in range(rng.randint(1, 4))],
-        "mutations": gen_ops(rng, 1, 4, 0.3),
-        "post_queries": [gen_query(rng) for _ in range(rng.randint(1, 3))],
-    }
-
-
-# -- replication (per-shard replicas + crash-promotion schedules) ------------
-
-_REPLICATION_FAULTS = ["kill", "crash", "torn", "io_append", "io_fsync"]
-
-
-def gen_replication_case(rng: Random) -> dict:
-    """A replicated-serving workload with one planned shard failure.
-
-    Writes and steady reads interleave; ``crash: None`` (~1 in 5)
-    makes the case a pure replication-equivalence check.  ``kill``
-    declares the primary dead between actions (the clean fail-stop);
-    the other kinds arm a :class:`FaultInjector` on one shard's WAL
-    filesystem, so the failure fires *inside* a commit — mid-append,
-    mid-fsync, or as a torn page-cache writeback — at a seed-chosen
-    filesystem-op index.
-    """
-    actions = gen_ops(rng, 2, 10, 0.25)
-    crash = None
-    if rng.random() < 0.8:
-        crash = {
-            "kind": rng.choice(_REPLICATION_FAULTS),
-            "at_action": rng.randint(0, len(actions) - 1),
-            "at_op": rng.randint(0, 40),
-            "seed": rng.randint(0, 2**31),
-            "shard": rng.randint(0, 3),
-        }
-    return {
-        "n_shards": rng.choice([1, 2, 2, 3]),
-        "n_replicas": rng.choice([1, 1, 2]),
-        "cache_size": rng.choice([1, 4, 16]),
-        "analyzer": rng.choice(ANALYZERS),
-        "ship_every": rng.choice([1, 1, 2, 3]),
-        "snapshot_every": rng.choice([None, None, 2, 4]),
-        "actions": actions,
-        "queries": [gen_query(rng) for _ in range(rng.randint(1, 3))],
-        "crash": crash,
     }
 
 

@@ -1,13 +1,11 @@
 """Engine-lockstep kit: one op stream, an engine under test and its
 reference, compared after every step.
 
-The ``search``, ``serving``, ``segments``, ``replication`` and
-``invariants`` checkers all replay ``index`` / ``delete`` (and, for the
-segment engine, ``flush`` / ``merge``) ops through a keyword engine
-beside a reference and compare rankings.  The shared parts live here
-once; what differs per checker — tolerance vs. bit-identity, cache
-double-reads, manifest reopen, crash-and-promote — stays in the
-checker.
+The ``search``, ``segments`` and ``invariants`` checkers all replay
+``index`` / ``delete`` (and, for the segment engine, ``flush`` /
+``merge``) ops through a keyword engine beside a reference and compare
+rankings.  The shared parts live here once; what differs per checker —
+tolerance vs. bit-identity, manifest reopen — stays in the checker.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ def valid_ops(ops, vocabulary=OPS) -> bool:
     )
 
 
-def valid_workload(case, vocabulary=OPS) -> bool:
+def valid_workload(case, vocabulary) -> bool:
     """A seed-ops / queries / mutations / post-queries case."""
     return (
         isinstance(case, dict)

@@ -216,7 +216,7 @@ class TestRecovery:
         fs.append("snapshot.json", json.dumps(payload).encode())
         fs.fsync("snapshot.json")
         with pytest.raises(DurabilityError, match="checksum"):
-            load_snapshot(fs, "snapshot.json")
+            load_snapshot(fs)
 
 
 class TestFaultInjector:

@@ -10,12 +10,8 @@ from repro.exceptions import PipelineError
 from repro.ir import CreateIrIndexer
 from repro.ner.encoding import spans_of_document
 from repro.pipeline import ClinicalExtractor, CreatePipeline
-from repro.search import CREATE_IR_FIELD_ANALYZERS, create_segment_ir_engine
-from repro.serving import (
-    ProcessShardedSegmentEngine,
-    ReplicatedShardedSearchEngine,
-    ShardedSearchEngine,
-)
+from repro.search import create_segment_ir_engine
+from repro.search.engine import create_ir_engine
 
 
 class TestClinicalExtractor:
@@ -90,15 +86,24 @@ class TestPipelineRun:
         assert pipeline.app.handle("GET", "/stats").body["n_reports"] == 3
 
 
+class _UndurableEngine:
+    """A keyword engine that serves like the default one and lacks the
+    ``Durable`` members (no journal, no replay, no snapshot)."""
+
+    def __init__(self):
+        self._engine = create_ir_engine()
+        for name in (
+            "index", "delete", "search", "highlight", "explain_terms"
+        ):
+            setattr(self, name, getattr(self._engine, name))
+
+    epoch = property(lambda self: self._engine.epoch)
+    n_documents = property(lambda self: self._engine.n_documents)
+
+
 _ENGINES = {
     "segment": lambda root: create_segment_ir_engine(str(root)),
-    "sharded": lambda root: ShardedSearchEngine(4, CREATE_IR_FIELD_ANALYZERS),
-    "process": lambda root: ProcessShardedSegmentEngine(
-        2, str(root), CREATE_IR_FIELD_ANALYZERS, mode="serial"
-    ),
-    "replicated": lambda root: ReplicatedShardedSearchEngine(
-        2, field_analyzers=CREATE_IR_FIELD_ANALYZERS, executor_mode="serial"
-    ),
+    "undurable": lambda root: _UndurableEngine(),
 }
 
 
@@ -132,11 +137,11 @@ def test_injected_engine_matches_default_pipeline(demo_system, tmp_path, kind):
             durability=DurabilityManager(fs) if durable else None,
         )
 
-    if kind == "replicated":
-        with pytest.raises(PipelineError, match="Replicated.* Durable"):
+    if kind == "undurable":
+        with pytest.raises(PipelineError, match="Undurable.* Durable"):
             build()
     default, injected = CreatePipeline(trained.extractor), build(
-        durable=kind != "replicated"
+        durable=kind != "undurable"
     )
     for pipeline in (default, injected):
         for report in reports[:8]:
@@ -151,9 +156,6 @@ def test_injected_engine_matches_default_pipeline(demo_system, tmp_path, kind):
     for pipeline in (default, injected):
         assert pipeline.app.handle("DELETE", f"/reports/{victim}").ok
     assert _observe(injected) == _observe(default)
-    if kind != "segment":
-        serving = injected.app.handle("GET", "/stats").body["serving"]
-        assert {"n_shards", "epochs", "cache"} <= set(serving["engine"])
     if injected.durability is not None:
         recovered = build()
         assert recovered.recover().snapshot_loaded

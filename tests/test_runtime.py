@@ -190,103 +190,3 @@ class TestExecutorStartMethod:
         finally:
             stop.set()
             worker.join()
-
-
-class TestPersistentPool:
-    def test_pool_object_reused_across_batches(self):
-        executor = BatchExecutor(workers=2, mode="thread", persistent=True)
-        try:
-            assert [o.value for o in executor.map(_square, [1, 2])] == [1, 4]
-            pool = executor._live_pool
-            assert pool is not None
-            assert [o.value for o in executor.map(_square, [3])] == [9]
-            assert executor._live_pool is pool
-        finally:
-            executor.close()
-        assert executor._live_pool is None
-
-    def test_close_is_idempotent_and_pool_reopens(self):
-        executor = BatchExecutor(workers=2, mode="thread", persistent=True)
-        executor.close()
-        executor.close()
-        with executor:
-            assert [o.value for o in executor.map(_square, [5])] == [25]
-        assert executor._live_pool is None
-
-    def test_persistent_process_pool(self):
-        with BatchExecutor(
-            workers=2, mode="process", persistent=True
-        ) as executor:
-            assert [o.value for o in executor.map(_square, [4])] == [16]
-            assert [o.value for o in executor.map(_square, [5])] == [25]
-
-
-class TestBatchDeadline:
-    def test_hung_item_times_out_without_blocking_batch(self):
-        executor = BatchExecutor(workers=2, mode="thread")
-        event = threading.Event()
-
-        def maybe_hang(x):
-            if x == 1:
-                event.wait(timeout=10.0)
-            return x
-
-        started = time.perf_counter()
-        outcomes = executor.map(maybe_hang, [0, 1, 2], timeout=0.2)
-        elapsed = time.perf_counter() - started
-        event.set()
-        assert elapsed < 5.0  # did not wait out the hang
-        assert outcomes[0].ok and outcomes[0].value == 0
-        assert not outcomes[1].ok
-        assert isinstance(outcomes[1].error, TimeoutError)
-        assert "deadline" in str(outcomes[1].error)
-
-    def test_fast_batch_unaffected_by_deadline(self):
-        executor = BatchExecutor(workers=2, mode="thread")
-        outcomes = executor.map(_square, [1, 2, 3], timeout=5.0)
-        assert [o.value for o in outcomes] == [1, 4, 9]
-        assert all(o.ok for o in outcomes)
-
-    def test_serial_mode_ignores_deadline(self):
-        executor = BatchExecutor(workers=1)
-        outcomes = executor.map(_square, [2], timeout=0.000001)
-        assert outcomes[0].ok and outcomes[0].value == 4
-
-    def test_recycle_replaces_persistent_pool(self):
-        executor = BatchExecutor(workers=2, mode="thread", persistent=True)
-        assert executor.map(_square, [3])[0].value == 9
-        first_pool = executor._live_pool
-        assert first_pool is not None
-        executor.recycle()
-        assert executor._live_pool is None
-        # The next map opens a fresh pool and still works.
-        assert executor.map(_square, [4])[0].value == 16
-        assert executor._live_pool is not first_pool
-        executor.close()
-
-    def test_recycle_without_pool_is_noop(self):
-        executor = BatchExecutor(workers=2, mode="thread", persistent=True)
-        executor.recycle()  # nothing live yet
-        assert executor._live_pool is None
-
-    def test_process_deadline_and_recycle_recovers(self):
-        # workers must be >= 2: a single worker forces serial mode,
-        # which runs inline and cannot honor a deadline.
-        executor = BatchExecutor(
-            workers=2, mode="process", persistent=True
-        )
-        try:
-            outcomes = executor.map(_sleep_forever, [0], timeout=0.5)
-            assert not outcomes[0].ok
-            assert isinstance(outcomes[0].error, TimeoutError)
-            executor.recycle()
-            # Fresh workers serve the next batch.
-            outcomes = executor.map(_square, [5], timeout=10.0)
-            assert outcomes[0].ok and outcomes[0].value == 25
-        finally:
-            executor.recycle()
-
-
-def _sleep_forever(_x):
-    time.sleep(60.0)
-    return None

@@ -19,7 +19,6 @@ from repro.search.segments import (
     merge_segments,
     write_segment,
 )
-from repro.serving.segment_shards import ProcessShardedSegmentEngine
 
 FIELD_ANALYZERS = {
     "body": STANDARD_ANALYZER_CONFIG,
@@ -334,94 +333,6 @@ class TestSegmentSearchEngine:
             engine.close()
 
 
-# -- sharded serving over segments -------------------------------------------
-
-
-def _sharded(tmp_path, **kwargs):
-    kwargs.setdefault("mode", "serial")
-    kwargs.setdefault("flush_threshold", 2)
-    return ProcessShardedSegmentEngine(
-        3,
-        segment_root=str(tmp_path / "shards"),
-        field_analyzers=FIELD_ANALYZERS,
-        **kwargs,
-    )
-
-
-class TestProcessShardedSegmentEngine:
-    def test_matches_unsharded_engine(self, tmp_path):
-        sharded = _sharded(tmp_path)
-        reference = SearchEngine(FIELD_ANALYZERS)
-        try:
-            for doc_id, fields in DOCS.items():
-                sharded.index(doc_id, fields)
-                reference.index(doc_id, fields)
-            for query in QUERIES:
-                got = [
-                    (h.doc_id, h.score, h.source)
-                    for h in sharded.search(query, size=10)
-                ]
-                assert got == _hits(reference, query)
-        finally:
-            sharded.close()
-
-    def test_cache_hits_and_epoch_invalidation(self, tmp_path):
-        sharded = _sharded(tmp_path)
-        try:
-            for doc_id, fields in DOCS.items():
-                sharded.index(doc_id, fields)
-            query = {"match": {"body": "renal"}}
-            first = sharded.search(query)
-            before = sharded.cache.stats()["hits"]
-            again = sharded.search(query)
-            assert sharded.cache.stats()["hits"] == before + 1
-            assert [h.doc_id for h in first] == [h.doc_id for h in again]
-            sharded.delete("d0")
-            after_delete = sharded.search(query)
-            assert "d0" not in [h.doc_id for h in after_delete]
-        finally:
-            sharded.close()
-
-    def test_error_parity_with_unsharded(self, tmp_path):
-        sharded = _sharded(tmp_path)
-        reference = SearchEngine(FIELD_ANALYZERS)
-        try:
-            sharded.index("d0", DOCS["d0"])
-            reference.index("d0", DOCS["d0"])
-            bad = {"multi_match": {"query": "x", "fields": ["body^bad"]}}
-            with pytest.raises(SearchError):
-                reference.search(bad)
-            with pytest.raises(SearchError):
-                sharded.search(bad)
-        finally:
-            sharded.close()
-
-    def test_process_mode_matches_serial(self, tmp_path):
-        serial = _sharded(tmp_path)
-        process = ProcessShardedSegmentEngine(
-            3,
-            segment_root=str(tmp_path / "pshards"),
-            field_analyzers=FIELD_ANALYZERS,
-            mode="process",
-            flush_threshold=2,
-        )
-        try:
-            for doc_id, fields in DOCS.items():
-                serial.index(doc_id, fields)
-                process.index(doc_id, fields)
-            for query in QUERIES[:3]:
-                got = [
-                    (h.doc_id, h.score) for h in process.search(query)
-                ]
-                want = [
-                    (h.doc_id, h.score) for h in serial.search(query)
-                ]
-                assert got == want
-        finally:
-            serial.close()
-            process.close()
-
-
 # -- scale corpus ------------------------------------------------------------
 
 
@@ -452,57 +363,3 @@ class TestScaleCorpus:
             build_scale_corpus(-1)
         with pytest.raises(ValueError):
             scale_queries(-1)
-
-    def test_query_deadline_times_out_and_recycles_pool(
-        self, tmp_path, monkeypatch
-    ):
-        import threading
-
-        from repro.serving import segment_shards
-
-        engine = ProcessShardedSegmentEngine(
-            2,
-            segment_root=str(tmp_path / "dshards"),
-            field_analyzers=FIELD_ANALYZERS,
-            mode="thread",
-            flush_threshold=2,
-            query_deadline=0.3,
-        )
-        reference = SearchEngine(FIELD_ANALYZERS)
-        try:
-            for doc_id, fields in DOCS.items():
-                engine.index(doc_id, fields)
-                reference.index(doc_id, fields)
-
-            release = threading.Event()
-            real_worker = segment_shards._worker_search
-
-            def hung_worker(task):
-                release.wait(timeout=10.0)  # a wedged worker
-                return real_worker(task)
-
-            monkeypatch.setattr(
-                segment_shards, "_worker_search", hung_worker
-            )
-            with pytest.raises(SearchError, match="deadline"):
-                engine.search({"match": {"body": "fever"}})
-            release.set()
-            assert engine.worker_timeouts == 1
-            assert engine.stats()["worker_timeouts"] == 1
-
-            # The failed query was never cached; re-asking it proves
-            # the recycled pool serves fan-outs with fresh workers.
-            monkeypatch.setattr(
-                segment_shards, "_worker_search", real_worker
-            )
-            got = [
-                (h.doc_id, h.score)
-                for h in engine.search({"match": {"body": "fever"}})
-            ]
-            want = [
-                (h.doc_id, h.score)
-                for h in reference.search({"match": {"body": "fever"}})
-            ]
-            assert got == want
-        finally:
-            engine.close()

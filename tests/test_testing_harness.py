@@ -59,11 +59,11 @@ class TestBatchRun:
         # The digest hashes the generated cases only: it moves when a
         # generator (or the order it draws from its RNG) changes, never
         # when a checker does.
-        assert report.digest.startswith("43ceffd4f90b77f7")
+        assert report.digest.startswith("a14ecf3d1af161dd")
 
     def test_one_table_of_subsystems(self):
         names = tuple(subsystem.name for subsystem in TABLE)
-        assert len(set(names)) == len(names) == 12
+        assert len(set(names)) == len(names) == 10
         assert SUBSYSTEMS == names
         assert tuple(GENERATORS) == names
         assert tuple(CHECKERS) == names
@@ -191,11 +191,11 @@ class TestCli:
 def _plant_unsynced_ack(monkeypatch):
     """WAL flush that appends but never fsyncs: commits are acknowledged
     while their bytes still sit in the page cache."""
-    from repro.durability.wal import WriteAheadLog
+    from repro.durability.wal import WAL_NAME, WriteAheadLog
 
     def flush(self):
         if self._buffer:
-            self.fs.append(self.name, b"".join(self._buffer))
+            self.fs.append(WAL_NAME, b"".join(self._buffer))
             self._buffer.clear()
 
     monkeypatch.setattr(WriteAheadLog, "flush", flush)
@@ -218,7 +218,7 @@ def _plant_replay_drops_index_deletes(monkeypatch):
 def _plant_cache_ignores_stamp(monkeypatch):
     """Query cache that serves an entry whatever epoch it was stamped
     under: answers survive the mutation that invalidated them."""
-    from repro.serving.cache import QueryCache
+    from repro.ir.cache import QueryCache
 
     def get(self, key):
         entry = self._entries.get(key)
@@ -244,21 +244,6 @@ def _plant_merge_forgets_deletes(monkeypatch):
         )
 
     monkeypatch.setattr(segment_engine, "merge_segments", merge_segments)
-
-
-def _plant_lagging_replica_reads(monkeypatch):
-    """Read routing that prefers a replica whether or not it has caught
-    up with the primary's durable LSN."""
-    from repro.serving.replica import ShardReplicaSet
-
-    original = ShardReplicaSet.read_store
-
-    def read_store(self):
-        if not self.down and self.replicas:
-            return self.replicas[0].store
-        return original(self)
-
-    monkeypatch.setattr(ShardReplicaSet, "read_store", read_store)
 
 
 def _plant_skipped_exclusion(monkeypatch):
@@ -288,9 +273,7 @@ class TestCheckersHaveTeeth:
         [
             ("durability", _plant_unsynced_ack),
             ("durability", _plant_replay_drops_index_deletes),
-            ("serving", _plant_cache_ignores_stamp),
             ("segments", _plant_merge_forgets_deletes),
-            ("replication", _plant_lagging_replica_reads),
             ("cohort", _plant_skipped_exclusion),
         ],
         ids=lambda value: getattr(value, "__name__", value),
@@ -312,6 +295,19 @@ class TestCheckersHaveTeeth:
         assert messages, f"{plant.__name__} passed 60 {subsystem} cases"
         # A contract violation, not the harness tripping over the plant.
         assert not any("checker crashed" in m for m in messages), messages[0]
+
+    def test_planted_cache_bug_fails_the_property_test(
+        self, small_corpus, demo_system, monkeypatch
+    ):
+        """The result cache's oracle is the property test in test_ir_cache,
+        not a fuzz row: it must fail when stamps are ignored."""
+        from tests.test_ir_cache import (
+            test_cached_searcher_answers_like_an_uncached_one as coherence,
+        )
+
+        _plant_cache_ignores_stamp(monkeypatch)
+        with pytest.raises(AssertionError):
+            coherence(small_corpus, demo_system)
 
 
 class TestLayering:

@@ -301,7 +301,8 @@ class CreateApplication:
     def _list_reports(self, body: Any, params: dict) -> Response:
         query = {}
         if "category" in params:
-            query["category"] = params["category"]
+            # A string only: a dict here would be a query operator.
+            query["category"] = _text_param(params, "category")
         reports = self.store.collection("reports").find(
             query,
             sort=[("_id", 1)],

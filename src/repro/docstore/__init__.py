@@ -3,12 +3,12 @@
 CREATe persists case reports, annotations and user submissions in
 MongoDB behind the Express backend; this package supplies the same role
 in-process: named collections of JSON documents with Mongo-style query
-and update operators, secondary indexes, and JSONL persistence.
+operators and aggregation, made durable by the write-ahead journal and
+snapshot of :mod:`repro.durability`.
 """
 
 from repro.docstore.store import Collection, DocumentStore
 from repro.docstore.query import matches, compile_query
-from repro.docstore.index import SecondaryIndex
 from repro.docstore.aggregate import run_pipeline
 
 __all__ = [
@@ -16,6 +16,5 @@ __all__ = [
     "DocumentStore",
     "matches",
     "compile_query",
-    "SecondaryIndex",
     "run_pipeline",
 ]

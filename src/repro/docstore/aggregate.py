@@ -1,17 +1,15 @@
 """Aggregation pipelines for the document store (MongoDB analog).
 
-Supports the stages the CREATe portal's statistics pages need:
+Supports the stages the CREATe portal's statistics pages and the
+cohort engine issue:
 
 * ``{"$match": <query>}`` — filter with the normal query language;
-* ``{"$group": {"_id": <expr>, out: {"$sum"|"$avg"|"$min"|"$max"|
-  "$push"|"$count": <expr>}}}`` — grouped accumulators;
+* ``{"$group": {"_id": <expr>, out: {"$count": ...}}}`` — documents
+  per group;
 * ``{"$sort": {field: 1|-1, ...}}``;
-* ``{"$project": {field: 1 | <expr>}}``;
-* ``{"$limit": n}`` / ``{"$skip": n}``;
-* ``{"$unwind": "$field"}`` — one output document per array element.
+* ``{"$project": {field: 1 | <expr>}}``.
 
-Expressions are either literals, ``"$path"`` field references, or
-``{"$concat": [...]}`` for string assembly.
+Expressions are ``"$path"`` field references or literals.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from __future__ import annotations
 import copy
 from typing import Any, Iterable
 
-from repro.docstore.query import _MISSING, compile_query, get_path
+from repro.docstore.query import _MISSING, compile_query, get_path, sort_key
 from repro.exceptions import QueryError
 
 
@@ -29,18 +27,7 @@ def _resolve(expression: Any, document: dict) -> Any:
         value = get_path(document, expression[1:])
         return None if value is _MISSING else value
     if isinstance(expression, dict):
-        if len(expression) == 1 and "$concat" in expression:
-            parts = [
-                _resolve(part, document) for part in expression["$concat"]
-            ]
-            if any(part is None for part in parts):
-                return None
-            return "".join(str(part) for part in parts)
-        # Compound _id expressions: {field: subexpr, ...}
-        return {
-            key: _resolve(value, document)
-            for key, value in expression.items()
-        }
+        raise QueryError(f"unsupported expression: {expression!r}")
     return expression
 
 
@@ -52,42 +39,6 @@ def _freeze(value: Any):
     return value
 
 
-class _Accumulator:
-    """One output field of a $group stage."""
-
-    def __init__(self, op: str, expression: Any):
-        if op not in ("$sum", "$avg", "$min", "$max", "$push", "$count"):
-            raise QueryError(f"unknown accumulator: {op!r}")
-        self.op = op
-        self.expression = expression
-        self.values: list = []
-
-    def feed(self, document: dict) -> None:
-        if self.op == "$count":
-            self.values.append(1)
-            return
-        value = _resolve(self.expression, document)
-        if self.op == "$sum" and not isinstance(value, (int, float)):
-            # Mongo treats non-numeric $sum inputs as 0, except the
-            # common literal-1 counting idiom resolved above.
-            value = 0 if value is None else value
-        self.values.append(value)
-
-    def result(self) -> Any:
-        if self.op in ("$sum", "$count"):
-            return sum(v for v in self.values if isinstance(v, (int, float)))
-        if self.op == "$avg":
-            numeric = [v for v in self.values if isinstance(v, (int, float))]
-            return sum(numeric) / len(numeric) if numeric else None
-        if self.op == "$min":
-            candidates = [v for v in self.values if v is not None]
-            return min(candidates) if candidates else None
-        if self.op == "$max":
-            candidates = [v for v in self.values if v is not None]
-            return max(candidates) if candidates else None
-        return list(self.values)  # $push
-
-
 def run_pipeline(
     documents: Iterable[dict], pipeline: list[dict]
 ) -> list[dict]:
@@ -96,7 +47,7 @@ def run_pipeline(
     Raises:
         QueryError: unknown stage or accumulator.
     """
-    current = [copy.deepcopy(doc) for doc in documents]
+    current = list(documents)
     for stage in pipeline:
         if not isinstance(stage, dict) or len(stage) != 1:
             raise QueryError("each stage must be a single-key dict")
@@ -111,54 +62,36 @@ def run_pipeline(
                 if direction not in (1, -1):
                     raise QueryError("sort direction must be 1 or -1")
                 current.sort(
-                    key=lambda doc: _sort_key(get_path(doc, field)),
+                    key=lambda doc: sort_key(get_path(doc, field)),
                     reverse=direction == -1,
                 )
         elif name == "$project":
             current = [_project(doc, body) for doc in current]
-        elif name == "$limit":
-            current = current[: int(body)]
-        elif name == "$skip":
-            current = current[int(body) :]
-        elif name == "$unwind":
-            current = list(_unwind(current, body))
         else:
             raise QueryError(f"unknown pipeline stage: {name!r}")
-    return current
+    # Stages only read their input; the copy keeps stored documents
+    # out of the caller's hands.
+    return copy.deepcopy(current)
 
 
 def _group(documents: list[dict], spec: dict) -> list[dict]:
     if "_id" not in spec:
         raise QueryError("$group requires an _id expression")
-    id_expression = spec["_id"]
-    field_specs = {
-        out: next(iter(acc.items()))
-        for out, acc in spec.items()
-        if out != "_id"
-    }
-    groups: dict[Any, tuple[Any, dict[str, _Accumulator]]] = {}
+    outputs = [out for out in spec if out != "_id"]
+    for out in outputs:
+        acc = spec[out]
+        if not isinstance(acc, dict) or list(acc) != ["$count"]:
+            raise QueryError(f"unknown accumulator: {acc!r}")
+    groups: dict[Any, list] = {}  # frozen key -> [key value, count]
     for document in documents:
-        key_value = _resolve(id_expression, document)
-        frozen = _freeze(key_value)
-        if frozen not in groups:
-            groups[frozen] = (
-                key_value,
-                {
-                    out: _Accumulator(op, expr)
-                    for out, (op, expr) in field_specs.items()
-                },
-            )
-        _key, accumulators = groups[frozen]
-        for accumulator in accumulators.values():
-            accumulator.feed(document)
-    out = []
-    for key_value, accumulators in groups.values():
-        row = {"_id": key_value}
-        for name, accumulator in accumulators.items():
-            row[name] = accumulator.result()
-        out.append(row)
-    out.sort(key=lambda row: _sort_key(row["_id"]))
-    return out
+        key_value = _resolve(spec["_id"], document)
+        groups.setdefault(_freeze(key_value), [key_value, 0])[1] += 1
+    rows = [
+        {"_id": key_value, **{out: count for out in outputs}}
+        for key_value, count in groups.values()
+    ]
+    rows.sort(key=lambda row: sort_key(row["_id"]))
+    return rows
 
 
 def _project(document: dict, spec: dict) -> dict:
@@ -167,7 +100,7 @@ def _project(document: dict, spec: dict) -> dict:
         if rule == 1 or rule is True:
             value = get_path(document, field)
             if value is not _MISSING:
-                out[field] = copy.deepcopy(value)
+                out[field] = value
         elif rule == 0 or rule is False:
             continue
         else:
@@ -175,34 +108,3 @@ def _project(document: dict, spec: dict) -> dict:
     if "_id" in document and "_id" not in spec:
         out["_id"] = document["_id"]
     return out
-
-
-def _unwind(documents: list[dict], path: str):
-    if not path.startswith("$"):
-        raise QueryError("$unwind takes a '$field' path")
-    field = path[1:]
-    for document in documents:
-        value = get_path(document, field)
-        if value is _MISSING or value is None:
-            continue
-        if not isinstance(value, list):
-            yield document
-            continue
-        for element in value:
-            clone = copy.deepcopy(document)
-            _set_top_level_path(clone, field, element)
-            yield clone
-
-
-def _set_top_level_path(document: dict, path: str, value: Any) -> None:
-    parts = path.split(".")
-    current = document
-    for part in parts[:-1]:
-        current = current.setdefault(part, {})
-    current[parts[-1]] = value
-
-
-def _sort_key(value: Any):
-    from repro.docstore.store import _sort_key as store_sort_key
-
-    return store_sort_key(value)

@@ -1,13 +1,16 @@
-"""Mongo-style query predicate evaluation.
+"""Mongo-style query predicate evaluation and value order.
 
 Supported operators: ``$eq $ne $gt $gte $lt $lte $in $nin $exists
 $regex $size $all $elemMatch $not`` plus the logical combinators
 ``$and $or $nor`` and implicit field equality.  Dotted paths descend
-into nested documents and arrays.
+into nested documents and arrays.  :func:`sort_key` is the one total
+order over JSON values that ``find``, ``$sort`` and Cypher ``ORDER BY``
+share.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from typing import Any, Callable
 
@@ -49,6 +52,22 @@ def get_path(document: Any, path: str) -> Any:
         else:
             return _MISSING
     return current
+
+
+def sort_key(value: Any):
+    """Total order over heterogeneous JSON values (None < bool < numbers
+    < str < list < dict), mirroring Mongo's BSON type ordering loosely."""
+    if value is _MISSING or value is None:
+        return (0, "")
+    if isinstance(value, bool):
+        return (1, value)
+    if isinstance(value, (int, float)):
+        return (2, value)
+    if isinstance(value, str):
+        return (3, value)
+    if isinstance(value, list):
+        return (4, json.dumps(value, default=str))
+    return (5, json.dumps(value, sort_keys=True, default=str))
 
 
 def _values_match(value: Any, check: Callable[[Any], bool]) -> bool:

@@ -1,25 +1,21 @@
 """Collections and the document store (MongoDB analog).
 
 Documents are plain JSON dicts with a unique ``_id``.  Collections
-support Mongo-style find/update/delete with the operators implemented
-in :mod:`repro.docstore.query`, secondary indexes, sorting, skip/limit
-and JSONL persistence.
+support insert, Mongo-style find (with the operators implemented in
+:mod:`repro.docstore.query`, sorting, skip/limit and projection),
+count, distinct, delete and aggregation.  Persistence is the
+:class:`repro.durability.Durable` journal and snapshot.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
-from repro.docstore.index import SecondaryIndex
-from repro.docstore.query import compile_query, get_path, _MISSING
+from repro.docstore.aggregate import run_pipeline
+from repro.docstore.query import compile_query, get_path, sort_key, _MISSING
 from repro.exceptions import DocumentStoreError, DuplicateKeyError, QueryError
-
-_UPDATE_OPERATORS = frozenset(
-    {"$set", "$unset", "$inc", "$push", "$pull", "$addToSet", "$rename"}
-)
 
 
 class Collection:
@@ -34,11 +30,8 @@ class Collection:
     def __init__(self, name: str):
         self.name = name
         self._documents: dict[Any, dict] = {}
-        self._indexes: dict[str, SecondaryIndex] = {}
         self._id_seq = 0
         self.journal: list | None = None
-
-    # -- insert ---------------------------------------------------------------
 
     def insert_one(self, document: dict) -> Any:
         """Insert a document; auto-assigns ``_id`` when absent.
@@ -60,18 +53,10 @@ class Collection:
                 f"{self.name}: duplicate _id {doc_id!r}"
             )
         self._documents[doc_id] = stored
-        for index in self._indexes.values():
-            index.add(doc_id, stored)
         self._log_op(
             {"op": "insert", "c": self.name, "doc": copy.deepcopy(stored)}
         )
         return doc_id
-
-    def insert_many(self, documents: Iterable[dict]) -> list:
-        """Insert several documents; returns their ids."""
-        return [self.insert_one(doc) for doc in documents]
-
-    # -- read -----------------------------------------------------------------
 
     def find(
         self,
@@ -89,13 +74,13 @@ class Collection:
             skip / limit: pagination.
             projection: keep only these top-level fields (plus ``_id``).
         """
-        results = list(self._candidates(query or {}))
+        results = list(self._matching(query or {}))
         if sort:
             for path, direction in reversed(sort):
                 if direction not in (1, -1):
                     raise QueryError("sort direction must be 1 or -1")
                 results.sort(
-                    key=lambda doc: _sort_key(get_path(doc, path)),
+                    key=lambda doc: sort_key(get_path(doc, path)),
                     reverse=direction == -1,
                 )
         if skip:
@@ -110,11 +95,6 @@ class Collection:
             ]
         return [copy.deepcopy(doc) for doc in results]
 
-    def find_one(self, query: dict | None = None) -> dict | None:
-        """First match or None."""
-        hits = self.find(query, limit=1)
-        return hits[0] if hits else None
-
     def get(self, doc_id: Any) -> dict | None:
         """Primary-key lookup."""
         doc = self._documents.get(doc_id)
@@ -124,13 +104,13 @@ class Collection:
         """Number of matching documents."""
         if not query:
             return len(self._documents)
-        return sum(1 for _ in self._candidates(query))
+        return sum(1 for _ in self._matching(query))
 
     def distinct(self, path: str, query: dict | None = None) -> list:
         """Sorted distinct values at ``path`` across matching documents."""
         seen = set()
         out = []
-        for doc in self._candidates(query or {}):
+        for doc in self._matching(query or {}):
             value = get_path(doc, path)
             if value is _MISSING:
                 continue
@@ -142,106 +122,27 @@ class Collection:
                     out.append(item)
         return sorted(out, key=lambda v: json.dumps(v, default=str))
 
-    # -- update / delete --------------------------------------------------------
-
-    def update_one(self, query: dict, update: dict) -> int:
-        """Apply update operators to the first match; returns 0 or 1."""
-        return self._update(query, update, many=False)
-
-    def update_many(self, query: dict, update: dict) -> int:
-        """Apply update operators to all matches; returns the count."""
-        return self._update(query, update, many=True)
-
-    def replace_one(self, query: dict, replacement: dict) -> int:
-        """Replace the first match wholesale, keeping its ``_id``."""
-        for doc in self._candidates(query):
-            doc_id = doc["_id"]
-            self._unindex(doc_id)
-            stored = copy.deepcopy(replacement)
-            stored["_id"] = doc_id
-            self._documents[doc_id] = stored
-            self._reindex(doc_id)
-            self._log_op(
-                {
-                    "op": "replace",
-                    "c": self.name,
-                    "doc": copy.deepcopy(stored),
-                }
-            )
-            return 1
-        return 0
-
     def delete_one(self, query: dict) -> int:
         """Delete the first match; returns 0 or 1."""
-        for doc in self._candidates(query):
-            self._remove(doc["_id"])
+        for doc in self._matching(query):
+            doc_id = doc["_id"]
+            del self._documents[doc_id]
+            self._log_op({"op": "delete", "c": self.name, "id": doc_id})
             return 1
         return 0
-
-    def delete_many(self, query: dict) -> int:
-        """Delete all matches; returns the count."""
-        victims = [doc["_id"] for doc in self._candidates(query)]
-        for doc_id in victims:
-            self._remove(doc_id)
-        return len(victims)
 
     def aggregate(self, pipeline: list[dict]) -> list[dict]:
         """Run an aggregation pipeline over the collection.
 
         See :mod:`repro.docstore.aggregate` for supported stages.
         """
-        from repro.docstore.aggregate import run_pipeline
-
         return run_pipeline(self._documents.values(), pipeline)
-
-    # -- indexes -----------------------------------------------------------------
-
-    def create_index(self, path: str) -> SecondaryIndex:
-        """Create (or return) a secondary equality index on ``path``."""
-        existing = self._indexes.get(path)
-        if existing is not None:
-            return existing
-        index = SecondaryIndex(path)
-        for doc_id, doc in self._documents.items():
-            index.add(doc_id, doc)
-        self._indexes[path] = index
-        self._log_op({"op": "create_index", "c": self.name, "path": path})
-        return index
-
-    def drop_index(self, path: str) -> None:
-        """Remove an index (no-op when absent)."""
-        if self._indexes.pop(path, None) is not None:
-            self._log_op({"op": "drop_index", "c": self.name, "path": path})
-
-    # -- persistence ----------------------------------------------------------------
-
-    def dump_jsonl(self, path: str | Path) -> int:
-        """Write every document as one JSON line; returns the count."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as handle:
-            for doc in self._documents.values():
-                handle.write(json.dumps(doc, sort_keys=True) + "\n")
-        return len(self._documents)
-
-    def load_jsonl(self, path: str | Path) -> int:
-        """Load documents from a JSONL file into this collection."""
-        count = 0
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    self.insert_one(json.loads(line))
-                    count += 1
-        return count
 
     def __len__(self) -> int:
         return len(self._documents)
 
     def __iter__(self) -> Iterator[dict]:
         return iter(copy.deepcopy(list(self._documents.values())))
-
-    # -- internals ---------------------------------------------------------------------
 
     def _generate_id(self) -> str:
         while True:
@@ -254,170 +155,15 @@ class Collection:
         if self.journal is not None:
             self.journal.append(op)
 
-    def _candidates(self, query: dict) -> Iterator[dict]:
-        """Iterate matching documents, using an index when one applies."""
-        pool = self._index_prefilter(query)
+    def _matching(self, query: dict) -> Iterator[dict]:
         predicate = compile_query(query)
-        if pool is None:
-            docs: Iterable[dict] = self._documents.values()
-        else:
-            docs = (
-                self._documents[doc_id]
-                for doc_id in pool
-                if doc_id in self._documents
-            )
-        for doc in docs:
+        for doc in self._documents.values():
             if predicate(doc):
                 yield doc
 
-    def _index_prefilter(self, query: dict) -> set | None:
-        """Candidate ids from the most selective applicable index."""
-        best: set | None = None
-        for path, condition in query.items():
-            index = self._indexes.get(path)
-            if index is None:
-                continue
-            candidates: set | None = None
-            if isinstance(condition, dict):
-                if "$eq" in condition:
-                    candidates = index.lookup(condition["$eq"])
-                elif "$in" in condition and isinstance(
-                    condition["$in"], (list, tuple)
-                ):
-                    candidates = index.lookup_in(condition["$in"])
-            elif not isinstance(condition, dict):
-                candidates = index.lookup(condition)
-            if candidates is not None:
-                best = candidates if best is None else best & candidates
-        return best
-
-    def _update(self, query: dict, update: dict, many: bool) -> int:
-        unknown = set(update) - _UPDATE_OPERATORS
-        if unknown:
-            raise QueryError(f"unknown update operators: {sorted(unknown)}")
-        modified = 0
-        for doc in list(self._candidates(query)):
-            doc_id = doc["_id"]
-            self._unindex(doc_id)
-            _apply_update(self._documents[doc_id], update)
-            self._reindex(doc_id)
-            # Journaled as a whole-document replace: replaying the
-            # post-state is idempotent where re-running operators
-            # ($inc, $push) would not be.
-            self._log_op(
-                {
-                    "op": "replace",
-                    "c": self.name,
-                    "doc": copy.deepcopy(self._documents[doc_id]),
-                }
-            )
-            modified += 1
-            if not many:
-                break
-        return modified
-
-    def _remove(self, doc_id: Any) -> None:
-        doc = self._documents.pop(doc_id)
-        for index in self._indexes.values():
-            index.remove(doc_id, doc)
-        self._log_op({"op": "delete", "c": self.name, "id": doc_id})
-
-    def _unindex(self, doc_id: Any) -> None:
-        doc = self._documents[doc_id]
-        for index in self._indexes.values():
-            index.remove(doc_id, doc)
-
-    def _reindex(self, doc_id: Any) -> None:
-        doc = self._documents[doc_id]
-        for index in self._indexes.values():
-            index.add(doc_id, doc)
-
-
-def _sort_key(value: Any):
-    """Total order over heterogeneous JSON values (None < bool < numbers
-    < str < list < dict), mirroring Mongo's BSON type ordering loosely."""
-    if value is _MISSING or value is None:
-        return (0, "")
-    if isinstance(value, bool):
-        return (1, value)
-    if isinstance(value, (int, float)):
-        return (2, value)
-    if isinstance(value, str):
-        return (3, value)
-    if isinstance(value, list):
-        return (4, json.dumps(value, default=str))
-    return (5, json.dumps(value, sort_keys=True, default=str))
-
-
-def _set_path(document: dict, path: str, value: Any) -> None:
-    parts = path.split(".")
-    current = document
-    for part in parts[:-1]:
-        nxt = current.get(part)
-        if not isinstance(nxt, dict):
-            nxt = {}
-            current[part] = nxt
-        current = nxt
-    current[parts[-1]] = copy.deepcopy(value)
-
-
-def _delete_path(document: dict, path: str) -> None:
-    parts = path.split(".")
-    current = document
-    for part in parts[:-1]:
-        current = current.get(part)
-        if not isinstance(current, dict):
-            return
-    current.pop(parts[-1], None)
-
-
-def _apply_update(document: dict, update: dict) -> None:
-    for op, fields in update.items():
-        if op == "$set":
-            for path, value in fields.items():
-                _set_path(document, path, value)
-        elif op == "$unset":
-            for path in fields:
-                _delete_path(document, path)
-        elif op == "$inc":
-            for path, amount in fields.items():
-                current = get_path(document, path)
-                base = current if isinstance(current, (int, float)) else 0
-                _set_path(document, path, base + amount)
-        elif op == "$push":
-            for path, value in fields.items():
-                current = get_path(document, path)
-                if not isinstance(current, list):
-                    current = []
-                current = current + [copy.deepcopy(value)]
-                _set_path(document, path, current)
-        elif op == "$addToSet":
-            for path, value in fields.items():
-                current = get_path(document, path)
-                if not isinstance(current, list):
-                    current = []
-                if value not in current:
-                    current = current + [copy.deepcopy(value)]
-                _set_path(document, path, current)
-        elif op == "$pull":
-            for path, value in fields.items():
-                current = get_path(document, path)
-                if isinstance(current, list):
-                    _set_path(
-                        document,
-                        path,
-                        [item for item in current if item != value],
-                    )
-        elif op == "$rename":
-            for path, new_path in fields.items():
-                value = get_path(document, path)
-                if value is not _MISSING:
-                    _delete_path(document, path)
-                    _set_path(document, new_path, value)
-
 
 class DocumentStore:
-    """A set of named collections with shared persistence.
+    """A set of named collections behind one durability journal.
 
     Example:
         >>> store = DocumentStore()
@@ -451,66 +197,26 @@ class DocumentStore:
                 self._journal.append({"op": "ensure", "c": name})
         return existing
 
-    def drop_collection(self, name: str) -> None:
-        """Delete a collection and its documents."""
-        if self._collections.pop(name, None) is not None:
-            if self._journal is not None:
-                self._journal.append({"op": "drop_collection", "c": name})
-
     def collection_names(self) -> list[str]:
         """Sorted collection names."""
         return sorted(self._collections)
 
-    def save(self, directory: str | Path) -> dict[str, int]:
-        """Persist every collection as ``<name>.jsonl`` in ``directory``."""
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        counts = {}
-        for name, coll in self._collections.items():
-            counts[name] = coll.dump_jsonl(directory / f"{name}.jsonl")
-        return counts
-
-    @classmethod
-    def load(cls, directory: str | Path) -> "DocumentStore":
-        """Rebuild a store from a :meth:`save` directory."""
-        store = cls()
-        directory = Path(directory)
-        if not directory.is_dir():
-            raise DocumentStoreError(f"no such directory: {directory}")
-        for path in sorted(directory.glob("*.jsonl")):
-            store.collection(path.stem).load_jsonl(path)
-        return store
-
     # -- durability (repro.durability.Durable protocol) -----------------------
 
     def durable_apply(self, op: dict) -> None:
-        """Replay one journaled op (journal suspended by the manager)."""
+        """Replay one journaled ``ensure`` / ``insert`` / ``delete`` op
+        (journal suspended by the manager)."""
         kind = op["op"]
-        if kind == "drop_collection":
-            self.drop_collection(op["c"])
-            return
         coll = self.collection(op["c"])
-        if kind == "ensure":
-            return
         if kind == "insert":
             coll.insert_one(op["doc"])
-        elif kind == "replace":
-            doc = op["doc"]
-            if coll.get(doc["_id"]) is None:
-                coll.insert_one(doc)
-            else:
-                coll.replace_one({"_id": doc["_id"]}, doc)
         elif kind == "delete":
             coll.delete_one({"_id": op["id"]})
-        elif kind == "create_index":
-            coll.create_index(op["path"])
-        elif kind == "drop_index":
-            coll.drop_index(op["path"])
-        else:
+        elif kind != "ensure":
             raise DocumentStoreError(f"unknown journal op: {kind!r}")
 
     def durable_snapshot(self) -> dict:
-        """JSON-shaped full state (documents, index paths, id seqs)."""
+        """JSON-shaped full state (documents and id sequences)."""
         return {
             "collections": {
                 name: {
@@ -518,7 +224,6 @@ class DocumentStore:
                         copy.deepcopy(doc)
                         for doc in coll._documents.values()
                     ],
-                    "indexes": sorted(coll._indexes),
                     "id_seq": coll._id_seq,
                 }
                 for name, coll in self._collections.items()
@@ -532,6 +237,4 @@ class DocumentStore:
             coll = self.collection(name)
             for doc in payload.get("documents", ()):
                 coll.insert_one(doc)
-            for path in payload.get("indexes", ()):
-                coll.create_index(path)
             coll._id_seq = int(payload.get("id_seq", 0))

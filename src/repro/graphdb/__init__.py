@@ -21,11 +21,6 @@ from repro.graphdb.planner import (
     plan_pattern,
 )
 from repro.graphdb.cypher import CypherEngine
-from repro.graphdb.traverse import (
-    shortest_path,
-    connected_components,
-    degree_stats,
-)
 
 __all__ = [
     "PropertyGraph",
@@ -40,7 +35,4 @@ __all__ = [
     "plan_pattern",
     "explain_pattern",
     "CypherEngine",
-    "shortest_path",
-    "connected_components",
-    "degree_stats",
 ]

@@ -23,6 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.docstore.query import sort_key
 from repro.exceptions import CypherError
 from repro.graphdb.graph import Node, PropertyGraph
 from repro.graphdb.match import (
@@ -455,13 +456,11 @@ class CypherEngine:
             var, key, descending = order_by
 
             def sort_value(binding):
-                from repro.docstore.store import _sort_key
-
                 node = binding.get(var)
                 value = node.properties.get(key) if node else None
-                # _sort_key gives a total order over mixed JSON types,
+                # sort_key gives a total order over mixed JSON types,
                 # with None first ascending.
-                return _sort_key(value)
+                return sort_key(value)
 
             bindings.sort(key=sort_value, reverse=descending)
         rows = [

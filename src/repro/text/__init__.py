@@ -15,7 +15,6 @@ from repro.text.tokenize import (
 from repro.text.stem import PorterStemmer, stem
 from repro.text.stopwords import STOPWORDS, is_stopword
 from repro.text.ngrams import character_ngrams, word_ngrams, shingle
-from repro.text.vocab import Vocabulary
 
 __all__ = [
     "Token",
@@ -30,5 +29,4 @@ __all__ = [
     "character_ngrams",
     "word_ngrams",
     "shingle",
-    "Vocabulary",
 ]

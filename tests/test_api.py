@@ -38,6 +38,32 @@ class TestReports:
         assert "_id" in report
         assert "text" not in report  # projected out
 
+    @pytest.mark.parametrize(
+        "category",
+        [{"$ne": "nope"}, {"$regex": "^(neuro|infect)"}, ["a"], 5, ""],
+        ids=["ne", "regex", "list", "int", "empty"],
+    )
+    def test_category_must_be_a_string(self, app, category):
+        # Passed through raw, a dict reached the docstore as a query
+        # operator: $ne listed every report, $regex ran the client's
+        # pattern, and a list silently matched nothing.
+        response = app.handle(
+            "GET", "/reports", params={"category": category}
+        )
+        assert response.status == 400
+        assert "category" in response.body["error"]
+
+    def test_category_filters_by_equality(self, app):
+        reports = app.store.collection("reports")
+        reports.insert_one({"_id": "cat-a", "category": "neuro", "title": "t"})
+        try:
+            response = app.handle(
+                "GET", "/reports", params={"category": "neuro"}
+            )
+            assert [r["_id"] for r in response.body["reports"]] == ["cat-a"]
+        finally:
+            reports.delete_one({"_id": "cat-a"})
+
     def test_get_report(self, app, some_id):
         response = app.handle("GET", f"/reports/{some_id}")
         assert response.ok

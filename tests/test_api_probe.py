@@ -51,6 +51,7 @@ PARAMS = [
     {"limit": float("inf")},
     {"limit": 1e99},
     {"category": ["a"]},
+    {"category": {"$ne": None}},
     {"doc_id": 5},
     {"reviewer": {}},
 ]

@@ -1,6 +1,4 @@
-"""Tests for graph traversal utilities and corpus export formats."""
-
-import pytest
+"""Tests for the corpus export formats (BRAT directory, CoNLL)."""
 
 from repro.corpus.export import (
     export_brat_directory,
@@ -8,69 +6,6 @@ from repro.corpus.export import (
     parse_conll,
     to_conll,
 )
-from repro.graphdb.graph import PropertyGraph
-from repro.graphdb.traverse import (
-    connected_components,
-    degree_stats,
-    shortest_path,
-)
-
-
-def chain_graph():
-    g = PropertyGraph()
-    for node in "abcdef":
-        g.add_node(node)
-    g.add_edge("a", "b", "R")
-    g.add_edge("b", "c", "R")
-    g.add_edge("c", "d", "S")
-    g.add_edge("e", "f", "R")  # separate component
-    return g
-
-
-class TestShortestPath:
-    def test_direct_path(self):
-        assert shortest_path(chain_graph(), "a", "c") == ["a", "b", "c"]
-
-    def test_undirected_by_default(self):
-        assert shortest_path(chain_graph(), "d", "a") == ["d", "c", "b", "a"]
-
-    def test_directed_respects_orientation(self):
-        assert shortest_path(chain_graph(), "d", "a", directed=True) is None
-        assert shortest_path(chain_graph(), "a", "d", directed=True) == [
-            "a", "b", "c", "d",
-        ]
-
-    def test_label_filter(self):
-        # Without the S edge, d is unreachable.
-        assert shortest_path(chain_graph(), "a", "d", label="R") is None
-        assert shortest_path(chain_graph(), "a", "c", label="R") is not None
-
-    def test_same_node(self):
-        assert shortest_path(chain_graph(), "a", "a") == ["a"]
-
-    def test_disconnected(self):
-        assert shortest_path(chain_graph(), "a", "f") is None
-
-    def test_unknown_nodes(self):
-        assert shortest_path(chain_graph(), "a", "zz") is None
-
-
-class TestComponents:
-    def test_component_partition(self):
-        components = connected_components(chain_graph())
-        assert components == [["a", "b", "c", "d"], ["e", "f"]]
-
-    def test_empty_graph(self):
-        assert connected_components(PropertyGraph()) == []
-
-    def test_degree_stats(self):
-        stats = degree_stats(chain_graph())
-        assert stats["n_nodes"] == 6
-        assert stats["n_edges"] == 4
-        assert stats["max_degree"] == 2
-
-    def test_degree_stats_empty(self):
-        assert degree_stats(PropertyGraph())["n_nodes"] == 0
 
 
 class TestBratExport:

@@ -13,6 +13,7 @@ shrink to minimal reproducers saved in a replayable seed file.
 
 from repro.testing.crash import (
     apply_action,
+    canonical_app_state,
     canonical_state,
     check_durability_case,
     visible_doc_ids,
@@ -49,6 +50,7 @@ __all__ = [
     "apply_action",
     "brute_force_bindings",
     "brute_force_map",
+    "canonical_app_state",
     "canonical_state",
     "case_rng",
     "check_case",

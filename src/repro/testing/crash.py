@@ -1,8 +1,8 @@
 """Crash-recovery fuzzing: injected faults vs. a never-crashed oracle.
 
-:func:`check_crash_contract` owns the durability contract for any set
-of :class:`~repro.durability.manager.Durable` stores.  One case is an
-action schedule run under a :class:`~repro.durability.DurabilityManager`
+:func:`check_crash_contract` owns the durability contract for any
+system whose stores ride a :class:`~repro.durability.DurabilityManager`.
+One case is an action schedule run under the manager
 with (usually) one deterministic fault injected somewhere in the
 filesystem operation stream; the checker recovers from the surviving
 bytes and verifies:
@@ -23,22 +23,28 @@ bytes and verifies:
 Fault-free cases double as a snapshot+WAL equivalence check: the live
 in-memory state, the recovered state, and the oracle must all agree.
 
-A crash subsystem supplies its stores, its action vocabulary and its
-canonical state, plus any assertion of its own.  The ``durability``
-subsystem below is the spec for the docstore / property graph / keyword
-index triple, whose own assertion is **tripartite atomicity**: after
-recovery exactly the same document ids are visible in all three.
+A crash subsystem supplies how to build its system around a manager,
+its action vocabulary and its canonical state, plus any assertion of
+its own.  The ``durability`` subsystem below is the assembled
+application: a :class:`~repro.pipeline.CreatePipeline` registering,
+re-annotating and deleting reports, recovered by ``recover()``, whose
+own assertion is that after recovery the keyword index holds exactly
+the stored reports and the graph and review queue hold no others.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable
+from typing import Any, Callable
 
+from repro.annotation.brat import parse_ann, serialize_ann
 from repro.docstore.store import DocumentStore
 from repro.durability import DurabilityManager, FaultInjector, InjectedCrash, MemFS
-from repro.exceptions import DurabilityError
+from repro.exceptions import DurabilityError, ReproError
 from repro.graphdb.graph import PropertyGraph
+from repro.ner.tagger import NerTagger
+from repro.pipeline import ClinicalExtractor, CreatePipeline
+from repro.review.queue import ReviewQueue
 from repro.search.engine import SearchEngine
 from repro.testing.lockstep import positive_ints
 
@@ -101,25 +107,19 @@ def valid_relations(relations, n_spans: int) -> bool:
     )
 
 
-def _attached(fs, stores: dict, group_commit: int, snapshot_every):
-    manager = DurabilityManager(
-        fs, group_commit=group_commit, snapshot_every=snapshot_every
-    )
-    for name, store in stores.items():
-        manager.attach(name, store)
-    return manager
-
-
 def check_crash_contract(
     case: dict,
     *,
     valid_actions: Callable[[list], bool],
-    fresh_stores: Callable[[], dict],
-    apply_action: Callable[[dict, dict], None],
-    canonical: Callable[[dict], str],
-    check_recovered: Callable[[dict], str | None] = lambda stores: None,
-    check_final: Callable[[dict, dict], str | None] = (
-        lambda stores, oracle_stores: None
+    fresh_system: Callable[[DurabilityManager | None], Any],
+    apply_action: Callable[[Any, dict], None],
+    canonical: Callable[[Any], str],
+    recover: Callable[[Any, DurabilityManager], object] = (
+        lambda system, manager: manager.recover()
+    ),
+    check_recovered: Callable[[Any], str | None] = lambda system: None,
+    check_final: Callable[[Any, Any], str | None] = (
+        lambda system, oracle_system: None
     ),
 ) -> str | None:
     """Run one crash schedule end to end; ``None`` means the contract
@@ -127,44 +127,51 @@ def check_crash_contract(
 
     Args:
         valid_actions: structural validation of ``case["actions"]``.
-        fresh_stores: empty ``Durable`` stores keyed by the name each
-            attaches to the manager under (attach order = dict order).
-        apply_action: apply one action to such a dict (memory only).
-        canonical: identity-free rendering of such a dict's state.
-        check_recovered: the subsystem's own assertion on the stores
+        fresh_system: an empty system, its stores attached to the given
+            manager (``None`` for the never-crashed oracle).
+        apply_action: apply one action to such a system.  It may commit
+            through the manager itself; the contract commits after it.
+        canonical: identity-free rendering of such a system's state.
+        recover: rebuild a fresh system from its manager's files.
+        check_recovered: the subsystem's own assertion on the system
             straight after recovery.
-        check_final: its own assertion on the recovered stores after
-            the schedule was finished on them, beside the never-crashed
-            oracle's stores.
+        check_final: its own assertion on the recovered system after
+            the schedule was finished on it, beside the never-crashed
+            oracle's.
     """
     if not valid_schedule(case, valid_actions):
         return None
     actions = case["actions"]
 
-    # oracle[j] = canonical state after the first j actions, on plain
-    # in-memory stores with no durability at all.
-    oracle_stores = fresh_stores()
-    oracle = [canonical(oracle_stores)]
+    # oracle[j] = canonical state after the first j actions, on a
+    # system with no durability at all.
+    oracle_system = fresh_system(None)
+    oracle = [canonical(oracle_system)]
     for action in actions:
-        apply_action(oracle_stores, action)
-        oracle.append(canonical(oracle_stores))
+        apply_action(oracle_system, action)
+        oracle.append(canonical(oracle_system))
 
     mem = MemFS()
-    stores = fresh_stores()
-    manager = _attached(
+    manager = DurabilityManager(
         fault_fs(mem, case["fault"]),
-        stores,
-        case["group_commit"],
-        case["snapshot_every"],
+        group_commit=case["group_commit"],
+        snapshot_every=case["snapshot_every"],
     )
-    applied = 0  # actions whose memory mutation completed
-    action_lsns: list[int | None] = []  # lsn per *committed* action
+    system = fresh_system(manager)
+    started = 0  # actions begun: the last may have died in its commit
+    action_lsns: list[int | None] = []  # last lsn per *committed* action
     crashed = False
     try:
         for action in actions:
-            apply_action(stores, action)
-            applied += 1
-            action_lsns.append(manager.commit())
+            started += 1
+            lsn_before = manager.next_lsn
+            apply_action(system, action)
+            manager.commit()
+            action_lsns.append(
+                manager.next_lsn - 1
+                if manager.next_lsn > lsn_before
+                else None
+            )
         manager.flush()
     except (InjectedCrash, DurabilityError, OSError):
         crashed = True
@@ -178,10 +185,10 @@ def check_crash_contract(
         acked += 1
 
     # Recover from the surviving bytes with a fault-free filesystem.
-    recovered_stores = fresh_stores()
-    recovery = _attached(mem, recovered_stores, 1, case["snapshot_every"])
+    recovery = DurabilityManager(mem, snapshot_every=case["snapshot_every"])
+    recovered_system = fresh_system(recovery)
     try:
-        recovery.recover()
+        recover(recovered_system, recovery)
     except DurabilityError as exc:
         # Includes a store's own double-commit detector raising inside
         # ``durable_apply``.
@@ -189,17 +196,17 @@ def check_crash_contract(
             f"recovery failed after "
             f"{'crash' if crashed else 'clean run'}: {exc}"
         )
-    recovered = canonical(recovered_stores)
-    message = check_recovered(recovered_stores)
+    recovered = canonical(recovered_system)
+    message = check_recovered(recovered_system)
     if message is not None:
         return message
 
     # Prefix consistency + no lost acknowledgements.
-    matched = [j for j in range(applied + 1) if oracle[j] == recovered]
+    matched = [j for j in range(started + 1) if oracle[j] == recovered]
     if not matched:
         return (
             f"recovered state matches no action prefix "
-            f"(crashed={crashed}, applied={applied}, acked={acked})"
+            f"(crashed={crashed}, started={started}, acked={acked})"
         )
     resume_from = max(matched)
     if resume_from < acked:
@@ -211,13 +218,13 @@ def check_crash_contract(
 
     # Continuation: finish the schedule on the recovered system.
     for action in actions[resume_from:]:
-        apply_action(recovered_stores, action)
+        apply_action(recovered_system, action)
         recovery.commit()
     recovery.flush()
-    message = check_final(recovered_stores, oracle_stores)
+    message = check_final(recovered_system, oracle_system)
     if message is not None:
         return message
-    if canonical(recovered_stores) != oracle[-1]:
+    if canonical(recovered_system) != oracle[-1]:
         return (
             f"continuation after recovery from prefix {resume_from} "
             "diverged from the oracle's final state"
@@ -226,7 +233,7 @@ def check_crash_contract(
     if not crashed:
         # Fault-free (or fault never fired): live memory, recovered
         # state, and oracle must all be the complete schedule.
-        if canonical(stores) != oracle[-1]:
+        if canonical(system) != oracle[-1]:
             return "fault-free live state diverged from the oracle"
         if recovered != oracle[-1]:
             return (
@@ -241,58 +248,42 @@ def check_crash_contract(
     return None
 
 
-# -- the durability subsystem: docstore + graph + keyword index --------------
+# -- the durability subsystem: the assembled application ---------------------
 
 
-def _fresh_stores() -> dict:
-    return {
-        "docstore": DocumentStore(),
-        "graph": PropertyGraph(),
-        "index": SearchEngine(),
-    }
+def _fresh_app(manager: DurabilityManager | None) -> CreatePipeline:
+    """An empty pipeline whose stores ride ``manager``.  Actions carry
+    their annotations and never search, so the extractor and query
+    parser are never asked to predict: an untrained tagger stands in."""
+    return CreatePipeline(
+        ClinicalExtractor(NerTagger(), None), durability=manager
+    )
 
 
-def apply_action(
-    store: DocumentStore,
-    graph: PropertyGraph,
-    engine: SearchEngine,
-    action: dict,
-) -> None:
-    """Apply one workload action to all three stores (memory only).
-
-    Mirrors what ``CreateApplication.register_report`` does: the
-    document lands in the docstore, its report/entity subgraph in the
-    graph, and its text fields in the keyword index.
-    """
+def apply_action(pipeline: CreatePipeline, action: dict) -> None:
+    """Apply one workload action to the application: ``register``
+    through ``register_report`` (what ingest calls), ``put`` and
+    ``delete`` as ``PUT /reports/{id}/ann`` and ``DELETE
+    /reports/{id}`` through ``handle``."""
+    app = pipeline.app
     doc_id = action["id"]
-    if action["act"] == "ingest":
-        store.collection("reports").insert_one(
+    if action["act"] == "register":
+        annotations = None
+        if action.get("ann") is not None:
+            annotations = parse_ann(doc_id, action["text"], action["ann"])
+        app.register_report(
             {
                 "_id": doc_id,
                 "title": action["title"],
-                "text": action["body"],
+                "text": action["text"],
                 "category": action["category"],
-            }
+            },
+            annotations,
         )
-        graph.add_node(doc_id, entityType="Report", label=action["title"])
-        span_ids = []
-        for k, (entity_type, label) in enumerate(action["spans"]):
-            span_id = f"{doc_id}:T{k + 1}"
-            graph.add_node(span_id, entityType=entity_type, label=label)
-            graph.add_edge(doc_id, span_id, "HAS_ENTITY")
-            span_ids.append(span_id)
-        for src, dst, label in action["relations"]:
-            graph.add_edge(span_ids[src], span_ids[dst], label)
-        engine.index(
-            doc_id, {"title": action["title"], "body": action["body"]}
-        )
+    elif action["act"] == "put":
+        app.handle("PUT", f"/reports/{doc_id}/ann", body=action["ann"])
     else:  # delete
-        store.collection("reports").delete_one({"_id": doc_id})
-        if graph.has_node(doc_id):
-            for edge in graph.out_edges(doc_id, "HAS_ENTITY"):
-                graph.remove_node(edge.target)
-            graph.remove_node(doc_id)
-        engine.delete(doc_id)
+        app.handle("DELETE", f"/reports/{doc_id}")
 
 
 def _engine_state(engine: SearchEngine) -> dict:
@@ -366,6 +357,24 @@ def canonical_state(
     return json.dumps(payload, sort_keys=True, default=str)
 
 
+def canonical_app_state(pipeline: CreatePipeline) -> str:
+    """:func:`canonical_state` of the docstore, graph and keyword index,
+    plus every enrolled report's text and standoff."""
+    review = pipeline.app.review
+    documents = [review.annotations(doc_id) for doc_id in review.documents()]
+    return json.dumps(
+        [
+            canonical_state(
+                pipeline.store, pipeline.indexer.graph, pipeline.indexer.engine
+            ),
+            sorted(
+                [document.doc_id, document.text, serialize_ann(document)]
+                for document in documents
+            ),
+        ]
+    )
+
+
 def visible_doc_ids(
     store: DocumentStore, graph: PropertyGraph, engine: SearchEngine
 ) -> tuple[set, set, set]:
@@ -383,61 +392,75 @@ def visible_doc_ids(
     return doc_ids, graph_ids, engine_ids
 
 
+def _registrable(doc_id: str, text: str, ann) -> bool:
+    """Whether ``ann`` parses against ``text`` and the review queue
+    enrolls the result (``None``: a keyword-only registration)."""
+    if ann is None:
+        return True
+    try:
+        ReviewQueue().enqueue_document(doc_id, parse_ann(doc_id, text, ann))
+    except (ReproError, TypeError):
+        return False
+    return True
+
+
 def _valid_actions(actions: list) -> bool:
-    ingested = set()
+    live: set[str] = set()
     for action in actions:
         if not isinstance(action, dict):
             return False
+        doc_id = action.get("id")
         kind = action.get("act")
-        if kind == "ingest":
-            doc_id = action.get("id")
-            if not isinstance(doc_id, str) or doc_id in ingested:
-                return False
-            ingested.add(doc_id)
-            if not all(
+        if not isinstance(doc_id, str):
+            return False
+        if kind == "register":
+            if doc_id in live or not all(
                 isinstance(action.get(key), str)
-                for key in ("title", "body", "category")
+                for key in ("title", "text", "category")
             ):
                 return False
-            spans = action.get("spans")
-            if not isinstance(spans, list) or not all(
-                isinstance(span, list)
-                and len(span) == 2
-                and all(isinstance(part, str) for part in span)
-                for span in spans
-            ):
+            if not _registrable(doc_id, action["text"], action.get("ann")):
                 return False
-            if not valid_relations(action.get("relations"), len(spans)):
+            live.add(doc_id)
+        elif kind == "put":
+            if not isinstance(action.get("ann"), str):
                 return False
         elif kind == "delete":
-            if not isinstance(action.get("id"), str):
-                return False
+            live.discard(doc_id)
         else:
             return False
     return True
 
 
-def _tripartite_atomicity(stores: dict) -> str | None:
-    """Same ids everywhere, no partial documents."""
-    doc_ids, graph_ids, engine_ids = visible_doc_ids(*stores.values())
-    if not (doc_ids == graph_ids == engine_ids):
+def _tripartite_atomicity(pipeline: CreatePipeline) -> str | None:
+    """The keyword index holds exactly the stored reports; graph nodes
+    and enrollments belong to stored reports only."""
+    doc_ids = {doc["_id"] for doc in pipeline.store.collection("reports")}
+    engine_ids = {
+        hit.doc_id
+        for hit in pipeline.indexer.engine.search(
+            {"match_all": {}}, size=1_000_000
+        )
+    }
+    graph_ids = {node.get("doc_id") for node in pipeline.indexer.graph.nodes()}
+    enrolled = set(pipeline.app.review.documents())
+    if engine_ids != doc_ids or not graph_ids | enrolled <= doc_ids:
         return (
             "recovered stores disagree on visible documents: "
-            f"docstore {sorted(doc_ids)}, graph {sorted(graph_ids)}, "
-            f"index {sorted(engine_ids)}"
+            f"docstore {sorted(doc_ids)}, index {sorted(engine_ids)}, "
+            f"graph {sorted(graph_ids)}, review {sorted(enrolled)}"
         )
     return None
 
 
 def check_durability_case(case: dict) -> str | None:
-    """The crash contract over the docstore / graph / index triple."""
+    """The crash contract over the assembled application."""
     return check_crash_contract(
         case,
         valid_actions=_valid_actions,
-        fresh_stores=_fresh_stores,
-        apply_action=lambda stores, action: apply_action(
-            *stores.values(), action
-        ),
-        canonical=lambda stores: canonical_state(*stores.values()),
+        fresh_system=_fresh_app,
+        apply_action=apply_action,
+        canonical=canonical_app_state,
+        recover=lambda pipeline, manager: pipeline.recover(),
         check_recovered=_tripartite_atomicity,
     )

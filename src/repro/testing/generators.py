@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from random import Random
 
+from repro.annotation.brat import serialize_ann
+from repro.annotation.model import AnnotationDocument
 from repro.testing.crash import FAULT_KINDS
 
 VOCABULARY = [
@@ -379,6 +381,44 @@ def gen_relations(rng: Random, n_spans: int, labels) -> list:
     return relations
 
 
+def gen_spans(rng: Random, text: str, labels) -> list:
+    """Up to five ``[label, start, end, negated]`` spans over whole
+    words of ``text``, in text order and never overlapping."""
+    spans = []
+    cursor = 0
+    for word in text.split():
+        start = text.index(word, cursor)
+        cursor = start + len(word)
+        if len(spans) < 5 and rng.random() < 0.4:
+            spans.append(
+                [rng.choice(labels), start, cursor, rng.random() < 0.15]
+            )
+    return spans
+
+
+def gen_annotated_text(rng: Random, labels, relation_labels) -> tuple:
+    """``(text, spans, relations)``: one report's text with extracted
+    spans (:func:`gen_spans`) and relations between them."""
+    text = gen_text(rng, 14, 6)
+    spans = gen_spans(rng, text, labels)
+    return text, spans, gen_relations(rng, len(spans), relation_labels)
+
+
+def annotation_document(
+    doc_id: str, text: str, spans: list, relations: list
+) -> AnnotationDocument:
+    """The annotation document ``spans`` and ``relations`` describe;
+    span ``k`` gets the id ``T{k + 1}``."""
+    doc = AnnotationDocument(doc_id=doc_id, text=text)
+    for label, start, end, negated in spans:
+        tb = doc.add_textbound(label, start, end)
+        if negated:
+            doc.add_attribute("Negated", tb.ann_id)
+    for src, dst, label in relations:
+        doc.add_relation(label, f"T{src + 1}", f"T{dst + 1}")
+    return doc
+
+
 def gen_crash_schedule(rng: Random, actions: list) -> dict:
     """``actions`` plus one planned fault and a commit/snapshot cadence.
 
@@ -402,36 +442,61 @@ def gen_crash_schedule(rng: Random, actions: list) -> dict:
     }
 
 
-def gen_durability_case(rng: Random) -> dict:
-    """An ingest/delete workload plus one planned fault.
+_REPORT_IDS = ("d0", "d1", "d2", "d3")
+_SPAN_LABELS = ("Sign_symptom", "Disease_disorder", "Medication", "Lab_value")
+_RELATION_LABELS = ("BEFORE", "OVERLAP", "CAUSES")
 
-    Ids are unique per case (``d0``, ``d1``, ...); deletes only target
-    previously ingested documents.
+
+def _standoff(doc_id: str, text: str, spans: list, relations: list) -> str:
+    return serialize_ann(annotation_document(doc_id, text, spans, relations))
+
+
+def gen_durability_case(rng: Random) -> dict:
+    """Requests to the assembled application plus one planned fault.
+
+    Three actions: ``register`` (about one in three keyword-only, with
+    no standoff), ``put`` (new spans over a live report's text, as a
+    BRAT standoff) and ``delete``.  Ids come from a pool of four, so a
+    deleted id is often registered again.
     """
     actions = []
-    live: list[str] = []
-    for i in range(rng.randint(1, 8)):
-        if live and rng.random() < 0.25:
-            victim = rng.choice(live)
-            live.remove(victim)
-            actions.append({"act": "delete", "id": victim})
-            continue
-        doc_id = f"d{i}"
-        spans = [
-            [rng.choice(_NODE_TYPES), gen_text(rng, 2, 1)]
-            for _ in range(rng.randint(0, 3))
-        ]
-        relations = gen_relations(rng, len(spans), _EDGE_LABELS)
-        actions.append(
-            {
-                "act": "ingest",
-                "id": doc_id,
-                "title": gen_text(rng, 3, 1),
-                "body": gen_text(rng, 8, 1),
-                "category": rng.choice(_CATEGORIES),
-                "spans": spans,
-                "relations": relations,
-            }
-        )
-        live.append(doc_id)
+    live: dict[str, str] = {}  # report id -> its text
+    for _ in range(rng.randint(1, 8)):
+        roll = rng.random()
+        free = [doc_id for doc_id in _REPORT_IDS if doc_id not in live]
+        if live and (roll < 0.2 or not free):
+            doc_id = rng.choice(sorted(live))
+            del live[doc_id]
+            actions.append({"act": "delete", "id": doc_id})
+        elif live and roll < 0.4:
+            doc_id = rng.choice(sorted(live))
+            text = live[doc_id]
+            spans = gen_spans(rng, text, _SPAN_LABELS)
+            relations = gen_relations(rng, len(spans), _RELATION_LABELS)
+            actions.append(
+                {
+                    "act": "put",
+                    "id": doc_id,
+                    "ann": _standoff(doc_id, text, spans, relations),
+                }
+            )
+        else:
+            doc_id = rng.choice(free)
+            text, spans, relations = gen_annotated_text(
+                rng, _SPAN_LABELS, _RELATION_LABELS
+            )
+            ann = None
+            if rng.random() >= 0.3:
+                ann = _standoff(doc_id, text, spans, relations)
+            actions.append(
+                {
+                    "act": "register",
+                    "id": doc_id,
+                    "title": gen_text(rng, 3, 1),
+                    "text": text,
+                    "category": rng.choice(_CATEGORIES),
+                    "ann": ann,
+                }
+            )
+            live[doc_id] = text
     return gen_crash_schedule(rng, actions)

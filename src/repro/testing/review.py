@@ -29,7 +29,6 @@ import json
 from random import Random
 
 from repro.annotation.brat import serialize_ann
-from repro.annotation.model import AnnotationDocument
 from repro.review.model import VERDICTS, claim_id_for
 from repro.review.queue import ReviewQueue
 from repro.testing.crash import (
@@ -38,9 +37,9 @@ from repro.testing.crash import (
     valid_schedule,
 )
 from repro.testing.generators import (
+    annotation_document,
+    gen_annotated_text,
     gen_crash_schedule,
-    gen_relations,
-    gen_text,
 )
 
 _LABELS = ("Symptom", "Disease", "Medication", "Procedure", "Test")
@@ -53,23 +52,9 @@ _REVIEWERS = ("alice", "bob", "carol")
 
 def _gen_document(rng: Random, doc_id: str) -> dict:
     """One report: text plus non-overlapping extracted spans."""
-    words = gen_text(rng, 14, 6).split()
-    text = " ".join(words)
-    spans = []
-    cursor = 0
-    for word in words:
-        start = text.index(word, cursor)
-        cursor = start + len(word)
-        if len(spans) < 5 and rng.random() < 0.4:
-            spans.append(
-                [
-                    rng.choice(_LABELS),
-                    start,
-                    cursor,
-                    rng.random() < 0.15,  # negated
-                ]
-            )
-    relations = gen_relations(rng, len(spans), _RELATION_LABELS)
+    text, spans, relations = gen_annotated_text(
+        rng, _LABELS, _RELATION_LABELS
+    )
     return {
         "act": "enroll",
         "id": doc_id,
@@ -162,14 +147,15 @@ def gen_review_case(rng: Random) -> dict:
 def apply_review_action(queue: ReviewQueue, action: dict) -> None:
     """Apply one schedule action to a queue (memory only)."""
     if action["act"] == "enroll":
-        doc = AnnotationDocument(doc_id=action["id"], text=action["text"])
-        for label, start, end, negated in action["spans"]:
-            tb = doc.add_textbound(label, start, end)
-            if negated:
-                doc.add_attribute("Negated", tb.ann_id)
-        for src, dst, label in action["relations"]:
-            doc.add_relation(label, f"T{src + 1}", f"T{dst + 1}")
-        queue.enqueue_document(action["id"], doc)
+        queue.enqueue_document(
+            action["id"],
+            annotation_document(
+                action["id"],
+                action["text"],
+                action["spans"],
+                action["relations"],
+            ),
+        )
     elif action["act"] == "decide":
         queue.decide(
             action["claim"],
@@ -312,9 +298,18 @@ def _valid_case(case: dict) -> bool:
     return valid_schedule(case, _valid_actions)
 
 
-def _partition_exactness(stores: dict, oracle_stores: dict) -> str | None:
-    got = review_partition(stores["review"])
-    want = review_partition(oracle_stores["review"])
+def _fresh_queue(manager) -> ReviewQueue:
+    queue = ReviewQueue()
+    if manager is not None:
+        manager.attach("review", queue)
+    return queue
+
+
+def _partition_exactness(
+    queue: ReviewQueue, oracle_queue: ReviewQueue
+) -> str | None:
+    got = review_partition(queue)
+    want = review_partition(oracle_queue)
     if got != want:
         return (
             f"queued/decided partition diverged after recovery: "
@@ -328,10 +323,8 @@ def check_review_case(case: dict) -> str | None:
     return check_crash_contract(
         case,
         valid_actions=_valid_actions,
-        fresh_stores=lambda: {"review": ReviewQueue()},
-        apply_action=lambda stores, action: apply_review_action(
-            stores["review"], action
-        ),
-        canonical=lambda stores: canonical_review_state(stores["review"]),
+        fresh_system=_fresh_queue,
+        apply_action=apply_review_action,
+        canonical=canonical_review_state,
         check_final=_partition_exactness,
     )

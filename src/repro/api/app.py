@@ -11,7 +11,8 @@ Routes (method, path template):
 * ``GET  /reports/{id}/svg``     — its Figure-7 SVG visualization.
 * ``GET  /reports/{id}/timeline``— its timeline SVG.
 * ``GET  /reports/{id}/ann``     — its annotations in BRAT format.
-* ``PUT  /reports/{id}/ann``     — replace annotations (validated).
+* ``PUT  /reports/{id}/ann``     — replace annotations (validated) and
+  re-index the report from them.
 * ``GET  /search``               — CREATe-IR search (``q``, ``size``).
 * ``GET  /stats``                — corpus statistics (Figure 1 data).
 * ``GET  /review/queue``         — undecided claims (``skip``, ``limit``,
@@ -40,7 +41,13 @@ from repro.cohort.engine import CohortEngine
 from repro.cohort.fhir import cohort_bundle
 from repro.cohort.model import CohortDefinition
 from repro.docstore.store import DocumentStore
-from repro.exceptions import AnnotationError, ApiError, ParseError, ReproError
+from repro.exceptions import (
+    AnnotationError,
+    ApiError,
+    DuplicateKeyError,
+    ParseError,
+    ReproError,
+)
 from repro.grobid.service import GrobidService
 from repro.ir.indexer import CreateIrIndexer
 from repro.ir.searcher import CreateIrSearcher
@@ -137,7 +144,9 @@ class CreateApplication:
             annotations are enrolled automatically, ``/review`` routes
             serve it, and ``/ann``, ``/html``, cohort criteria and the
             FHIR export read :meth:`ReviewQueue.annotations` — the
-            application keeps no per-report state of its own.
+            application keeps no per-report state of its own.  The
+            graph and keyword index are derived from it and the
+            docstore (:meth:`derive_report`).
     """
 
     store: DocumentStore
@@ -237,32 +246,50 @@ class CreateApplication:
 
         Returns the stored ``_id``.
 
-        With a durability manager, the docstore insert, graph load and
-        keyword indexing land in one WAL commit record — recovery
-        either replays the whole document or none of it.  The commit
-        runs even when indexing fails partway so the log stays faithful
-        to the in-memory (dead-lettered) state.
+        Enrollment comes first because it validates before it mutates:
+        annotations the review queue refuses raise with no store
+        touched.  Then the docstore insert, then :meth:`derive_report`.
+        With a durability manager, the enrollment and the insert land
+        in one WAL commit record, so recovery restores the whole report
+        or none of it.
         """
-        self._suggester = None  # vocabulary changed
+        reports = self.store.collection("reports")
+        doc_id = document.get("_id")
+        if doc_id is None:
+            doc_id = reports.next_id()
+        elif reports.get(doc_id) is not None:
+            raise DuplicateKeyError(f"reports: duplicate _id {doc_id!r}")
         try:
-            doc_id = self.store.collection("reports").insert_one(document)
             if annotations is not None:
-                self.indexer.index_annotation_document(
-                    doc_id, document.get("title", ""), annotations
-                )
                 self.review.enqueue_document(doc_id, annotations)
-            else:
-                self.indexer.engine.index(
-                    doc_id,
-                    {
-                        "title": document.get("title", ""),
-                        "body": document.get("text", ""),
-                    },
-                )
+            # Enrollment touched no docstore state, so the insert
+            # assigns the id next_id() returned.
+            reports.insert_one(document)
+            self.derive_report(reports.get(doc_id))
         finally:
             if self.durability is not None:
                 self.durability.commit()
         return doc_id
+
+    def derive_report(self, document: dict) -> None:
+        """Index one stored report into the graph and keyword index.
+
+        The graph nodes, edges and keyword entry are a function of the
+        docstore record and the report's enrolled annotation document;
+        a report without one is indexed keyword-only, from its stored
+        text.  Neither index journals: recovery restores the docstore
+        and the review queue and calls this once per report.
+        """
+        doc_id = document["_id"]
+        title = document.get("title", "")
+        annotations = self.review.annotations(doc_id)
+        if annotations is None:
+            self.indexer.engine.index(
+                doc_id, {"title": title, "body": document.get("text", "")}
+            )
+        else:
+            self.indexer.index_annotation_document(doc_id, title, annotations)
+        self._suggester = None  # vocabulary changed
 
     # -- handlers ------------------------------------------------------------------
 
@@ -385,6 +412,8 @@ class CreateApplication:
             )
         self.review.drop_document(doc_id)
         self.review.enqueue_document(doc_id, annotations)
+        self.indexer.delete_report(doc_id)
+        self.derive_report(document)
         return Response(200, {"id": doc_id, "spans": len(annotations.textbounds)})
 
     def _delete_report(self, body: Any, params: dict, doc_id: str) -> Response:

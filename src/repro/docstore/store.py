@@ -46,8 +46,8 @@ class Collection:
         stored = copy.deepcopy(document)
         doc_id = stored.get("_id")
         if doc_id is None:
-            doc_id = self._generate_id()
-            stored["_id"] = doc_id
+            self._id_seq = self._next_seq()
+            doc_id = stored["_id"] = self._id_for(self._id_seq)
         elif doc_id in self._documents:
             raise DuplicateKeyError(
                 f"{self.name}: duplicate _id {doc_id!r}"
@@ -144,12 +144,19 @@ class Collection:
     def __iter__(self) -> Iterator[dict]:
         return iter(copy.deepcopy(list(self._documents.values())))
 
-    def _generate_id(self) -> str:
-        while True:
-            self._id_seq += 1
-            candidate = f"{self.name}-{self._id_seq:08d}"
-            if candidate not in self._documents:
-                return candidate
+    def next_id(self) -> str:
+        """The ``_id`` the next :meth:`insert_one` of a document without
+        one assigns (the collection is not changed)."""
+        return self._id_for(self._next_seq())
+
+    def _next_seq(self) -> int:
+        seq = self._id_seq + 1
+        while self._id_for(seq) in self._documents:
+            seq += 1
+        return seq
+
+    def _id_for(self, seq: int) -> str:
+        return f"{self.name}-{seq:08d}"
 
     def _log_op(self, op: dict) -> None:
         if self.journal is not None:

@@ -4,11 +4,12 @@ The paper's stack keeps every artifact in MongoDB / Neo4j /
 ElasticSearch; our pure-Python substitutes are in-memory, so this
 package gives them the missing property — a crash loses nothing that
 was acknowledged.  One :class:`DurabilityManager` journals logical
-operations from the document store, the property graph, and the search
-engine into a shared checksummed write-ahead log with group-commit
+operations from the record stores — the document store and the review
+queue — into a shared checksummed write-ahead log with group-commit
 batching and periodic snapshots; recovery replays the log and yields
-exactly the state at the last acknowledged commit, with each
-document's three-store footprint appearing atomically or not at all.
+exactly the state at the last acknowledged commit, with each report's
+records appearing atomically or not at all.  The graph and keyword
+index are derived from those records and never journaled.
 
 :class:`FaultInjector` and :class:`MemFS` make that claim testable:
 seed-driven crash schedules (torn writes, short writes, dropped

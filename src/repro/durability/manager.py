@@ -5,9 +5,10 @@ Commit protocol (write-behind logging with ack-after-fsync):
 1. Callers mutate attached stores through their normal APIs; each
    store journals the logical operation it performed.
 2. :meth:`DurabilityManager.commit` drains every journal into **one**
-   WAL record — a document's docstore insert, graph nodes/edges, and
-   keyword indexing travel together, which is what makes ingest atomic
-   across the three stores.
+   WAL record — a report's docstore insert and its review enrollment
+   travel together, which is what makes ingest atomic across the two
+   record stores.  The graph and keyword index are not attached: the
+   pipeline derives them from those records, live and after recovery.
 3. The record buffers until the group-commit quota fills (or
    :meth:`flush` is called); then one append + one fsync makes the
    whole batch durable and advances ``durable_lsn``.  A commit is

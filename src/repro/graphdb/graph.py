@@ -9,15 +9,14 @@ nodes are secondarily indexed by property values for fast lookups.
 The graph also maintains exact cardinality statistics — per-edge-label
 counts and, through the property indexes, per-(property, value) node
 counts — plus adjacency lists keyed by ``(node, edge label)``.  Both
-are updated incrementally on every mutation and rebuilt on snapshot
-restore, which is what lets :mod:`repro.graphdb.planner` cost join
-orders without ever scanning the graph.
+are updated incrementally on every mutation, which is what lets
+:mod:`repro.graphdb.planner` cost join orders without ever scanning the
+graph.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from copy import deepcopy
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -80,21 +79,13 @@ class PropertyGraph:
         self._in_by_label: dict[tuple[str, str], list[int]] = defaultdict(
             list
         )
-        # Planner observability (not journaled: derived, not state).
+        # Planner observability counters.
         self.planner_counters: dict[str, int] = {}
-        # Mutation counter: every node/edge (un)indexing and every
-        # restore advances it, so a cached read stamped with an older
-        # value can be recognised as stale (see repro.ir.cache).
+        # Mutation counter: every node/edge (un)indexing advances it, so
+        # a cached read stamped with an older value can be recognised as
+        # stale (see repro.ir.cache).
         self.epoch = 0
         self._next_edge_id = 0
-        # Durability journal (repro.durability.Durable protocol): when a
-        # manager attaches this graph, each mutation appends one
-        # replayable op dict here.
-        self.journal: list | None = None
-
-    def _log_op(self, op: dict) -> None:
-        if self.journal is not None:
-            self.journal.append(op)
 
     # -- nodes ---------------------------------------------------------------
 
@@ -109,9 +100,6 @@ class PropertyGraph:
             self._unindex_node(node)
             node.properties.update(properties)
             self._index_node(node)
-        self._log_op(
-            {"op": "add_node", "id": node_id, "props": deepcopy(properties)}
-        )
         return node
 
     def node(self, node_id: str) -> Node:
@@ -146,7 +134,6 @@ class PropertyGraph:
             if edge.target != node_id:
                 self._incoming[edge.target].remove(edge_id)
             self._unindex_edge(edge)
-        self._log_op({"op": "remove_node", "id": node_id})
 
     def nodes(self) -> Iterator[Node]:
         """All nodes (insertion order)."""
@@ -175,15 +162,6 @@ class PropertyGraph:
         self._incoming[target].append(edge.edge_id)
         self._index_edge(edge)
         self._next_edge_id += 1
-        self._log_op(
-            {
-                "op": "add_edge",
-                "src": source,
-                "dst": target,
-                "label": label,
-                "props": deepcopy(properties),
-            }
-        )
         return edge
 
     def remove_edge(self, edge_id: int) -> None:
@@ -194,7 +172,6 @@ class PropertyGraph:
         self._outgoing[edge.source].remove(edge_id)
         self._incoming[edge.target].remove(edge_id)
         self._unindex_edge(edge)
-        self._log_op({"op": "remove_edge", "id": edge_id})
 
     def edges(self) -> Iterator[Edge]:
         """All edges."""
@@ -253,7 +230,6 @@ class PropertyGraph:
             value = node.properties.get(key)
             if _hashable(value):
                 self._property_index[key][value].add(node.node_id)
-        self._log_op({"op": "create_property_index", "key": key})
 
     def find_nodes(self, **criteria: Any) -> list[Node]:
         """Nodes whose properties equal every criterion.
@@ -306,9 +282,8 @@ class PropertyGraph:
     def statistics(self) -> dict:
         """Snapshot of every cardinality the planner consults.
 
-        Exact at all times: maintained incrementally on add/delete and
-        rebuilt from scratch on snapshot restore, so it equals what a
-        cold rebuild of the same graph would report.
+        Exact at all times: maintained incrementally on add/delete, so
+        it equals what a cold rebuild of the same graph would report.
         """
         return {
             "n_nodes": self.n_nodes,
@@ -334,80 +309,6 @@ class PropertyGraph:
             "counters": dict(sorted(self.planner_counters.items())),
             "statistics": self.statistics(),
         }
-
-    # -- durability (repro.durability.Durable protocol) -------------------------
-
-    def durable_apply(self, op: dict) -> None:
-        """Replay one journaled op (journal suspended by the manager).
-
-        Edge ids are assigned sequentially, so replaying the full op
-        stream from the same starting state reproduces them exactly —
-        which is what lets ``remove_edge`` ops replay by id.
-        """
-        kind = op["op"]
-        if kind == "add_node":
-            self.add_node(op["id"], **op["props"])
-        elif kind == "add_edge":
-            self.add_edge(op["src"], op["dst"], op["label"], **op["props"])
-        elif kind == "remove_node":
-            self.remove_node(op["id"])
-        elif kind == "remove_edge":
-            self.remove_edge(op["id"])
-        elif kind == "create_property_index":
-            self.create_property_index(op["key"])
-        else:
-            raise GraphError(f"unknown journal op: {kind!r}")
-
-    def durable_snapshot(self) -> dict:
-        """JSON-shaped full state, including edge-id assignment."""
-        return {
-            "nodes": [
-                [node.node_id, deepcopy(node.properties)]
-                for node in self._nodes.values()
-            ],
-            "edges": [
-                [
-                    edge.edge_id,
-                    edge.source,
-                    edge.target,
-                    edge.label,
-                    deepcopy(edge.properties),
-                ]
-                for edge in self._edges.values()
-            ],
-            "next_edge_id": self._next_edge_id,
-            "indexed_properties": sorted(self._indexed_properties),
-        }
-
-    def durable_restore(self, state: dict) -> None:
-        """Replace this (empty) graph's contents with a snapshot state.
-
-        Edge ids are restored verbatim so post-restore ``remove_edge``
-        replays keep working.
-        """
-        self._nodes.clear()
-        self._edges.clear()
-        self._outgoing.clear()
-        self._incoming.clear()
-        self._property_index.clear()
-        self._indexed_properties.clear()
-        self._edge_label_counts.clear()
-        self._out_by_label.clear()
-        self._in_by_label.clear()
-        for key in state.get("indexed_properties", ()):
-            self._indexed_properties.add(key)
-        for node_id, props in state.get("nodes", ()):
-            node = Node(node_id, deepcopy(props))
-            self._nodes[node_id] = node
-            self._index_node(node)
-        for edge_id, source, target, label, props in state.get("edges", ()):
-            edge = Edge(int(edge_id), source, target, label, deepcopy(props))
-            self._edges[edge.edge_id] = edge
-            self._outgoing[source].append(edge.edge_id)
-            self._incoming[target].append(edge.edge_id)
-            self._index_edge(edge)
-        self._next_edge_id = int(state.get("next_edge_id", 0))
-        self.epoch += 1
 
     # -- internals --------------------------------------------------------------
 

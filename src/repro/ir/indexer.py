@@ -236,8 +236,8 @@ class CreateIrIndexer:
     # -- store views ---------------------------------------------------------
 
     # Report accounting reads the stores instead of keeping a private
-    # ledger: keyword-only registrations, deletes and WAL recovery all
-    # reach the stores without passing through ``index_report``.
+    # ledger: keyword-only registrations and deletes reach the stores
+    # without passing through ``index_report``.
 
     @property
     def n_reports(self) -> int:

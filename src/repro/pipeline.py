@@ -23,7 +23,7 @@ from repro.corpus.pubmed import build_corpus
 from repro.crawler.crawler import Crawler, CrawlResult
 from repro.crawler.repository import SyntheticPubMed
 from repro.docstore.store import DocumentStore
-from repro.durability import Durable, DurabilityManager, RecoveryReport
+from repro.durability import DurabilityManager, RecoveryReport
 from repro.exceptions import (
     ParseError,
     PipelineError,
@@ -346,12 +346,12 @@ class CreatePipeline:
             serve the keyword index from on-disk segments.  Results
             are exactly rank-equivalent (bit-identical scores).
         durability: optional WAL/snapshot manager.  When set, the
-            docstore, property graph, keyword index, and review queue
-            are attached to it, every registered report commits as one
-            atomic WAL record, and :meth:`recover` rebuilds all four
-            stores from disk after a crash.  Both index stores must
-            speak the ``Durable`` protocol; one that does not is
-            refused with :class:`PipelineError`.
+            docstore and the review queue — the report records — are
+            attached to it, every registered report commits as one
+            atomic WAL record, and :meth:`recover` rebuilds both from
+            disk after a crash, then derives the graph and keyword
+            index from them.  Neither index journals, so any injected
+            engine can be recovered.
     """
 
     extractor: ClinicalExtractor
@@ -371,22 +371,6 @@ class CreatePipeline:
         self.searcher = CreateIrSearcher(
             self.indexer, parser=parser, metrics=self.metrics
         )
-        if self.durability is not None:
-            for store in (self.indexer.graph, self.indexer.engine):
-                if not isinstance(store, Durable):
-                    # attach() would set a journal nobody fills and
-                    # recover() would come back with this store empty.
-                    raise PipelineError(
-                        f"{type(store).__name__} does not implement the "
-                        "Durable protocol; recovery could not rebuild it"
-                    )
-            # Attach order is replay order; these three and the review
-            # queue (attached below, once the application owns it)
-            # recover together, so a document is either fully visible
-            # everywhere or absent everywhere.
-            self.durability.attach("docstore", self.store)
-            self.durability.attach("graph", self.indexer.graph)
-            self.durability.attach("index", self.indexer.engine)
         self.app = CreateApplication(
             store=self.store,
             indexer=self.indexer,
@@ -398,20 +382,26 @@ class CreatePipeline:
             durability=self.durability,
         )
         if self.durability is not None:
-            # Review claims/decisions replay after the stores they
-            # reference: a recovered claim always finds its report.
+            # The two record stores, which recover together, so a report
+            # is either fully restored or absent.
+            self.durability.attach("docstore", self.store)
             self.durability.attach("review", self.app.review)
 
     def recover(self) -> RecoveryReport:
-        """Rebuild the docstore, graph, keyword index, and review queue
-        from the durability manager's snapshot + WAL.
+        """Rebuild the docstore and the review queue from the durability
+        manager's snapshot + WAL, then derive every report's graph
+        nodes, edges and keyword entry from them, once each, in
+        docstore order.  The graph and keyword index must start empty.
 
         Raises:
             PipelineError: the pipeline has no durability manager.
         """
         if self.durability is None:
             raise PipelineError("pipeline has no durability manager")
-        return self.durability.recover()
+        report = self.durability.recover()
+        for document in self.store.collection("reports"):
+            self.app.derive_report(document)
+        return report
 
     def ingest_from_site(
         self,

@@ -5,9 +5,9 @@ Every extracted mention/relation of an enrolled report becomes a
 record accept/edit/reject :class:`~repro.review.model.Decision`\\ s.
 The queue speaks the :class:`repro.durability.Durable` protocol — under
 a :class:`~repro.durability.DurabilityManager` it journals one
-``review`` op per logical mutation, so a report's docstore insert, its
-index entries, and its review claims land in **one** WAL commit record,
-and an acknowledged decision survives crash-replay.
+``review`` op per logical mutation, so a report's docstore insert and
+its enrollment land in **one** WAL commit record, and an acknowledged
+decision survives crash-replay.
 
 Closing the loop, :meth:`ReviewQueue.accepted_corrections` exports the
 reviewer-corrected documents as BIO-encoded CRF training examples

@@ -69,12 +69,8 @@ class SearchEngine:
         self._ordinals: dict[Any, int] = {}
         self._ids_by_ordinal: dict[int, Any] = {}
         self._next_ordinal = 0
-        # Durability journal (repro.durability.Durable protocol): when a
-        # manager attaches this engine, index/delete calls append
-        # replayable op dicts here.
-        self.journal: list | None = None
-        # Mutation counter (index / delete / restore): a cached result
-        # stamped with an older value is stale (repro.ir.cache).
+        # Mutation counter (index / delete): a cached result stamped
+        # with an older value is stale (repro.ir.cache).
         self.epoch = 0
 
     # -- indexing ---------------------------------------------------------
@@ -85,15 +81,6 @@ class SearchEngine:
             self.delete(doc_id)
         ordinal = self._next_ordinal
         self._next_ordinal += 1
-        self._index_at(ordinal, doc_id, fields)
-        self.epoch += 1
-        if self.journal is not None:
-            self.journal.append(
-                {"op": "index", "id": doc_id, "fields": dict(fields)}
-            )
-
-    def _index_at(self, ordinal: int, doc_id: Any, fields: dict) -> None:
-        """Analyze and index at a fixed ordinal (restore path)."""
         self._ordinals[doc_id] = ordinal
         self._ids_by_ordinal[ordinal] = doc_id
         self._sources[doc_id] = dict(fields)
@@ -103,6 +90,7 @@ class SearchEngine:
             analyzer = self._analyzer_for(field_name)
             tokens = analyzer.analyze(text)
             self._field_index(field_name).add_document(ordinal, tokens)
+        self.epoch += 1
 
     def delete(self, doc_id: Any) -> bool:
         """Remove a document; returns False when it was absent."""
@@ -114,8 +102,6 @@ class SearchEngine:
         for index in self._indexes.values():
             index.remove_document(ordinal)
         self.epoch += 1
-        if self.journal is not None:
-            self.journal.append({"op": "delete", "id": doc_id})
         return True
 
     @property
@@ -290,45 +276,6 @@ class SearchEngine:
                 score = 1.0
             out[ordinal] = score
         return out
-
-    # -- durability (repro.durability.Durable protocol) ---------------------------
-
-    def durable_apply(self, op: dict) -> None:
-        """Replay one journaled op (journal suspended by the manager).
-
-        Ordinals are allocated sequentially, so replaying the op stream
-        from the same starting state reproduces ordinal assignment —
-        and therefore BM25 statistics — byte for byte.
-        """
-        kind = op["op"]
-        if kind == "index":
-            self.index(op["id"], op["fields"])
-        elif kind == "delete":
-            self.delete(op["id"])
-        else:
-            raise SearchError(f"unknown journal op: {kind!r}")
-
-    def durable_snapshot(self) -> dict:
-        """Stored fields plus ordinal assignment; postings re-derive."""
-        return {
-            "documents": [
-                [ordinal, doc_id, dict(self._sources[doc_id])]
-                for ordinal, doc_id in sorted(self._ids_by_ordinal.items())
-            ],
-            "next_ordinal": self._next_ordinal,
-        }
-
-    def durable_restore(self, state: dict) -> None:
-        """Replace this (empty) engine's contents with a snapshot state,
-        re-analyzing each document at its original ordinal."""
-        self._indexes.clear()
-        self._sources.clear()
-        self._ordinals.clear()
-        self._ids_by_ordinal.clear()
-        for ordinal, doc_id, fields in state.get("documents", ()):
-            self._index_at(int(ordinal), doc_id, fields)
-        self._next_ordinal = int(state.get("next_ordinal", 0))
-        self.epoch += 1
 
     # -- internals --------------------------------------------------------------
 

@@ -292,8 +292,7 @@ class SegmentSearchEngine(SearchEngine):
     Args:
         segment_dir: directory for segment files and ``manifest.json``;
             an existing manifest is loaded (sealed documents come back
-            immediately — only unflushed buffer contents need WAL
-            replay).
+            on reopen, buffered ones do not).
         flush_threshold: buffered documents that trigger an automatic
             :meth:`flush`.
         merge_factor: sealed segment count that triggers a compaction
@@ -345,9 +344,6 @@ class SegmentSearchEngine(SearchEngine):
         return os.path.join(self.segment_dir, MANIFEST_NAME)
 
     def _load_manifest(self) -> None:
-        for state in self._states:
-            state.segment.close()
-        self._states = []
         path = self._manifest_path()
         if not os.path.exists(path):
             return
@@ -356,7 +352,7 @@ class SegmentSearchEngine(SearchEngine):
         self._generation = int(manifest["generation"])
         self._seg_counter = int(manifest["seg_counter"])
         self._manifest_ordinal = int(manifest["next_ordinal"])
-        self._next_ordinal = max(self._next_ordinal, self._manifest_ordinal)
+        self._next_ordinal = self._manifest_ordinal
         for entry in manifest["segments"]:
             segment = Segment.open(
                 os.path.join(self.segment_dir, entry["file"])
@@ -413,8 +409,6 @@ class SegmentSearchEngine(SearchEngine):
         state.deleted[row] = True
         self._write_manifest()
         self.epoch += 1
-        if self.journal is not None:
-            self.journal.append({"op": "delete", "id": doc_id})
         return True
 
     def flush(self) -> str | None:
@@ -594,33 +588,6 @@ class SegmentSearchEngine(SearchEngine):
             ords = ords[keep]
             scores = scores[keep]
         return self._rank(zip(ords.tolist(), scores.tolist()), size, start)
-
-    # -- durability (repro.durability.Durable protocol) ---------------------
-
-    def durable_snapshot(self) -> dict:
-        """Unflushed buffer contents; sealed documents are already
-        durable in the segment directory (manifest + files)."""
-        return {
-            "documents": [
-                [ordinal, doc_id, dict(self._sources[doc_id])]
-                for ordinal, doc_id in sorted(self._ids_by_ordinal.items())
-            ],
-            "next_ordinal": self._next_ordinal,
-            "generation": self._generation,
-        }
-
-    def durable_restore(self, state: dict) -> None:
-        self._indexes.clear()
-        self._sources.clear()
-        self._ordinals.clear()
-        self._ids_by_ordinal.clear()
-        self._load_manifest()
-        for ordinal, doc_id, fields in state.get("documents", ()):
-            self._index_at(int(ordinal), doc_id, fields)
-        self._next_ordinal = max(
-            int(state.get("next_ordinal", 0)), self._next_ordinal
-        )
-        self.epoch += 1
 
 
 def create_segment_ir_engine(

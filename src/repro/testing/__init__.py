@@ -13,10 +13,8 @@ shrink to minimal reproducers saved in a replayable seed file.
 
 from repro.testing.crash import (
     apply_action,
-    canonical_app_state,
     canonical_state,
     check_durability_case,
-    visible_doc_ids,
 )
 from repro.testing.differential import (
     CHECKERS,
@@ -50,7 +48,6 @@ __all__ = [
     "apply_action",
     "brute_force_bindings",
     "brute_force_map",
-    "canonical_app_state",
     "canonical_state",
     "case_rng",
     "check_case",
@@ -58,7 +55,6 @@ __all__ = [
     "check_review_case",
     "derive_seed",
     "gen_review_case",
-    "visible_doc_ids",
     "exhaustive_decode",
     "generate_case",
     "reference_closure",

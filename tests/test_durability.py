@@ -19,26 +19,26 @@ from repro.durability import (
     scan_records,
 )
 from repro.exceptions import DurabilityError, PipelineError
-from repro.graphdb.graph import PropertyGraph
 from repro.ir.indexer import CreateIrIndexer
 from repro.ir.searcher import CreateIrSearcher
-from repro.search.engine import SearchEngine
-from repro.testing.crash import canonical_state, visible_doc_ids
+from repro.pipeline import CreatePipeline
 
 
 def _attached_manager(fs, **kwargs):
-    store, graph, engine = DocumentStore(), PropertyGraph(), SearchEngine()
+    store = DocumentStore()
     manager = DurabilityManager(fs, **kwargs)
     manager.attach("docstore", store)
-    manager.attach("graph", graph)
-    manager.attach("index", engine)
-    return manager, store, graph, engine
+    return manager, store
 
 
-def _ingest(store, graph, engine, doc_id, text="fever and cough"):
+def _ingest(store, doc_id, text="fever and cough"):
     store.collection("reports").insert_one({"_id": doc_id, "text": text})
-    graph.add_node(doc_id, entityType="Report")
-    engine.index(doc_id, {"body": text})
+
+
+def _reports(store) -> list:
+    return sorted(
+        json.dumps(doc, sort_keys=True) for doc in store.collection("reports")
+    )
 
 
 class TestWriteAheadLog:
@@ -119,16 +119,16 @@ class TestAtomicWrite:
 
 class TestCommitProtocol:
     def test_ack_after_fsync_with_group_commit(self):
-        manager, store, graph, engine = _attached_manager(
+        manager, store = _attached_manager(
             MemFS(), group_commit=3
         )
         lsns = []
         for i in range(2):
-            _ingest(store, graph, engine, f"d{i}")
+            _ingest(store, f"d{i}")
             lsns.append(manager.commit())
         # Two commits buffered, group of three not reached: unacked.
         assert all(lsn > manager.durable_lsn for lsn in lsns)
-        _ingest(store, graph, engine, "d2")
+        _ingest(store, "d2")
         manager.commit()
         assert manager.durable_lsn == 3  # group filled -> one fsync
         assert manager.stats()["counters"]["fsyncs"] == 1
@@ -139,8 +139,8 @@ class TestCommitProtocol:
 
     def test_failed_flush_poisons_manager(self):
         fs = FaultInjector(MemFS(), kind="io_fsync", at_op=1, seed=0)
-        manager, store, graph, engine = _attached_manager(fs)
-        _ingest(store, graph, engine, "d0")
+        manager, store = _attached_manager(fs)
+        _ingest(store, "d0")
         with pytest.raises(DurabilityError):
             manager.commit()
         assert manager.durable_lsn == 0
@@ -151,25 +151,25 @@ class TestCommitProtocol:
 class TestRecovery:
     def test_snapshot_plus_wal_equals_memory(self):
         fs = MemFS()
-        manager, store, graph, engine = _attached_manager(
+        manager, store = _attached_manager(
             fs, snapshot_every=2
         )
         for i in range(5):  # snapshots at 2 and 4, WAL tail holds 5
-            _ingest(store, graph, engine, f"d{i}")
+            _ingest(store, f"d{i}")
             manager.commit()
         manager.flush()
-        live = canonical_state(store, graph, engine)
+        live = _reports(store)
 
-        recovered, r_store, r_graph, r_engine = _attached_manager(fs)
+        recovered, r_store = _attached_manager(fs)
         report = recovered.recover()
         assert report.snapshot_loaded
         assert report.snapshot_lsn == 4
         assert report.records_replayed == 1
-        assert canonical_state(r_store, r_graph, r_engine) == live
+        assert _reports(r_store) == live
         assert recovered.durable_lsn == manager.durable_lsn
 
     def test_recovery_without_any_files(self):
-        manager, store, graph, engine = _attached_manager(MemFS())
+        manager, store = _attached_manager(MemFS())
         report = manager.recover()
         assert not report.snapshot_loaded
         assert report.records_replayed == 0
@@ -178,36 +178,39 @@ class TestRecovery:
     def test_crash_loses_no_acknowledged_documents(self):
         mem = MemFS()
         fs = FaultInjector(mem, kind="crash", at_op=4, seed=3)
-        manager, store, graph, engine = _attached_manager(fs)
+        manager, store = _attached_manager(fs)
         acked = []
         with pytest.raises(InjectedCrash):
             for i in range(10):
-                _ingest(store, graph, engine, f"d{i}")
+                _ingest(store, f"d{i}")
                 lsn = manager.commit()
                 if lsn is not None and lsn <= manager.durable_lsn:
                     acked.append(f"d{i}")
         assert acked  # the schedule acknowledges some docs before dying
-        recovered, r_store, r_graph, r_engine = _attached_manager(mem)
+        recovered, r_store = _attached_manager(mem)
         recovered.recover()
-        doc_ids, graph_ids, engine_ids = visible_doc_ids(
-            r_store, r_graph, r_engine
-        )
-        assert doc_ids == graph_ids == engine_ids
-        assert set(acked) <= doc_ids
+        recovered_ids = {doc["_id"] for doc in r_store.collection("reports")}
+        assert set(acked) <= recovered_ids
 
-    def test_search_works_after_recovery(self):
+    def test_search_works_after_recovery(self, demo_system):
+        """The keyword index is derived from the recovered record."""
+        trained, _ = demo_system
         fs = MemFS()
-        manager, store, graph, engine = _attached_manager(fs)
-        _ingest(store, graph, engine, "d0", text="acute renal failure")
-        manager.commit()
-        recovered, _, _, r_engine = _attached_manager(fs)
+        live, recovered = (
+            CreatePipeline(trained.extractor, durability=DurabilityManager(fs))
+            for _ in range(2)
+        )
+        live.app.register_report(
+            {"_id": "d0", "title": "t", "text": "acute renal failure"}
+        )
         recovered.recover()
-        assert [h.doc_id for h in r_engine.search("renal")] == ["d0"]
+        hits = recovered.indexer.engine.search("renal")
+        assert [hit.doc_id for hit in hits] == ["d0"]
 
     def test_snapshot_checksum_mismatch_raises(self):
         fs = MemFS()
-        manager, store, graph, engine = _attached_manager(fs)
-        _ingest(store, graph, engine, "d0")
+        manager, store = _attached_manager(fs)
+        _ingest(store, "d0")
         manager.commit()
         manager.snapshot()
         payload = json.loads(fs.read_bytes("snapshot.json"))
@@ -224,10 +227,10 @@ class TestFaultInjector:
         def run(seed):
             mem = MemFS()
             fs = FaultInjector(mem, kind="torn", at_op=2, seed=seed)
-            manager, store, graph, engine = _attached_manager(fs)
+            manager, store = _attached_manager(fs)
             with pytest.raises(InjectedCrash):
                 for i in range(5):
-                    _ingest(store, graph, engine, f"d{i}")
+                    _ingest(store, f"d{i}")
                     manager.commit()
             return mem.read_bytes("wal.log") if mem.exists("wal.log") else b""
 
@@ -244,21 +247,19 @@ class TestFaultInjector:
 class TestOsFileSystem:
     def test_wal_on_real_files(self, tmp_path):
         fs = OsFileSystem(tmp_path)
-        manager, store, graph, engine = _attached_manager(fs)
-        _ingest(store, graph, engine, "d0")
+        manager, store = _attached_manager(fs)
+        _ingest(store, "d0")
         manager.commit()
         manager.snapshot()
-        _ingest(store, graph, engine, "d1")
+        _ingest(store, "d1")
         manager.commit()
         fs.close()
 
         fs2 = OsFileSystem(tmp_path)
-        recovered, r_store, r_graph, r_engine = _attached_manager(fs2)
+        recovered, r_store = _attached_manager(fs2)
         report = recovered.recover()
         assert report.snapshot_loaded
-        assert canonical_state(r_store, r_graph, r_engine) == canonical_state(
-            store, graph, engine
-        )
+        assert _reports(r_store) == _reports(store)
         fs2.close()
 
 
@@ -266,17 +267,16 @@ class TestApiIntegration:
     def _app(self, manager=None):
         store = DocumentStore()
         indexer = CreateIrIndexer()
-        searcher = CreateIrSearcher(indexer)
-        if manager is not None:
-            manager.attach("docstore", store)
-            manager.attach("graph", indexer.graph)
-            manager.attach("index", indexer.engine)
-        return CreateApplication(
+        app = CreateApplication(
             store=store,
             indexer=indexer,
-            searcher=searcher,
+            searcher=CreateIrSearcher(indexer),
             durability=manager,
         )
+        if manager is not None:
+            manager.attach("docstore", store)
+            manager.attach("review", app.review)
+        return app
 
     def test_stats_without_durability_has_no_section(self):
         response = self._app().handle("GET", "/stats")
@@ -316,10 +316,10 @@ class TestPoisonDiagnostics:
         """Operators need the failing WAL location and the last
         durable LSN to act; the message must carry both."""
         fs = FaultInjector(MemFS(), kind="io_fsync", at_op=3, seed=0)
-        manager, store, graph, engine = _attached_manager(fs)
-        _ingest(store, graph, engine, "d0")
+        manager, store = _attached_manager(fs)
+        _ingest(store, "d0")
         manager.commit()  # lsn 1 fsyncs fine (ops 0,1)
-        _ingest(store, graph, engine, "d1")
+        _ingest(store, "d1")
         with pytest.raises(DurabilityError):
             manager.commit()  # fsync fails at op 3
         with pytest.raises(
@@ -330,7 +330,7 @@ class TestPoisonDiagnostics:
 
     def test_poison_message_includes_fs_root_when_real(self, tmp_path):
         fs = OsFileSystem(tmp_path)
-        manager, store, graph, engine = _attached_manager(fs)
+        manager, store = _attached_manager(fs)
         manager._failed = True  # poison directly; no real disk fault
         with pytest.raises(DurabilityError) as excinfo:
             manager.commit()

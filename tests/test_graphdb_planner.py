@@ -4,13 +4,11 @@ Guards the cost-based join-order planner against the failure modes a
 differential fuzzer finds last: zero-cardinality inputs, disconnected
 pattern components, repeated/parallel pattern edges, self-loops (the
 PR 2 injectivity fix), and — most subtly — cardinality statistics
-drifting out of sync with the graph across deletes, re-adds, WAL
-replay, and snapshot restore.
+drifting out of sync with the graph across deletes and re-adds.
 """
 
 from random import Random
 
-from repro.durability import DurabilityManager, MemFS
 from repro.graphdb import (
     CypherEngine,
     EdgePattern,
@@ -335,61 +333,3 @@ class TestStatisticsFreshness:
         # No stale empty bucket: the value count returns to zero.
         assert stats == {"n_values": 0, "n_indexed_nodes": 0}
         assert graph.property_value_count("entityType", "X") == 0
-
-    def test_wal_replay_restores_statistics(self):
-        fs = MemFS()
-        manager = DurabilityManager(fs)
-        graph = PropertyGraph()
-        manager.attach("graph", graph)
-        graph.create_property_index("entityType")
-        graph.add_node("a", entityType="X")
-        graph.add_node("b", entityType="Y")
-        graph.add_edge("a", "b", "R")
-        manager.commit()
-        graph.add_edge("b", "a", "S")
-        graph.remove_node("b")  # also unindexes both edges
-        manager.commit()
-        manager.flush()
-
-        recovered_graph = PropertyGraph()
-        recovered = DurabilityManager(fs)
-        recovered.attach("graph", recovered_graph)
-        report = recovered.recover()
-        assert report.records_replayed > 0
-        assert _stats_fingerprint(recovered_graph) == _stats_fingerprint(
-            graph
-        )
-        assert _stats_fingerprint(recovered_graph) == _stats_fingerprint(
-            _rebuild(recovered_graph)
-        )
-
-    def test_snapshot_restore_rebuilds_statistics(self):
-        fs = MemFS()
-        manager = DurabilityManager(fs, snapshot_every=1)
-        graph = PropertyGraph()
-        manager.attach("graph", graph)
-        graph.create_property_index("entityType")
-        for i in range(5):
-            graph.add_node(f"n{i}", entityType="X" if i % 2 else "Y")
-        graph.add_edge("n0", "n1", "R")
-        graph.add_edge("n1", "n2", "R")
-        graph.add_edge("n2", "n2", "LOOP")
-        manager.commit()  # snapshot_every=1 -> snapshot taken
-        manager.flush()
-
-        recovered_graph = PropertyGraph()
-        recovered = DurabilityManager(fs)
-        recovered.attach("graph", recovered_graph)
-        report = recovered.recover()
-        assert report.snapshot_loaded
-        assert _stats_fingerprint(recovered_graph) == _stats_fingerprint(
-            graph
-        )
-        # And matching after restore is planner-correct.
-        pattern = GraphPattern(
-            nodes=[NodePattern("a"), NodePattern("b")],
-            edges=[EdgePattern("a", "b", "R")],
-        )
-        assert _ids(match_pattern(recovered_graph, pattern)) == _oracle(
-            recovered_graph, pattern
-        )

@@ -92,8 +92,8 @@ class TestClosureFailures:
 def test_report_accounting_tracks_stores_after_delete_and_recovery(
     demo_system,
 ):
-    """``n_reports`` / ``report_stats`` read the stores, so DELETE and
-    WAL replay (which never pass through ``index_report``) keep them true."""
+    """``n_reports`` / ``report_stats`` read the stores, so DELETE (which
+    never passes through ``index_report``) and recovery keep them true."""
     trained, reports = demo_system
     fs = MemFS()
     pipeline, recovered = (

@@ -5,8 +5,9 @@ import pytest
 from repro.annotation.model import AnnotationDocument
 from repro.corpus.generator import CaseReportGenerator
 from repro.crawler.repository import SyntheticPubMed
-from repro.durability import Durable, DurabilityManager, MemFS
-from repro.exceptions import PipelineError
+from repro.annotation.brat import parse_ann
+from repro.durability import DurabilityManager, MemFS
+from repro.exceptions import PipelineError, ReviewError
 from repro.ir import CreateIrIndexer
 from repro.ner.encoding import spans_of_document
 from repro.pipeline import ClinicalExtractor, CreatePipeline
@@ -87,8 +88,8 @@ class TestPipelineRun:
 
 
 class _UndurableEngine:
-    """A keyword engine that serves like the default one and lacks the
-    ``Durable`` members (no journal, no replay, no snapshot)."""
+    """A keyword engine that serves like the default one and exposes
+    nothing but what the indexer and the searcher call."""
 
     def __init__(self):
         self._engine = create_ir_engine()
@@ -125,23 +126,21 @@ def _observe(pipeline) -> list:
 def test_injected_engine_matches_default_pipeline(demo_system, tmp_path, kind):
     """Any keyword engine injected through ``indexer=`` serves exactly
     what the default pipeline serves — before and after a DELETE, and
-    after snapshot + WAL recovery into a fresh pipeline.  An engine
-    recovery could not rebuild is refused together with ``durability``."""
+    after snapshot + WAL recovery into a fresh pipeline (and a fresh
+    segment directory), which derives the engine's contents from the
+    recovered records."""
     trained, reports = demo_system
     fs = MemFS()
 
-    def build(durable=True):
+    def build(root):
         return CreatePipeline(
             trained.extractor,
-            indexer=CreateIrIndexer(engine=_ENGINES[kind](tmp_path)),
-            durability=DurabilityManager(fs) if durable else None,
+            indexer=CreateIrIndexer(engine=_ENGINES[kind](root)),
+            durability=DurabilityManager(fs),
         )
 
-    if kind == "undurable":
-        with pytest.raises(PipelineError, match="Undurable.* Durable"):
-            build()
     default, injected = CreatePipeline(trained.extractor), build(
-        durable=kind != "undurable"
+        tmp_path / "live"
     )
     for pipeline in (default, injected):
         for report in reports[:8]:
@@ -150,16 +149,14 @@ def test_injected_engine_matches_default_pipeline(demo_system, tmp_path, kind):
             )
     assert _observe(injected) == _observe(default)
     assert any(row["highlights"] for row in _observe(default)[1]["results"])
-    if injected.durability is not None:
-        injected.durability.snapshot()
+    injected.durability.snapshot()
     victim = _observe(default)[0]["results"][0]["id"]
     for pipeline in (default, injected):
         assert pipeline.app.handle("DELETE", f"/reports/{victim}").ok
     assert _observe(injected) == _observe(default)
-    if injected.durability is not None:
-        recovered = build()
-        assert recovered.recover().snapshot_loaded
-        assert _observe(recovered) == _observe(default)
+    recovered = build(tmp_path / "recovered")
+    assert recovered.recover().snapshot_loaded
+    assert _observe(recovered) == _observe(default)
 
 
 def _report_views(app, doc_ids) -> dict:
@@ -185,13 +182,31 @@ def _report_views(app, doc_ids) -> dict:
     }
 
 
+def _derived_views(app, doc_id, probe: str) -> dict:
+    """What the graph and the keyword index serve about ``doc_id`` and
+    the concept ``probe``: its graph, a search, completions and the
+    members of the ``probe`` cohort."""
+    evaluated = app.handle("POST", "/cohorts/probe/evaluate")
+    return {
+        "graph": app.handle("GET", f"/reports/{doc_id}/graph").body,
+        "search": app.handle(
+            "GET", "/search", params={"q": probe, "size": 20}
+        ).body,
+        "suggest": app.handle("GET", "/suggest", params={"q": probe}).body,
+        "cohort": evaluated.body["members"],
+    }
+
+
 @pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot"])
 def test_annotations_survive_recovery(demo_system, snapshot):
     """Every per-report route answers after recovery as it did live —
     for a report as extracted, one whose annotations were PUT, one with
     a recorded decision, one that was deleted and one whose mention
     crosses a line break under two out-of-order ids — and the FHIR
-    export keeps its span provenance."""
+    export keeps its span provenance.  A PUT re-indexes its report:
+    ``/graph``, ``/search``, ``/suggest`` and an entity cohort criterion
+    answer, live and recovered, as if the curator's annotations had
+    been registered in the first place."""
     from repro.cohort.fhir import bundle_provenance
 
     trained, reports = demo_system
@@ -211,8 +226,29 @@ def test_annotations_survive_recovery(demo_system, snapshot):
         app.register_report(report.to_document(), report.annotations)
         for report in reports[:4]
     )
-    # PUT: keep the first three spans under ids of the curator's choosing.
-    kept = app.review.annotations(edited).spans_sorted()[:3]
+    # PUT: keep the first three spans under ids of the curator's choosing,
+    # dropping a positive mention no kept span names.
+    extracted = app.review.annotations(edited)
+    kept = extracted.spans_sorted()[:3]
+    dropped = next(
+        tb
+        for tb in extracted.spans_sorted()[3:]
+        if not extracted.is_negated(tb.ann_id)
+        and tb.text.lower() not in {k.text.lower() for k in kept}
+    )
+    probe_cohort = {
+        "name": "probe",
+        "inclusion": [
+            {
+                "kind": "entity",
+                "entity_type": dropped.label,
+                "value": dropped.text,
+            }
+        ],
+    }
+    assert app.handle("POST", "/cohorts", body=probe_cohort).status == 201
+    before_put = _derived_views(app, edited, dropped.text)
+    assert edited in before_put["cohort"]
     standoff = "".join(
         f"T{40 + k}\t{tb.label} {tb.start} {tb.end}\t{tb.text}\n"
         for k, tb in enumerate(kept)
@@ -235,14 +271,11 @@ def test_annotations_survive_recovery(demo_system, snapshot):
     wrapped = app.register_report(
         {"title": "wrapped", "text": wrapped_text}, wrapped_ann
     )
-    put = app.handle(
-        "PUT",
-        f"/reports/{wrapped}/ann",
-        body=(
-            "T2\tSign_symptom 13 23\tchest pain\n"
-            "T1\tDisease_disorder 13 23\tchest pain\n"
-        ),
+    wrapped_standoff = (
+        "T2\tSign_symptom 13 23\tchest pain\n"
+        "T1\tDisease_disorder 13 23\tchest pain\n"
     )
+    put = app.handle("PUT", f"/reports/{wrapped}/ann", body=wrapped_standoff)
     assert (put.status, put.body["spans"]) == (200, 2)
     if snapshot:
         live.durability.snapshot()
@@ -254,6 +287,28 @@ def test_annotations_survive_recovery(demo_system, snapshot):
     doc_ids = (plain, edited, decided, deleted, wrapped)
     live_views = _report_views(app, doc_ids)
     assert _report_views(recovered.app, doc_ids) == live_views
+
+    # The PUTs are served as registrations of the curated annotations.
+    twin = CreatePipeline(trained.extractor)
+    assert twin.app.handle("POST", "/cohorts", body=probe_cohort).ok
+    for doc_id, report in zip((plain, edited, decided), reports):
+        document = report.to_document()
+        annotations = report.annotations
+        if doc_id == edited:
+            annotations = parse_ann(edited, document["text"], standoff)
+        twin.app.register_report(document, annotations)
+    twin.app.register_report(
+        {"title": "wrapped", "text": wrapped_text},
+        parse_ann("sub-1", wrapped_text, wrapped_standoff),
+    )
+    after_put = _derived_views(app, edited, dropped.text)
+    assert after_put == _derived_views(twin.app, edited, dropped.text)
+    assert _derived_views(recovered.app, edited, dropped.text) == after_put
+    assert after_put != before_put
+    assert edited not in after_put["cohort"]
+    assert [node["label"] for node in after_put["graph"]["nodes"]] == [
+        tb.text for tb in kept
+    ]
 
     # The comparison above is not vacuous: live answers are the real ones.
     for doc_id in (plain, edited, decided):
@@ -271,6 +326,33 @@ def test_annotations_survive_recovery(demo_system, snapshot):
     for ref in spans:
         text = recovered.app.review.annotations(ref["reportId"]).text
         assert text[ref["start"] : ref["end"]] == ref["text"]
+
+
+def test_refused_registration_leaves_no_trace(demo_system):
+    """Annotations the review queue refuses (a label with a space does
+    not survive its own standoff) fail the registration before any
+    store changes, live and after recovery."""
+    trained, _ = demo_system
+    fs = MemFS()
+    live = CreatePipeline(trained.extractor, durability=DurabilityManager(fs))
+    text = "Admitted with fever and cough."
+    annotations = AnnotationDocument(doc_id="r1", text=text)
+    annotations.add_textbound("Sign symptom", 14, 19)
+    with pytest.raises(ReviewError):
+        live.app.register_report(
+            {"_id": "r1", "title": "fever", "text": text}, annotations
+        )
+    recovered = CreatePipeline(
+        trained.extractor, durability=DurabilityManager(fs)
+    )
+    recovered.recover()
+    for pipeline in (live, recovered):
+        app = pipeline.app
+        for path in ("/reports/r1", "/reports/r1/ann", "/reports/r1/graph"):
+            assert app.handle("GET", path).status == 404
+        search = app.handle("GET", "/search", params={"q": "fever"})
+        assert search.body["results"] == []
+        assert app.handle("GET", "/stats").body["indexer"]["n_reports"] == 0
 
 
 @pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot"])

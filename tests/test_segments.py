@@ -310,28 +310,6 @@ class TestSegmentSearchEngine:
         finally:
             engine.close()
 
-    def test_durable_snapshot_round_trip(self, tmp_path):
-        engine = _seg_engine(tmp_path, flush_threshold=2)
-        try:
-            engine.index("d0", DOCS["d0"])
-            engine.index("d1", DOCS["d1"])  # sealed by auto-flush
-            engine.index("d2", DOCS["d2"])  # still buffered
-            state = engine.durable_snapshot()
-            restored = SegmentSearchEngine(
-                FIELD_ANALYZERS,
-                segment_dir=engine.segment_dir,
-                flush_threshold=100,
-            )
-            try:
-                restored.durable_restore(state)
-                assert restored.n_documents == 3
-                for query in QUERIES:
-                    assert _hits(restored, query) == _hits(engine, query)
-            finally:
-                restored.close()
-        finally:
-            engine.close()
-
 
 # -- scale corpus ------------------------------------------------------------
 

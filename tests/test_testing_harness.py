@@ -201,18 +201,26 @@ def _plant_unsynced_ack(monkeypatch):
     monkeypatch.setattr(WriteAheadLog, "flush", flush)
 
 
-def _plant_replay_drops_index_deletes(monkeypatch):
-    """Keyword-index replay that ignores delete ops: a recovered index
-    resurrects reports the docstore and graph no longer hold."""
-    from repro.search.engine import SearchEngine
+def _plant_rederive_skips_reregistered(monkeypatch):
+    """Recovery that derives only reports the WAL never deleted: a
+    report deleted and then registered again comes back without its
+    graph nodes and keyword entry."""
+    from repro.pipeline import CreatePipeline
 
-    original = SearchEngine.durable_apply
+    def recover(self):
+        report = self.durability.recover()
+        deleted = {
+            op["id"]
+            for record in self.durability.wal.replay().records
+            for op in record["ops"].get("docstore", ())
+            if op["op"] == "delete"
+        }
+        for document in self.store.collection("reports"):
+            if document["_id"] not in deleted:
+                self.app.derive_report(document)
+        return report
 
-    def durable_apply(self, op):
-        if op.get("op") != "delete":
-            original(self, op)
-
-    monkeypatch.setattr(SearchEngine, "durable_apply", durable_apply)
+    monkeypatch.setattr(CreatePipeline, "recover", recover)
 
 
 def _plant_cache_ignores_stamp(monkeypatch):
@@ -272,7 +280,7 @@ class TestCheckersHaveTeeth:
         "subsystem, plant",
         [
             ("durability", _plant_unsynced_ack),
-            ("durability", _plant_replay_drops_index_deletes),
+            ("durability", _plant_rederive_skips_reregistered),
             ("segments", _plant_merge_forgets_deletes),
             ("cohort", _plant_skipped_exclusion),
         ],

@@ -79,7 +79,6 @@ class PropertyGraph:
         self._in_by_label: dict[tuple[str, str], list[int]] = defaultdict(
             list
         )
-        # Planner observability counters.
         self.planner_counters: dict[str, int] = {}
         # Mutation counter: every node/edge (un)indexing advances it, so
         # a cached read stamped with an older value can be recognised as

@@ -2,10 +2,9 @@
 
 :func:`check_crash_contract` owns the durability contract for any
 system whose stores ride a :class:`~repro.durability.DurabilityManager`.
-One case is an action schedule run under the manager
-with (usually) one deterministic fault injected somewhere in the
-filesystem operation stream; the checker recovers from the surviving
-bytes and verifies:
+One case is an action schedule run under the manager with (usually)
+one deterministic fault injected somewhere in the filesystem operation
+stream; the checker recovers from the surviving bytes and verifies:
 
 * **Prefix consistency** — the recovered state equals the state an
   oracle reaches after some *whole* prefix of the schedule.  Never a

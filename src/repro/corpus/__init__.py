@@ -26,7 +26,6 @@ from repro.corpus.datasets import (
     make_temporal_dataset,
 )
 from repro.corpus.queries import QueryCase, make_query_workload
-from repro.corpus.scale import ScaleDoc, build_scale_corpus, scale_queries
 from repro.corpus.export import (
     export_brat_directory,
     export_conll,
@@ -58,7 +57,4 @@ __all__ = [
     "to_conll",
     "parse_conll",
     "make_query_workload",
-    "ScaleDoc",
-    "build_scale_corpus",
-    "scale_queries",
 ]

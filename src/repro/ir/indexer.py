@@ -57,10 +57,9 @@ class CreateIrIndexer:
             indexing (set False for the "no temporal reasoning"
             ablation).
 
-    ``engine`` may be the in-memory :class:`SearchEngine` or a
-    :class:`~repro.search.segment_engine.SegmentSearchEngine` — the
-    indexer only needs ``index`` / ``delete`` / ``search`` /
-    ``n_documents`` / ``epoch``.
+    ``engine`` is a :class:`SearchEngine` or anything that offers what
+    the indexer and searcher call: ``index`` / ``delete`` / ``search``
+    / ``highlight`` / ``n_documents`` / ``epoch``.
     """
 
     def __init__(

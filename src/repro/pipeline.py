@@ -341,10 +341,7 @@ class CreatePipeline:
         parse_retries: bounded retries for transient Grobid errors.
         indexer: the dual index to load and serve.  The default is the
             paper's configuration (in-memory graph + in-memory keyword
-            engine); inject
-            ``CreateIrIndexer(engine=create_segment_ir_engine(dir))`` to
-            serve the keyword index from on-disk segments.  Results
-            are exactly rank-equivalent (bit-identical scores).
+            engine).
         durability: optional WAL/snapshot manager.  When set, the
             docstore and the review queue — the report records — are
             attached to it, every registered report commits as one
@@ -391,13 +388,19 @@ class CreatePipeline:
         """Rebuild the docstore and the review queue from the durability
         manager's snapshot + WAL, then derive every report's graph
         nodes, edges and keyword entry from them, once each, in
-        docstore order.  The graph and keyword index must start empty.
+        docstore order.
 
         Raises:
-            PipelineError: the pipeline has no durability manager.
+            PipelineError: the pipeline has no durability manager, or
+                its graph or keyword index is not empty (derivation
+                would merge into stale state).
         """
         if self.durability is None:
             raise PipelineError("pipeline has no durability manager")
+        if self.indexer.graph.n_nodes or self.indexer.engine.n_documents:
+            raise PipelineError(
+                "recover() needs an empty graph and keyword index"
+            )
         report = self.durability.recover()
         for document in self.store.collection("reports"):
             self.app.derive_report(document)

@@ -20,17 +20,6 @@ from repro.search.analysis import (
 )
 from repro.search.inverted_index import InvertedIndex, Posting
 from repro.search.engine import SearchEngine, ScoredHit
-from repro.search.segments import (
-    Segment,
-    SegmentFormatError,
-    merge_segments,
-    write_segment,
-)
-from repro.search.segment_engine import (
-    CompositeFieldIndex,
-    SegmentSearchEngine,
-    create_segment_ir_engine,
-)
 from repro.search.solr import SolrBaseline
 from repro.search.highlight import highlight
 
@@ -48,13 +37,6 @@ __all__ = [
     "Posting",
     "SearchEngine",
     "ScoredHit",
-    "Segment",
-    "SegmentFormatError",
-    "SegmentSearchEngine",
-    "CompositeFieldIndex",
-    "create_segment_ir_engine",
-    "merge_segments",
-    "write_segment",
     "SolrBaseline",
     "highlight",
 ]

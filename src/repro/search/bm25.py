@@ -29,12 +29,6 @@ class BM25Scorer:
 
     def score_terms(self, terms: Sequence[str]) -> dict[int, float]:
         """Accumulated BM25 scores per doc ordinal for a bag of terms."""
-        # Indexes that pack postings as arrays (segment composites)
-        # expose a vectorized bulk scorer producing bit-identical
-        # results; delegate so query code never branches on index kind.
-        bulk = getattr(self.index, "bm25_scores", None)
-        if bulk is not None:
-            return bulk(terms, self.k1, self.b)
         scores: dict[int, float] = {}
         avg_len = self.index.average_length or 1.0
         for term in terms:

@@ -129,11 +129,11 @@ class SearchEngine:
         by_doc_id = [
             (doc_id, score)
             for ordinal, score in scored
-            if (doc_id := self._doc_id_of(ordinal)) is not None
+            if (doc_id := self._ids_by_ordinal.get(ordinal)) is not None
         ]
         by_doc_id.sort(key=lambda item: (-item[1], str(item[0])))
         hits = [
-            ScoredHit(doc_id, score, self._source(doc_id))
+            ScoredHit(doc_id, score, self._sources.get(doc_id, {}))
             for doc_id, score in by_doc_id[:size]
         ]
         if self.metrics is not None:
@@ -167,7 +167,7 @@ class SearchEngine:
         if kind == "bool":
             return self._bool(body)
         if kind == "match_all":
-            return {ordinal: 1.0 for ordinal in self._all_live_ordinals()}
+            return {ordinal: 1.0 for ordinal in self._ids_by_ordinal}
         raise SearchError(f"unknown query clause: {kind!r}")
 
     def _match(self, body: dict) -> dict[int, float]:
@@ -176,7 +176,7 @@ class SearchEngine:
         terms = analyzer.terms(str(text))
         if not terms:
             return {}
-        scorer = BM25Scorer(self._scoring_index(field_name))
+        scorer = BM25Scorer(self._field_index(field_name))
         return scorer.score_terms(terms)
 
     def _match_phrase(self, body: dict) -> dict[int, float]:
@@ -196,7 +196,7 @@ class SearchEngine:
         # document phrase-matches its own text, as in ES.
         offsets = sorted(by_position)
         terms = [by_position[pos] for pos in offsets]
-        index = self._scoring_index(field_name)
+        index = self._field_index(field_name)
         scorer = BM25Scorer(index)
         base = scorer.score_terms(terms)
         out = {}
@@ -229,8 +229,7 @@ class SearchEngine:
         """Query-term snippets from a stored document field."""
         from repro.search.highlight import highlight as run_highlight
 
-        source = self._source(doc_id)
-        text = source.get(field, "")
+        text = self._sources.get(doc_id, {}).get(field, "")
         if not isinstance(text, str):
             return []
         return run_highlight(
@@ -239,7 +238,7 @@ class SearchEngine:
 
     def _term(self, body: dict) -> dict[int, float]:
         field_name, value = self._unpack(body, "term")
-        scorer = BM25Scorer(self._scoring_index(field_name))
+        scorer = BM25Scorer(self._field_index(field_name))
         return scorer.score_terms([str(value)])
 
     def _bool(self, body: dict) -> dict[int, float]:
@@ -258,7 +257,7 @@ class SearchEngine:
             for scores in should:
                 candidates |= set(scores)
         else:
-            candidates = set(self._all_live_ordinals())
+            candidates = set(self._ids_by_ordinal)
 
         excluded = set()
         for scores in must_not:
@@ -278,23 +277,6 @@ class SearchEngine:
         return out
 
     # -- internals --------------------------------------------------------------
-
-    # Document-resolution hooks: subclasses that keep some documents
-    # outside the in-memory maps (e.g. sealed index segments) override
-    # these three so every query path resolves ids and stored fields
-    # uniformly.
-
-    def _doc_id_of(self, ordinal: int) -> Any | None:
-        """The external id of a live ordinal (None when unknown)."""
-        return self._ids_by_ordinal.get(ordinal)
-
-    def _source(self, doc_id: Any) -> dict:
-        """Stored fields of a document ({} when absent)."""
-        return self._sources.get(doc_id, {})
-
-    def _all_live_ordinals(self):
-        """Every live document ordinal (for match_all / bare bool)."""
-        return self._ids_by_ordinal.keys()
 
     @staticmethod
     def _unpack(body: dict, clause: str) -> tuple[str, Any]:
@@ -318,11 +300,6 @@ class SearchEngine:
             index = InvertedIndex()
             self._indexes[field_name] = index
         return index
-
-    def _scoring_index(self, field_name: str):
-        """The index BM25 reads postings and statistics from (subclass
-        hook, like the document-resolution hooks above)."""
-        return self._field_index(field_name)
 
 
 def create_ir_engine() -> SearchEngine:

@@ -52,7 +52,6 @@ from repro.testing.oracles import (
 from repro.testing.cohort import check_cohort_case, gen_cohort_case
 from repro.testing.review import check_review_case, gen_review_case
 from repro.testing.rng import case_rng
-from repro.testing.segments import check_segment_case
 
 
 @dataclass(frozen=True)
@@ -90,9 +89,9 @@ def _postings_order_invariant(engine, analyzers) -> str | None:
     be strictly doc-ord ascending and order-equivalent to a cold
     rebuild of the surviving documents.
 
-    This is the invariant the segment writer depends on (it packs
-    postings as within-term delta arrays) and the one the old
-    append-at-tail ``InvertedIndex.add_document`` violated for
+    BM25 accumulates scores in postings order, so an out-of-order list
+    makes score iteration diverge from a cold rebuild; the old
+    append-at-tail ``InvertedIndex.add_document`` did that for
     re-added ordinals.
     """
     live = sorted(engine._ids_by_ordinal.items())
@@ -385,7 +384,6 @@ TABLE = (
     Subsystem(
         "durability", generators.gen_durability_case, check_durability_case
     ),
-    Subsystem("segments", generators.gen_segment_case, check_segment_case),
     Subsystem("cohort", gen_cohort_case, check_cohort_case),
     Subsystem("review", gen_review_case, check_review_case),
 )

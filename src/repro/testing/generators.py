@@ -325,45 +325,6 @@ def gen_invariants_case(rng: Random) -> dict:
     }
 
 
-# -- segments (on-disk postings + flush/merge/delete schedules) --------------
-
-
-def gen_segment_case(rng: Random) -> dict:
-    """A segment-engine workload: index/delete ops interleaved with an
-    explicit flush/merge schedule, so delete bitmaps, sealed segments,
-    and compaction all get exercised against the in-memory oracle.
-
-    Tiny ``flush_threshold`` values force many small segments (plus
-    auto-flush mid-stream); small ``merge_factor`` values trigger
-    automatic compaction on top of the explicit ``merge`` ops.
-    """
-
-    def gen_schedule(n_min: int, n_max: int) -> list:
-        ops: list[dict] = []
-        for _ in range(rng.randint(n_min, n_max)):
-            roll = rng.random()
-            if ops and roll < 0.2:
-                ops.append(_gen_delete_op(rng, 11))
-            elif roll < 0.35:
-                ops.append({"op": "flush"})
-            elif roll < 0.45:
-                ops.append({"op": "merge"})
-            else:
-                ops.append(_gen_index_op(rng, 11))
-        return ops
-
-    return {
-        "analyzer": rng.choice(ANALYZERS),
-        "flush_threshold": rng.choice([1, 2, 3, 3, 50]),
-        "merge_factor": rng.choice([2, 2, 3, 8]),
-        "ops": gen_schedule(2, 10),
-        "queries": [gen_query(rng) for _ in range(rng.randint(1, 4))],
-        "mutations": gen_schedule(1, 5),
-        "post_queries": [gen_query(rng) for _ in range(rng.randint(1, 3))],
-        "reopen": rng.random() < 0.5,
-    }
-
-
 # -- durability / crash recovery ---------------------------------------------
 
 _CATEGORIES = ["cardiovascular", "neurological", "infectious"]

@@ -1,11 +1,10 @@
 """Engine-lockstep kit: one op stream, an engine under test and its
 reference, compared after every step.
 
-The ``search``, ``segments`` and ``invariants`` checkers all replay
-``index`` / ``delete`` (and, for the segment engine, ``flush`` /
-``merge``) ops through a keyword engine beside a reference and compare
-rankings.  The shared parts live here once; what differs per checker —
-tolerance vs. bit-identity, manifest reopen — stays in the checker.
+The ``search`` and ``invariants`` checkers replay ``index`` /
+``delete`` ops through a keyword engine beside a reference and compare
+rankings.  The shared parts live here once; what differs per checker
+stays in the checker.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from repro.search.analysis import STANDARD_ANALYZER_CONFIG
 from repro.testing.oracles import ANALYZER_CONFIGS
 
 OPS = ("index", "delete")
-SEGMENT_OPS = OPS + ("flush", "merge")
 
 _TOLERANCE = 1e-8
 
@@ -37,25 +35,13 @@ def positive_ints(case: dict, *keys: str) -> bool:
     )
 
 
-def valid_ops(ops, vocabulary=OPS) -> bool:
+def valid_ops(ops) -> bool:
     """Structural validation; shrunk cases may violate any of this."""
     return isinstance(ops, list) and all(
         isinstance(op, dict)
-        and op.get("op") in vocabulary
+        and op.get("op") in OPS
         and (op["op"] != "index" or isinstance(op.get("fields"), dict))
         for op in ops
-    )
-
-
-def valid_workload(case, vocabulary) -> bool:
-    """A seed-ops / queries / mutations / post-queries case."""
-    return (
-        isinstance(case, dict)
-        and case.get("analyzer") in ANALYZER_CONFIGS
-        and valid_ops(case.get("ops"), vocabulary)
-        and valid_ops(case.get("mutations"), vocabulary)
-        and isinstance(case.get("queries"), list)
-        and isinstance(case.get("post_queries"), list)
     )
 
 
@@ -64,24 +50,22 @@ def id_score(hit) -> tuple:
     return hit if isinstance(hit, tuple) else (hit.doc_id, hit.score)
 
 
-def search_once(engine, query, size: int = 10, row=id_score):
-    """('error', type name) or the ranked hits as ``row`` tuples."""
+def search_once(engine, query, size: int = 10):
+    """('error', type name) or the ranked hits as ``(doc_id, score)``."""
     try:
         hits = engine.search(query, size=size)
     except Exception as exc:
         return ("error", type(exc).__name__)
-    return [row(hit) for hit in hits]
+    return [id_score(hit) for hit in hits]
 
 
-def compare_rankings(query, got, want, label: str, exact: bool = False):
+def compare_rankings(query, got, want, label: str):
     """``None`` when ``got`` answers ``query`` like ``want``.
 
-    Error verdicts must match by exception type.  ``exact`` demands
-    ``==``-equal rows (bit-identical scores, and whatever else ``row``
-    carried); otherwise the ids must rank identically and the scores
-    agree within tolerance.
+    Error verdicts must match by exception type; otherwise the ids must
+    rank identically and the scores agree within tolerance.
     """
-    if exact or isinstance(got, tuple) or isinstance(want, tuple):
+    if isinstance(got, tuple) or isinstance(want, tuple):
         if got != want:
             return f"{label} {query!r}: engine {got!r}, oracle {want!r}"
         return None
@@ -93,17 +77,14 @@ def compare_rankings(query, got, want, label: str, exact: bool = False):
     return None
 
 
-def compare_queries(
-    queries, engine, reference, label: str, exact: bool = False, row=id_score
-):
+def compare_queries(queries, engine, reference, label: str):
     """First ranking disagreement over a query batch, or ``None``."""
     for query in queries:
         message = compare_rankings(
             query,
-            search_once(engine, query, row=row),
-            search_once(reference, query, row=row),
+            search_once(engine, query),
+            search_once(reference, query),
             label,
-            exact,
         )
         if message is not None:
             return message
@@ -113,9 +94,8 @@ def compare_queries(
 def apply_ops(ops: list, engine, *references):
     """Replay ``ops`` through ``engine`` and every reference beside it.
 
-    ``flush`` / ``merge`` are schedule points of the engine under test
-    only.  Every delete verdict and the document count after every op
-    must agree across all of them; the first disagreement is returned.
+    Every delete verdict and the document count after every op must
+    agree across all of them; the first disagreement is returned.
     """
     engines = (engine, *references)
     for op in ops:
@@ -123,14 +103,10 @@ def apply_ops(ops: list, engine, *references):
         if kind == "index":
             for each in engines:
                 each.index(op["id"], op["fields"])
-        elif kind == "delete":
+        else:
             verdicts = [each.delete(op["id"]) for each in engines]
             if len(set(verdicts)) > 1:
                 return f"delete({op['id']!r}) verdicts diverged: {verdicts}"
-        elif kind == "flush":
-            engine.flush()
-        else:
-            engine.merge()
         if references:
             counts = [each.n_documents for each in engines]
             if len(set(counts)) > 1:

@@ -90,10 +90,9 @@ class TestPhraseGapRegression:
 
 # Found by: the mutate-vs-rebuild postings-order invariant (ISSUE 6).
 # ``InvertedIndex.add_document`` appended postings at the tail, so
-# adding a document with an ordinal below an existing one (the
-# delete-then-reinsert path segment sealing relies on) left postings
-# out of doc-ord order — breaking delta-encoded packing and making
-# score accumulation order diverge from a cold rebuild.
+# adding a document with an ordinal below an existing one left postings
+# out of doc-ord order, making score accumulation order diverge from a
+# cold rebuild.
 POSTINGS_REINSERT_CASE = {
     "analyzer": "whitespace",
     "ops": [
@@ -142,54 +141,3 @@ class TestPostingsOrderRegression:
         index.add_document(0, tokens("renal"))
         assert [p.doc_ord for p in index.postings("renal")] == [0, 1, 2]
 
-
-# Found by: python -m repro.testing --subsystem segments --cases 800
-# --seed 11 (case #565, "manifest reopen lost ordinal clock: 3 vs 4").
-# ``SegmentSearchEngine.flush`` returned before writing the manifest
-# when the buffer was empty, so the ordinal consumed by a document
-# indexed and deleted while still buffered was handed out again after
-# a reopen.
-BUFFERED_DELETE_CLOCK_CASE = {
-    "analyzer": "standard",
-    "flush_threshold": 3,
-    "merge_factor": 2,
-    "ops": [
-        {"op": "index", "id": "d6", "fields": {"body": "", "title": ""}},
-        {"op": "delete", "id": "d6"},
-    ],
-    "queries": [],
-    "mutations": [],
-    "post_queries": [],
-    "reopen": True,
-}
-
-
-class TestBufferedDeleteClockRegression:
-    def test_harness_agrees(self):
-        assert check_case("segments", BUFFERED_DELETE_CLOCK_CASE) is None
-
-    def test_direct_behaviour(self, tmp_path):
-        from repro.search.analysis import STANDARD_ANALYZER_CONFIG
-        from repro.search.segment_engine import SegmentSearchEngine
-
-        def open_engine():
-            return SegmentSearchEngine(
-                {"body": STANDARD_ANALYZER_CONFIG},
-                segment_dir=tmp_path,
-                flush_threshold=3,
-            )
-
-        engine = open_engine()
-        engine.index("d6", {"body": "fever"})
-        engine.delete("d6")
-        assert engine.flush() is None  # nothing to seal ...
-        engine.close()
-        reopened = open_engine()
-        try:
-            # ... yet the consumed ordinal survives the reopen.
-            assert reopened._next_ordinal == 1
-            generation = reopened.generation
-            assert reopened.flush() is None
-            assert reopened.generation == generation  # clock not ahead
-        finally:
-            reopened.close()

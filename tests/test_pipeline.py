@@ -11,7 +11,6 @@ from repro.exceptions import PipelineError, ReviewError
 from repro.ir import CreateIrIndexer
 from repro.ner.encoding import spans_of_document
 from repro.pipeline import ClinicalExtractor, CreatePipeline
-from repro.search import create_segment_ir_engine
 from repro.search.engine import create_ir_engine
 
 
@@ -102,12 +101,6 @@ class _UndurableEngine:
     n_documents = property(lambda self: self._engine.n_documents)
 
 
-_ENGINES = {
-    "segment": lambda root: create_segment_ir_engine(str(root)),
-    "undurable": lambda root: _UndurableEngine(),
-}
-
-
 def _observe(pipeline) -> list:
     """Everything a client can see of the index through the API."""
     bodies = [
@@ -122,26 +115,23 @@ def _observe(pipeline) -> list:
     return bodies + [{key: stats[key] for key in keys}]
 
 
-@pytest.mark.parametrize("kind", sorted(_ENGINES))
-def test_injected_engine_matches_default_pipeline(demo_system, tmp_path, kind):
-    """Any keyword engine injected through ``indexer=`` serves exactly
+def test_injected_engine_matches_default_pipeline(demo_system):
+    """A keyword engine injected through ``indexer=`` serves exactly
     what the default pipeline serves — before and after a DELETE, and
-    after snapshot + WAL recovery into a fresh pipeline (and a fresh
-    segment directory), which derives the engine's contents from the
-    recovered records."""
+    after snapshot + WAL recovery into a fresh pipeline and a fresh
+    engine, which derives the engine's contents from the recovered
+    records."""
     trained, reports = demo_system
     fs = MemFS()
 
-    def build(root):
+    def build():
         return CreatePipeline(
             trained.extractor,
-            indexer=CreateIrIndexer(engine=_ENGINES[kind](root)),
+            indexer=CreateIrIndexer(engine=_UndurableEngine()),
             durability=DurabilityManager(fs),
         )
 
-    default, injected = CreatePipeline(trained.extractor), build(
-        tmp_path / "live"
-    )
+    default, injected = CreatePipeline(trained.extractor), build()
     for pipeline in (default, injected):
         for report in reports[:8]:
             pipeline.app.register_report(
@@ -154,7 +144,7 @@ def test_injected_engine_matches_default_pipeline(demo_system, tmp_path, kind):
     for pipeline in (default, injected):
         assert pipeline.app.handle("DELETE", f"/reports/{victim}").ok
     assert _observe(injected) == _observe(default)
-    recovered = build(tmp_path / "recovered")
+    recovered = build()
     assert recovered.recover().snapshot_loaded
     assert _observe(recovered) == _observe(default)
 
@@ -353,6 +343,34 @@ def test_refused_registration_leaves_no_trace(demo_system):
         search = app.handle("GET", "/search", params={"q": "fever"})
         assert search.body["results"] == []
         assert app.handle("GET", "/stats").body["indexer"]["n_reports"] == 0
+
+
+def test_recover_refuses_a_non_empty_index(demo_system):
+    """``recover()`` derives the graph and keyword index into empty
+    stores; a second call, or one after a registration, would merge
+    into stale state, so it raises before touching anything."""
+    trained, reports = demo_system
+    fs = MemFS()
+    live = CreatePipeline(trained.extractor, durability=DurabilityManager(fs))
+    for report in reports[:2]:
+        live.app.register_report(report.to_document(), report.annotations)
+
+    recovered = CreatePipeline(
+        trained.extractor, durability=DurabilityManager(fs)
+    )
+    recovered.recover()
+    before = _observe(recovered)
+    with pytest.raises(PipelineError, match="empty"):
+        recovered.recover()
+    assert _observe(recovered) == before == _observe(live)
+
+    early = CreatePipeline(
+        trained.extractor, durability=DurabilityManager(MemFS())
+    )
+    report = reports[2]
+    early.app.register_report(report.to_document(), report.annotations)
+    with pytest.raises(PipelineError, match="empty"):
+        early.recover()
 
 
 @pytest.mark.parametrize("snapshot", [False, True], ids=["wal", "snapshot"])

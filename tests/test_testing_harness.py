@@ -59,11 +59,11 @@ class TestBatchRun:
         # The digest hashes the generated cases only: it moves when a
         # generator (or the order it draws from its RNG) changes, never
         # when a checker does.
-        assert report.digest.startswith("c7bc7cbcd5533885")
+        assert report.digest.startswith("085a83eacbcab87b")
 
     def test_one_table_of_subsystems(self):
         names = tuple(subsystem.name for subsystem in TABLE)
-        assert len(set(names)) == len(names) == 10
+        assert len(set(names)) == len(names) == 9
         assert SUBSYSTEMS == names
         assert tuple(GENERATORS) == names
         assert tuple(CHECKERS) == names
@@ -239,21 +239,6 @@ def _plant_cache_ignores_stamp(monkeypatch):
     monkeypatch.setattr(QueryCache, "get", get)
 
 
-def _plant_merge_forgets_deletes(monkeypatch):
-    """Segment merge that compacts without the delete bitmaps: deleted
-    rows come back to life in the merged segment."""
-    import repro.search.segment_engine as segment_engine
-
-    original = segment_engine.merge_segments
-
-    def merge_segments(out_path, inputs):
-        return original(
-            out_path, [(segment, None) for segment, _deleted in inputs]
-        )
-
-    monkeypatch.setattr(segment_engine, "merge_segments", merge_segments)
-
-
 def _plant_skipped_exclusion(monkeypatch):
     """Cohort evaluation whose short-circuit drops the last exclusion
     criterion unevaluated."""
@@ -281,7 +266,6 @@ class TestCheckersHaveTeeth:
         [
             ("durability", _plant_unsynced_ack),
             ("durability", _plant_rederive_skips_reregistered),
-            ("segments", _plant_merge_forgets_deletes),
             ("cohort", _plant_skipped_exclusion),
         ],
         ids=lambda value: getattr(value, "__name__", value),

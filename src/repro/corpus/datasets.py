@@ -204,12 +204,14 @@ class TemporalDataset:
         return [pair for doc in docs for pair in doc.pairs]
 
 
-def _pairs_from_timeline(
+def pairs_from_timeline(
     doc_id: str,
     timeline: Timeline,
     max_distance: int,
     labeler,
 ) -> tuple[list[str], list[TemporalInstance]]:
+    """Events in narrative order, and a pair labelled by ``labeler`` for
+    every two events at most ``max_distance`` apart in that order."""
     order = [event.event_id for event in timeline.events]
     pairs = []
     for i, a in enumerate(timeline.events):
@@ -264,7 +266,7 @@ def make_temporal_dataset(
     docs: list[TemporalDocument] = []
     for i in range(n_train + n_test):
         report = generator.generate(f"{name}-{i:04d}", "cardiovascular")
-        order, pairs = _pairs_from_timeline(
+        order, pairs = pairs_from_timeline(
             report.report_id, report.timeline, max_distance, labeler
         )
         docs.append(

@@ -17,9 +17,14 @@ import numpy as np
 
 from repro.annotation.model import AnnotationDocument
 from repro.api.app import CreateApplication
-from repro.corpus.datasets import TemporalDocument, TemporalInstance
+from repro.corpus.datasets import (
+    TemporalDocument,
+    TemporalInstance,
+    pairs_from_timeline,
+)
 from repro.corpus.generator import CaseReport, CaseReportGenerator
 from repro.corpus.pubmed import build_corpus
+from repro.corpus.timeline import interval_relation
 from repro.crawler.crawler import Crawler, CrawlResult
 from repro.crawler.repository import SyntheticPubMed
 from repro.docstore.store import DocumentStore
@@ -166,23 +171,9 @@ class ClinicalExtractor:
 def _temporal_doc_from_report(
     report: CaseReport, max_distance: int
 ) -> TemporalDocument:
-    order = [event.event_id for event in report.timeline.events]
-    pairs = []
-    for i, a in enumerate(report.timeline.events):
-        upper = min(i + 1 + max_distance, len(report.timeline.events))
-        for j in range(i + 1, upper):
-            b = report.timeline.events[j]
-            from repro.corpus.timeline import interval_relation
-
-            pairs.append(
-                TemporalInstance(
-                    report.report_id,
-                    a.event_id,
-                    b.event_id,
-                    interval_relation(a, b),
-                    j - i,
-                )
-            )
+    order, pairs = pairs_from_timeline(
+        report.report_id, report.timeline, max_distance, interval_relation
+    )
     return TemporalDocument(
         report.report_id, report.annotations, order, pairs
     )

@@ -2,9 +2,16 @@
 
 Given per-pair label probabilities, pick the joint assignment that
 maximizes total log-probability subject to the algebra's transitivity
-constraints.  Solved exactly as an integer linear program with
-``scipy.optimize.milp``; a greedy repair pass serves as fallback when
-the solver fails (infeasible numerics or absent constraint structure).
+constraints, in three steps:
+
+* the per-pair argmax, when no row of the clipped log-probabilities has
+  a tied maximum and the argmax breaks no grounded rule.  It maximises
+  every term of the objective on its own, so it is then the unique
+  feasible optimum and no solver runs;
+* otherwise the exact integer linear program, solved with
+  ``scipy.optimize.milp``;
+* a greedy repair pass when the solver fails (infeasible numerics or
+  absent constraint structure).
 
 ILP formulation (per document):
 
@@ -47,25 +54,52 @@ def global_inference(
     if n_pairs == 0:
         return []
     triples = find_triples(doc)
-    local = [labels[i] for i in np.argmax(probs, axis=1)]
+    best = np.argmax(probs, axis=1).tolist()
+    local = [labels[i] for i in best]
     if not triples:
         return local
 
-    solution = _solve_ilp(probs, triples, labels, algebra)
+    # Clipping is monotone, so on untied rows ``best`` is also the
+    # argmax of the objective's terms.
+    log_probs = np.log(np.clip(probs, 1e-12, None))
+    maxima = log_probs == log_probs.max(axis=1, keepdims=True)
+    untied = (maxima.sum(axis=1) == 1).all()
+    if untied and not _violations(best, triples, labels, algebra):
+        return local
+
+    solution = _solve_ilp(log_probs, triples, labels, algebra)
     if solution is not None:
         return solution
     return _greedy_repair(doc, probs, list(labels), algebra, triples)
 
 
+def _violations(
+    assignment: Sequence[int],
+    triples: list[tuple[int, int, int]],
+    labels: Sequence[str],
+    algebra: RelationAlgebra,
+) -> list[tuple[int, int, int]]:
+    """Grounded rules the assignment breaks: the triples whose ab and bc
+    labels compose to one of ``labels`` that ac does not carry."""
+    label_index = {label: i for i, label in enumerate(labels)}
+    bad = []
+    for i_ab, i_bc, i_ac in triples:
+        r3 = algebra.compose(
+            labels[assignment[i_ab]], labels[assignment[i_bc]]
+        )
+        if r3 in label_index and assignment[i_ac] != label_index[r3]:
+            bad.append((i_ab, i_bc, i_ac))
+    return bad
+
+
 def _solve_ilp(
-    probs: np.ndarray,
+    log_probs: np.ndarray,
     triples: list[tuple[int, int, int]],
     labels: Sequence[str],
     algebra: RelationAlgebra,
 ) -> list[str] | None:
-    n_pairs, n_labels = probs.shape
+    n_pairs, n_labels = log_probs.shape
     n_vars = n_pairs * n_labels
-    log_probs = np.log(np.clip(probs, 1e-12, None))
 
     def var(pair: int, label: int) -> int:
         return pair * n_labels + label
@@ -138,23 +172,8 @@ def _greedy_repair(
     """Fallback: locally flip the cheapest pair until rules hold."""
     label_index = {label: i for i, label in enumerate(labels)}
     assignment = [int(i) for i in np.argmax(probs, axis=1)]
-
-    def violations() -> list[tuple[int, int, int]]:
-        bad = []
-        for i_ab, i_bc, i_ac in triples:
-            r3 = algebra.compose(
-                labels[assignment[i_ab]], labels[assignment[i_bc]]
-            )
-            if (
-                r3 is not None
-                and r3 in label_index
-                and assignment[i_ac] != label_index[r3]
-            ):
-                bad.append((i_ab, i_bc, i_ac))
-        return bad
-
     for _ in range(max_passes):
-        bad = violations()
+        bad = _violations(assignment, triples, labels, algebra)
         if not bad:
             break
         i_ab, i_bc, i_ac = bad[0]

@@ -328,22 +328,73 @@ class TestGlobalInference:
                 cases["argmax repaired"] += 1
         assert min(cases.values()) >= 3, cases
 
+    @classmethod
+    def _tied_case(cls):
+        doc = cls._windowed_doc(4, 3)
+        # Every pair BEFORE (consistent), but e0-e1 ties BEFORE with
+        # OVERLAP: the argmax is one of two optima, not *the* optimum.
+        probs = np.tile([0.8, 0.05, 0.15], (len(doc.pairs), 1))
+        probs[0] = [0.45, 0.1, 0.45]
+        return doc, probs
+
     def test_tied_row_returns_one_of_the_optima(self):
         from repro.testing.oracles import brute_force_map
 
-        doc = self._windowed_doc(4, 3)
+        doc, probs = self._tied_case()
         pairs = [(pair.src_id, pair.tgt_id) for pair in doc.pairs]
         labels = list(THREE_WAY_ALGEBRA.labels)
-        # Every pair BEFORE (consistent), but e0-e1 ties BEFORE with
-        # OVERLAP: the argmax is one of two optima, not *the* optimum.
-        probs = np.tile([0.8, 0.05, 0.15], (len(pairs), 1))
-        probs[0] = [0.45, 0.1, 0.45]
         _best, optima = brute_force_map(
             pairs, probs, labels, THREE_WAY_ALGEBRA
         )
         assert len(optima) == 2
         got = global_inference(doc, probs, labels, THREE_WAY_ALGEBRA)
         assert tuple(got) in optima
+
+    @pytest.fixture
+    def milp(self, monkeypatch):
+        """A spy on the solver; ``global_inference`` looks it up on
+        ``scipy.optimize`` at every call."""
+        from unittest import mock
+
+        from scipy import optimize
+
+        spy = mock.Mock(wraps=optimize.milp)
+        monkeypatch.setattr(optimize, "milp", spy)
+        return spy
+
+    def test_consistent_untied_argmax_skips_the_solver(self, milp):
+        doc = self._windowed_doc(4, 3)
+        probs = np.tile([0.8, 0.05, 0.15], (len(doc.pairs), 1))
+        labels = list(THREE_WAY_ALGEBRA.labels)
+        got = global_inference(doc, probs, labels, THREE_WAY_ALGEBRA)
+        assert got == ["BEFORE"] * len(doc.pairs)
+        assert milp.call_count == 0
+
+    def test_violated_rule_calls_the_solver_once(self, milp):
+        from repro.testing.oracles import brute_force_map
+
+        doc = self._windowed_doc(3, 2)  # pairs e0-e1, e0-e2, e1-e2
+        pairs = [(pair.src_id, pair.tgt_id) for pair in doc.pairs]
+        labels = list(THREE_WAY_ALGEBRA.labels)
+        # e0 BEFORE e1 BEFORE e2 entails e0 BEFORE e2; the argmax says
+        # AFTER for it.
+        probs = np.array(
+            [[0.8, 0.1, 0.1], [0.35, 0.55, 0.1], [0.8, 0.1, 0.1]]
+        )
+        local = [labels[i] for i in np.argmax(probs, axis=1)]
+        got = global_inference(doc, probs, labels, THREE_WAY_ALGEBRA)
+        _best, optima = brute_force_map(
+            pairs, probs, labels, THREE_WAY_ALGEBRA
+        )
+        assert got != local
+        assert optima == [tuple(got)]
+        assert milp.call_count == 1
+
+    def test_tied_row_calls_the_solver_once(self, milp):
+        doc, probs = self._tied_case()
+        labels = list(THREE_WAY_ALGEBRA.labels)
+        global_inference(doc, probs, labels, THREE_WAY_ALGEBRA)
+        assert milp.call_count == 1
 
     def test_empty_doc(self):
         from repro.annotation.model import AnnotationDocument

@@ -18,11 +18,10 @@ nDCG@10 of CREATe-IR and of the Solr baseline may not fall below
 """
 
 import numpy as np
-from conftest import assert_floors, write_result
+from conftest import assert_floors, gold_parse, write_result
 
 from repro.corpus.queries import make_query_workload
 from repro.ir.indexer import CreateIrIndexer
-from repro.ir.query_parser import ParsedQuery, QueryConceptMention
 from repro.ir.searcher import CreateIrSearcher
 from repro.ml.metrics import (
     average_precision,
@@ -41,18 +40,6 @@ FLOORS = {
     "Solr MAP": 0.798,
     "Solr nDCG@10": 0.845,
 }
-
-
-def gold_parse(query) -> ParsedQuery:
-    """The query's structured form under perfect query parsing."""
-    return ParsedQuery(
-        text=query.text,
-        concepts=[
-            QueryConceptMention(c.surface, c.entity_type, 0, 0)
-            for c in query.concepts
-        ],
-        relations=[query.relation] if query.relation else [],
-    )
 
 
 def evaluate(ranked_by_query, queries):

@@ -42,6 +42,20 @@ def assert_floors(
     assert not shaved, f"below the committed floor (measured, floor): {shaved}"
 
 
+def gold_parse(query):
+    """A judged query's structured form under perfect query parsing."""
+    from repro.ir.query_parser import ParsedQuery, QueryConceptMention
+
+    return ParsedQuery(
+        text=query.text,
+        concepts=[
+            QueryConceptMention(c.surface, c.entity_type, 0, 0)
+            for c in query.concepts
+        ],
+        relations=[query.relation] if query.relation else [],
+    )
+
+
 @pytest.fixture(scope="session")
 def ir_corpus():
     """400 gold reports for the retrieval benchmarks (built once)."""

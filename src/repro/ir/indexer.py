@@ -125,10 +125,9 @@ class CreateIrIndexer:
                 properties["negated"] = True
             # Ontology standardization (paper section I): every node is
             # stamped with its normalized concept id when one resolves.
-            if self.normalizer is not None:
-                normalized = self.normalizer.normalize(surface)
-                if normalized is not None:
-                    properties["conceptId"] = normalized.concept_id
+            normalized = self.normalizer.normalize(surface)
+            if normalized is not None:
+                properties["conceptId"] = normalized.concept_id
             # What ``CREATE (n:Concept {...})`` does, without rendering
             # the statement for the cypher engine to parse back.
             self.graph.add_node(node_id, **properties, _label="Concept")

@@ -13,6 +13,10 @@ from typing import Sequence
 from repro.text.stem import stem
 from repro.text.tokenize import tokenize
 
+# Stemmed-token Jaccard at or above which a node label matches a query
+# concept surface.
+MATCH_THRESHOLD = 0.5
+
 
 def _stem_tokens(text: str) -> frozenset[str]:
     return frozenset(
@@ -36,11 +40,9 @@ def label_similarity(query_surface: str, node_label: str) -> float:
     return len(a & b) / len(a | b)
 
 
-def labels_match(
-    query_surface: str, node_label: str, threshold: float = 0.5
-) -> bool:
+def labels_match(query_surface: str, node_label: str) -> bool:
     """Soft match decision used by graph search node predicates."""
-    if label_similarity(query_surface, node_label) >= threshold:
+    if label_similarity(query_surface, node_label) >= MATCH_THRESHOLD:
         return True
     # Substring containment handles head-word queries ("cough" vs
     # "a mild cough"); very short surfaces are excluded because tokens
@@ -68,17 +70,17 @@ def fuse_results(
     for doc_id, score in sorted(
         graph_ranked, key=lambda item: (-item[1], str(item[0]))
     ):
+        if len(out) >= size:
+            return out
         if doc_id not in seen:
             seen.add(doc_id)
             out.append((doc_id, score, "graph"))
-        if len(out) >= size:
-            return out
     for doc_id, score in sorted(
         keyword_ranked, key=lambda item: (-item[1], str(item[0]))
     ):
+        if len(out) >= size:
+            break
         if doc_id not in seen:
             seen.add(doc_id)
             out.append((doc_id, score, "keyword"))
-        if len(out) >= size:
-            break
     return out

@@ -17,19 +17,25 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.graphdb.graph import Node, PropertyGraph
 from repro.graphdb.match import (
     EdgePattern,
     GraphPattern,
     NodePattern,
 )
 from repro.ir.indexer import CreateIrIndexer
-from repro.ir.query_parser import ParsedQuery, QueryParser
+from repro.ir.query_parser import (
+    ParsedQuery,
+    QueryConceptMention,
+    QueryParser,
+)
 from repro.ir.ranking import fuse_results, label_similarity, labels_match
 from repro.schema.types import is_event_label
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.metrics import MetricsRegistry
     from repro.ir.cache import QueryCache
+    from repro.ontology.normalize import ConceptNormalizer
 
 
 @dataclass(frozen=True, slots=True)
@@ -167,6 +173,7 @@ class CreateIrSearcher:
         if not parsed.concepts:
             return []
         graph = self._indexer.graph
+        normalizer = self._indexer.normalizer
 
         required = [
             i
@@ -176,31 +183,9 @@ class CreateIrSearcher:
         if not required:
             required = list(range(len(parsed.concepts)))
 
-        # Candidate docs per concept.  Negated mentions (a report that
-        # *denies* the finding) never satisfy a positive query concept.
-        # Ontology standardization: a node also matches when its
-        # normalized conceptId equals the query concept's ("shortness
-        # of breath" retrieves "dyspnea" mentions).
-        normalizer = getattr(self._indexer, "normalizer", None)
-        per_concept_docs: dict[int, dict[str, list]] = {}
+        per_concept_docs: dict[int, dict[str, list[Node]]] = {}
         for i, concept in enumerate(parsed.concepts):
-            query_concept_id = None
-            if normalizer is not None:
-                normalized = normalizer.normalize(concept.surface)
-                if normalized is not None:
-                    query_concept_id = normalized.concept_id
-            candidates: dict[str, list] = {}
-            for node in graph.find_nodes(entityType=concept.entity_type):
-                if node.get("negated"):
-                    continue
-                node_label = str(node.get("label", ""))
-                concept_hit = (
-                    query_concept_id is not None
-                    and node.get("conceptId") == query_concept_id
-                )
-                if concept_hit or labels_match(concept.surface, node_label):
-                    doc_id = str(node.get("doc_id", ""))
-                    candidates.setdefault(doc_id, []).append(node)
+            candidates = concept_candidates(graph, normalizer, concept)
             per_concept_docs[i] = candidates
             if i in required and not candidates:
                 return []
@@ -299,6 +284,44 @@ class CreateIrSearcher:
         detail.matched_relations = matched_relations
         detail.score = score
         return detail
+
+
+def concept_candidates(
+    graph: PropertyGraph,
+    normalizer: ConceptNormalizer,
+    concept: QueryConceptMention,
+) -> dict[str, list[Node]]:
+    """Nodes that can stand for one query concept, grouped by doc id.
+
+    Candidates are the concept's ``entityType`` nodes in
+    :meth:`PropertyGraph.find_nodes` order.  Negated mentions (a report
+    that *denies* the finding) never satisfy a positive query concept.
+    Ontology standardization: a node matches when its normalized
+    ``conceptId`` equals the query concept's ("shortness of breath"
+    retrieves "dyspnea" mentions), else when :func:`labels_match` holds.
+    Labels repeat across reports, so that verdict is decided once per
+    distinct label.
+    """
+    normalized = normalizer.normalize(concept.surface)
+    query_concept_id = None if normalized is None else normalized.concept_id
+    verdicts: dict[str, bool] = {}
+    candidates: dict[str, list[Node]] = {}
+    for node in graph.find_nodes(entityType=concept.entity_type):
+        if node.get("negated"):
+            continue
+        concept_hit = (
+            query_concept_id is not None
+            and node.get("conceptId") == query_concept_id
+        )
+        if not concept_hit:
+            label = str(node.get("label", ""))
+            hit = verdicts.get(label)
+            if hit is None:
+                hit = verdicts[label] = labels_match(concept.surface, label)
+            if not hit:
+                continue
+        candidates.setdefault(str(node.get("doc_id", "")), []).append(node)
+    return candidates
 
 
 def _best_binding(graph, pattern, parsed):

@@ -12,6 +12,8 @@ most naive algorithm that is obviously correct:
 * :func:`match_pattern_unplanned` — the pre-planner backtracking
   matcher (full candidate pools, edge-list scans), the faster
   mid-level reference for the planner.
+* :func:`concept_candidates_scan` — graph search's per-concept
+  candidates with a label verdict computed for every node.
 * :func:`exhaustive_decode` — CRF Viterbi / partition function by
   enumerating every label path (pure-Python floats).
 * :func:`reference_closure` — temporal transitive closure by repeated
@@ -42,6 +44,7 @@ from repro.search.analysis import (
 from repro.exceptions import SearchError
 from repro.graphdb.graph import Node, PropertyGraph
 from repro.graphdb.match import EdgePattern, GraphPattern
+from repro.ir.ranking import labels_match
 from repro.temporal.relations import RelationAlgebra
 
 ANALYZER_CONFIGS = {
@@ -388,6 +391,32 @@ def match_pattern_unplanned(
 
     backtrack(0, {})
     return results
+
+
+def concept_candidates_scan(graph, normalizer, concept) -> dict[str, list]:
+    """Graph search's per-concept candidates by the plain scan:
+    :func:`labels_match` on every node of the concept's type, with no
+    verdict shared between nodes of the same label.  Same dict, same
+    per-document node order as
+    :func:`repro.ir.searcher.concept_candidates`."""
+    query_concept_id = None
+    if normalizer is not None:
+        normalized = normalizer.normalize(concept.surface)
+        if normalized is not None:
+            query_concept_id = normalized.concept_id
+    candidates: dict[str, list] = {}
+    for node in graph.find_nodes(entityType=concept.entity_type):
+        if node.get("negated"):
+            continue
+        node_label = str(node.get("label", ""))
+        concept_hit = (
+            query_concept_id is not None
+            and node.get("conceptId") == query_concept_id
+        )
+        if concept_hit or labels_match(concept.surface, node_label):
+            doc_id = str(node.get("doc_id", ""))
+            candidates.setdefault(doc_id, []).append(node)
+    return candidates
 
 
 def _edge_satisfied(

@@ -131,6 +131,13 @@ class TestSearchEndpoint:
         assert results
         assert all({"id", "score", "engine"} <= set(r) for r in results)
 
+    def test_size_zero_answers_no_rows(self, app):
+        response = app.handle(
+            "GET", "/search", params={"q": "chest pain", "size": 0}
+        )
+        assert response.ok
+        assert response.body["results"] == []
+
     def test_search_requires_query(self, app):
         assert app.handle("GET", "/search").status == 400
 

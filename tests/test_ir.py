@@ -2,12 +2,15 @@
 
 import pytest
 
+import repro.ir.searcher as searcher_module
+from repro.corpus.queries import make_query_workload
 from repro.graphdb.cypher import CypherEngine
 from repro.graphdb.graph import PropertyGraph
 from repro.ir.indexer import CreateIrIndexer
 from repro.ir.query_parser import ParsedQuery, QueryConceptMention
 from repro.ir.ranking import fuse_results, label_similarity, labels_match
-from repro.ir.searcher import CreateIrSearcher
+from repro.ir.searcher import CreateIrSearcher, concept_candidates
+from repro.testing.oracles import concept_candidates_scan
 
 
 class TestLabelSimilarity:
@@ -48,6 +51,7 @@ class TestFusion:
     def test_size_cap(self):
         graph = [(f"g{i}", float(10 - i)) for i in range(5)]
         assert len(fuse_results(graph, [], size=3)) == 3
+        assert fuse_results(graph, [("k1", 1.0)], size=0) == []
 
     def test_within_block_ordering(self):
         fused = fuse_results([("a", 1.0), ("b", 2.0)], [], 10)
@@ -268,6 +272,73 @@ class TestSearcher:
             ],
         )
         assert searcher.graph_search(parsed) == []
+
+    def test_concept_candidates_equal_the_scan_on_a_workload(
+        self, small_corpus
+    ):
+        indexer = build_index(small_corpus)
+        queries = make_query_workload(small_corpus, n_queries=30, seed=5)
+        concepts = [
+            QueryConceptMention(c.surface, c.entity_type, 0, 0)
+            for query in queries
+            for c in query.concepts
+        ]
+        assert len(concepts) > 30
+        for concept in concepts:
+            args = (indexer.graph, indexer.normalizer, concept)
+            fast = concept_candidates(*args)
+            scan = concept_candidates_scan(*args)
+            assert list(fast.items()) == list(scan.items()), concept
+            assert fast, concept
+
+    def test_concept_candidates_equal_the_scan_on_edge_cases(
+        self, monkeypatch
+    ):
+        normalizer = CreateIrIndexer().normalizer
+        graph = PropertyGraph()
+        rows = [
+            ("d1", "fever", {}),
+            ("d2", "fever", {"negated": True}),
+            ("d3", "dyspnea", {}),
+            ("d4", "a mild cough", {}),
+            ("d5", "was discharged home", {}),
+            ("d6", None, {}),
+            ("d7", "Fever", {}),
+            ("d8", "fever", {}),
+        ]
+        for doc_id, label, extra in rows:
+            properties = {"entityType": "Sign_symptom", "doc_id": doc_id}
+            if label is not None:
+                properties["label"] = label
+                normalized = normalizer.normalize(label)
+                if normalized is not None:
+                    properties["conceptId"] = normalized.concept_id
+            graph.add_node(f"{doc_id}:T1", **properties, **extra)
+        graph.add_node(
+            "d9:T1", entityType="Medication", label="fever", doc_id="d9"
+        )
+
+        calls = []
+
+        def counted(surface, label):
+            calls.append(label)
+            return labels_match(surface, label)
+
+        monkeypatch.setattr(searcher_module, "labels_match", counted)
+        expected = {
+            "fever": ["d1", "d7", "d8"],  # not the negated twin d2
+            "shortness of breath": ["d3"],  # conceptId only
+            "cough": ["d4"],  # containment only
+            "was": [],  # under 4 characters: no containment
+        }
+        for surface, doc_ids in expected.items():
+            concept = QueryConceptMention(surface, "Sign_symptom", 0, 0)
+            calls.clear()
+            fast = concept_candidates(graph, normalizer, concept)
+            assert len(calls) == len(set(calls)), surface
+            scan = concept_candidates_scan(graph, normalizer, concept)
+            assert list(fast.items()) == list(scan.items()), surface
+            assert list(fast) == doc_ids, surface
 
 
 class TestQueryParser:

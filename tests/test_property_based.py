@@ -107,7 +107,7 @@ _RANKED = st.lists(
 
 class TestRankingProperties:
     @settings(max_examples=60, deadline=None)
-    @given(_RANKED, _RANKED, st.integers(1, 10))
+    @given(_RANKED, _RANKED, st.integers(0, 10))
     def test_fusion_invariants(self, graph_ranked, keyword_ranked, size):
         fused = fuse_results(graph_ranked, keyword_ranked, size)
         ids = [item[0] for item in fused]

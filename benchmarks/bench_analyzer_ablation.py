@@ -49,12 +49,12 @@ def test_ngram_vs_standard_analyzer(benchmark, ir_corpus):
     queries = _term_queries(reports, rng)
     assert queries
 
-    ngram_engine = SearchEngine({"body": CREATE_IR_ANALYZER_CONFIG})
-    standard_engine = SearchEngine({"body": STANDARD_ANALYZER_CONFIG})
+    ngram_engine = SearchEngine(CREATE_IR_ANALYZER_CONFIG)
+    standard_engine = SearchEngine(STANDARD_ANALYZER_CONFIG)
     for report in reports:
-        fields = {"body": report.title + " " + report.text}
-        ngram_engine.index(report.report_id, fields)
-        standard_engine.index(report.report_id, fields)
+        text = report.title + " " + report.text
+        ngram_engine.index(report.report_id, text)
+        standard_engine.index(report.report_id, text)
 
     def run():
         recalls = {

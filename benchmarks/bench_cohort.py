@@ -71,13 +71,9 @@ def test_cohort_engine_vs_brute_force():
         report = generator.generate(f"bench-{index:05d}")
         document = report.to_document()
         store.collection("reports").insert_one(document)
-        indexer.index_annotation_document(
-            document["_id"], document["title"], report.annotations
-        )
+        indexer.index_annotation_document(document["_id"], report.annotations)
         annotations[document["_id"]] = report.annotations
-        oracle.add_report(
-            document["_id"], document["title"], document, report.annotations
-        )
+        oracle.add_report(document["_id"], document, report.annotations)
     engine = CohortEngine(
         store, indexer.graph, indexer.engine, annotations.get
     )

@@ -52,7 +52,7 @@ def test_graph_search_candidates_at_scale(monkeypatch):
     indexer = CreateIrIndexer()
     for report in corpus:
         indexer.index_annotation_document(
-            report.report_id, report.title, report.annotations
+            report.report_id, report.annotations
         )
     parsed = [
         gold_parse(query)

@@ -62,7 +62,7 @@ def test_ir_vs_solr(benchmark, ir_corpus, gold_ir_index):
     no_closure_index = CreateIrIndexer(close_temporal=False)
     for report in ir_corpus:
         no_closure_index.index_annotation_document(
-            report.report_id, report.title, report.annotations
+            report.report_id, report.annotations
         )
     no_closure = CreateIrSearcher(no_closure_index, parser=None)
 

@@ -72,7 +72,7 @@ def gold_ir_index(ir_corpus):
     indexer = CreateIrIndexer()
     for report in ir_corpus:
         indexer.index_annotation_document(
-            report.report_id, report.title, report.annotations
+            report.report_id, report.annotations
         )
     return indexer
 

@@ -52,7 +52,7 @@ def main() -> None:
     # --- SVG renderings ---------------------------------------------------
     indexer = CreateIrIndexer()
     indexer.index_annotation_document(
-        report.report_id, report.title, report.annotations
+        report.report_id, report.annotations
     )
     svg = render_graph_svg(
         indexer.graph,

@@ -29,7 +29,7 @@ def main() -> None:
     indexer = CreateIrIndexer()
     for report in reports:
         indexer.index_annotation_document(
-            report.report_id, report.title, report.annotations
+            report.report_id, report.annotations
         )
     searcher = CreateIrSearcher(indexer, parser=None)
 

@@ -281,14 +281,11 @@ class CreateApplication:
         and the review queue and calls this once per report.
         """
         doc_id = document["_id"]
-        title = document.get("title", "")
         annotations = self.review.annotations(doc_id)
         if annotations is None:
-            self.indexer.engine.index(
-                doc_id, {"title": title, "body": document.get("text", "")}
-            )
+            self.indexer.engine.index(doc_id, document.get("text", ""))
         else:
-            self.indexer.index_annotation_document(doc_id, title, annotations)
+            self.indexer.index_annotation_document(doc_id, annotations)
         self._suggester = None  # vocabulary changed
 
     # -- handlers ------------------------------------------------------------------
@@ -442,7 +439,7 @@ class CreateApplication:
             }
             if want_highlight:
                 row["highlights"] = self.indexer.engine.highlight(
-                    result.doc_id, "body", query
+                    result.doc_id, query
                 )
             rows.append(row)
         return Response(200, {"query": query, "results": rows})

@@ -283,9 +283,7 @@ class CohortEngine:
             return matched, "planner"
         if isinstance(criterion, TextCriterion):
             size = max(1, self.search.n_documents)
-            hits = self.search.search(
-                {"match": {"body": criterion.query}}, size=size
-            )
+            hits = self.search.search(criterion.query, size=size)
             return {str(hit.doc_id) for hit in hits}, "search"
         if isinstance(criterion, ValueCriterion):
             rows = self.store.collection("reports").aggregate(

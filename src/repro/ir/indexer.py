@@ -18,7 +18,7 @@ from typing import Sequence
 from repro.exceptions import TemporalInconsistencyError
 from repro.graphdb.graph import PropertyGraph
 from repro.schema.types import RelationType, TEMPORAL_RELATIONS
-from repro.search.engine import SearchEngine, create_ir_engine
+from repro.search.engine import SearchEngine
 from repro.temporal.graph import TemporalGraph
 from repro.temporal.relations import THREE_WAY_ALGEBRA
 
@@ -72,7 +72,7 @@ class CreateIrIndexer:
         from repro.ontology.normalize import ConceptNormalizer
 
         self.graph = graph if graph is not None else PropertyGraph()
-        self.engine = engine if engine is not None else create_ir_engine()
+        self.engine = engine if engine is not None else SearchEngine()
         self.close_temporal = close_temporal
         self.normalizer = (
             normalizer if normalizer is not None else ConceptNormalizer()
@@ -91,7 +91,6 @@ class CreateIrIndexer:
     def index_report(
         self,
         doc_id: str,
-        title: str,
         text: str,
         spans: Sequence[tuple[str, int, int, str]],
         relations: Sequence[tuple[str, str, str]],
@@ -101,7 +100,7 @@ class CreateIrIndexer:
 
         Args:
             doc_id: report identifier.
-            title / text: fields for the keyword index.
+            text: the report text, for the keyword index.
             spans: ``(span_id, surface, label, kind)`` tuples — the
                 span's id, surface text, schema label, and
                 ``"event"``/``"entity"``.
@@ -109,7 +108,7 @@ class CreateIrIndexer:
             negated_span_ids: span ids carrying a Negated attribute;
                 their nodes are flagged so graph search skips them.
         """
-        self.engine.index(doc_id, {"title": title, "body": text})
+        self.engine.index(doc_id, text)
 
         negated = set(negated_span_ids)
         node_ids = set()
@@ -193,7 +192,7 @@ class CreateIrIndexer:
             closure_failed=closure_failed,
         )
 
-    def index_annotation_document(self, doc_id, title, annotation_doc):
+    def index_annotation_document(self, doc_id, annotation_doc):
         """Convenience: index straight from an annotation document."""
         from repro.schema.types import label_kind
         from repro.exceptions import SchemaError
@@ -216,7 +215,6 @@ class CreateIrIndexer:
         ]
         return self.index_report(
             doc_id,
-            title,
             annotation_doc.text,
             spans,
             relations,

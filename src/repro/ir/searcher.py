@@ -121,7 +121,7 @@ class CreateIrSearcher:
         keyword_ranked = [
             (hit.doc_id, hit.score)
             for hit in self._indexer.engine.search(
-                {"match": {"body": parsed.keyword_text()}}, size=size * 3
+                parsed.keyword_text(), size=size * 3
             )
         ]
         results = [
@@ -153,9 +153,7 @@ class CreateIrSearcher:
         """Ablation: skip the graph engine entirely."""
         return [
             SearchResult(hit.doc_id, hit.score, "keyword")
-            for hit in self._indexer.engine.search(
-                {"match": {"body": query_text}}, size=size
-            )
+            for hit in self._indexer.engine.search(query_text, size=size)
         ]
 
     # -- graph search -----------------------------------------------------------

@@ -26,8 +26,8 @@ class AnalyzedToken(NamedTuple):
 
     Attributes:
         term: the normalized term string.
-        position: token position (for phrase queries); n-grams from the
-            same source token share a position.
+        position: token position; n-grams from the same source token
+            share a position.
         start / end: character offsets into the original text.
     """
 
@@ -132,7 +132,7 @@ class NGramTokenizer:
     (``token_chars: [letter, digit]``, Unicode letters and digits, so
     ``Sjögren`` is one word for ``asciifolding`` to fold) and grams
     never cross splits.  Grams inherit the position of their source
-    word so phrase queries stay meaningful.
+    word.
     """
 
     def __init__(self, min_gram: int = 3, max_gram: int = 25):
@@ -323,18 +323,12 @@ CREATE_IR_ANALYZER_CONFIG: dict = {
     "char_filter": [],
 }
 
-# A standard analyzer for titles/metadata and for query-side matching.
+# A standard stemmed analyzer: the Solr baseline's, and the analyzer
+# ablation's contrast to the n-gram one.
 STANDARD_ANALYZER_CONFIG: dict = {
     "tokenizer": {"type": "standard"},
     "filter": ["asciifolding", "lowercase", "stop", "stemmer"],
     "char_filter": [],
-}
-
-# The CREATe-IR keyword index's fields: n-gram body, standard title.
-# Every engine backing the dual index is built with this mapping.
-CREATE_IR_FIELD_ANALYZERS: dict = {
-    "body": CREATE_IR_ANALYZER_CONFIG,
-    "title": STANDARD_ANALYZER_CONFIG,
 }
 
 

@@ -33,14 +33,11 @@ class BM25Scorer:
         avg_len = self.index.average_length or 1.0
         for term in terms:
             idf = self.idf(term)
-            for posting in self.index.postings(term):
-                tf = posting.term_frequency
-                doc_len = self.index.doc_length(posting.doc_ord)
+            for doc_ord, tf in self.index.postings(term):
+                doc_len = self.index.doc_length(doc_ord)
                 denom = tf + self.k1 * (
                     1.0 - self.b + self.b * doc_len / avg_len
                 )
                 contribution = idf * tf * (self.k1 + 1.0) / denom
-                scores[posting.doc_ord] = (
-                    scores.get(posting.doc_ord, 0.0) + contribution
-                )
+                scores[doc_ord] = scores.get(doc_ord, 0.0) + contribution
         return scores

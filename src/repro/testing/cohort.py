@@ -191,9 +191,7 @@ def _build_stack(reports):
     for report in reports:
         document = report.to_document()
         app.register_report(document, annotations=report.annotations)
-        oracle.add_report(
-            report.report_id, report.title, document, report.annotations
-        )
+        oracle.add_report(report.report_id, document, report.annotations)
     return app, app.cohorts, oracle
 
 

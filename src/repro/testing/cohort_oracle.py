@@ -36,10 +36,6 @@ from repro.cohort.model import (
 from repro.exceptions import CohortError
 from repro.graphdb.graph import PropertyGraph
 from repro.graphdb.match import EdgePattern, GraphPattern, NodePattern
-from repro.search.analysis import (
-    CREATE_IR_ANALYZER_CONFIG,
-    STANDARD_ANALYZER_CONFIG,
-)
 from repro.temporal.relations import THREE_WAY_ALGEBRA
 from repro.testing.oracles import (
     ReferenceSearchEngine,
@@ -57,7 +53,6 @@ class _Report:
     """One report's source data plus its lazily built per-doc graph."""
 
     doc_id: str
-    title: str
     document: dict
     annotations: AnnotationDocument | None
     _graph: PropertyGraph | None = field(default=None, repr=False)
@@ -220,24 +215,17 @@ class BruteForceCohortEvaluator:
     def __init__(self, normalizer=None):
         self.normalizer = normalizer
         self._reports: dict[str, _Report] = {}
-        self._search = ReferenceSearchEngine(
-            field_analyzers={
-                "body": CREATE_IR_ANALYZER_CONFIG,
-                "title": STANDARD_ANALYZER_CONFIG,
-            },
-            default_field="body",
-        )
+        self._search = ReferenceSearchEngine()
 
     def add_report(
         self,
         doc_id: str,
-        title: str,
         document: dict,
         annotations: AnnotationDocument | None,
     ) -> None:
         body = annotations.text if annotations is not None else ""
-        self._reports[doc_id] = _Report(doc_id, title, document, annotations)
-        self._search.index(doc_id, {"title": title, "body": body})
+        self._reports[doc_id] = _Report(doc_id, document, annotations)
+        self._search.index(doc_id, body)
 
     def remove_report(self, doc_id: str) -> None:
         self._reports.pop(doc_id, None)
@@ -312,8 +300,7 @@ class BruteForceCohortEvaluator:
             )
         if isinstance(criterion, TextCriterion):
             hits = self._search.search(
-                {"match": {"body": criterion.query}},
-                size=max(1, self._search.n_documents),
+                criterion.query, size=max(1, self._search.n_documents)
             )
             return report.doc_id in {doc_id for doc_id, _score in hits}
         if isinstance(criterion, ValueCriterion):

@@ -292,31 +292,22 @@ def _engine_state(engine: SearchEngine) -> dict:
     Internal ordinals are allocator values: two histories that differ
     only by an index-then-delete pair reach semantically identical
     states with different ordinal assignments, so canonical equality
-    must translate every posting back to its document id.
+    must translate every ``(doc_ord, tf)`` posting back to its
+    document id.
     """
-    fields = {}
-    for field_name in sorted(engine._indexes):
-        index = engine._indexes[field_name]
-        if index.n_documents == 0 and index.vocabulary_size == 0:
-            continue
-        fields[field_name] = {
-            "postings": {
-                term: sorted(
-                    [
-                        str(engine._ids_by_ordinal[posting.doc_ord]),
-                        list(posting.positions),
-                    ]
-                    for posting in plist
-                )
-                for term, plist in index._postings.items()
-            },
-            "doc_lengths": sorted(
-                [str(engine._ids_by_ordinal[doc_ord]), length]
-                for doc_ord, length in index._doc_lengths.items()
-            ),
-            "total_length": index._total_length,
-        }
-    return fields
+    index = engine._index
+    doc_of = engine._ids_by_ordinal
+    return {
+        "postings": {
+            term: sorted([str(doc_of[doc_ord]), tf] for doc_ord, tf in plist)
+            for term, plist in index._postings.items()
+        },
+        "doc_lengths": sorted(
+            [str(doc_of[doc_ord]), length]
+            for doc_ord, length in index._doc_lengths.items()
+        ),
+        "total_length": index._total_length,
+    }
 
 
 def canonical_state(
@@ -430,14 +421,12 @@ def _derived_from_records(pipeline: CreatePipeline) -> str | None:
     fresh = CreateIrIndexer()
     review = pipeline.app.review
     for document in pipeline.store.collection("reports"):
-        doc_id, title = document["_id"], document.get("title", "")
+        doc_id = document["_id"]
         annotations = review.annotations(doc_id)
         if annotations is None:
-            fresh.engine.index(
-                doc_id, {"title": title, "body": document.get("text", "")}
-            )
+            fresh.engine.index(doc_id, document.get("text", ""))
         else:
-            fresh.index_annotation_document(doc_id, title, annotations)
+            fresh.index_annotation_document(doc_id, annotations)
     indexer = pipeline.indexer
     if (_graph_state(indexer.graph), _engine_state(indexer.engine)) != (
         _graph_state(fresh.graph),

@@ -38,7 +38,6 @@ from repro.testing.lockstep import (
     apply_ops,
     close,
     compare_queries,
-    field_analyzers,
     valid_ops,
 )
 from repro.testing.oracles import (
@@ -84,7 +83,7 @@ class RunReport:
 # -- per-subsystem checkers --------------------------------------------------
 
 
-def _postings_order_invariant(engine, analyzers) -> str | None:
+def _postings_order_invariant(engine, analyzer_config) -> str | None:
     """Mutate-vs-rebuild: after any op stream, every postings list must
     be strictly doc-ord ascending and order-equivalent to a cold
     rebuild of the surviving documents.
@@ -95,36 +94,33 @@ def _postings_order_invariant(engine, analyzers) -> str | None:
     re-added ordinals.
     """
     live = sorted(engine._ids_by_ordinal.items())
-    rebuilt = SearchEngine(analyzers)
+    rebuilt = SearchEngine(analyzer_config)
     for _, doc_id in live:
-        rebuilt.index(doc_id, engine._sources[doc_id])
-    for field_name, index in engine._indexes.items():
-        other = rebuilt._indexes.get(field_name)
-        terms = index.terms()
-        if sorted(terms) != sorted(other.terms() if other else []):
+        rebuilt.index(doc_id, engine._texts[doc_id])
+    index, other = engine._index, rebuilt._index
+    terms = index.terms()
+    if terms != other.terms():
+        return "vocabulary diverged from rebuild"
+    doc_of = engine._ids_by_ordinal
+    rebuilt_doc_of = rebuilt._ids_by_ordinal
+    for term in terms:
+        posts = index.postings(term)
+        ords = [doc_ord for doc_ord, _tf in posts]
+        if any(a >= b for a, b in zip(ords, ords[1:])):
             return (
-                f"field {field_name!r} vocabulary diverged from rebuild"
+                f"postings for {term!r} not strictly doc-ord ascending: "
+                f"{ords}"
             )
-        doc_of = engine._ids_by_ordinal
-        rebuilt_doc_of = rebuilt._ids_by_ordinal
-        for term in terms:
-            posts = index.postings(term)
-            ords = [p.doc_ord for p in posts]
-            if any(a >= b for a, b in zip(ords, ords[1:])):
-                return (
-                    f"postings for {field_name}:{term!r} not strictly "
-                    f"doc-ord ascending: {ords}"
-                )
-            got = [(doc_of[p.doc_ord], p.positions) for p in posts]
-            want = [
-                (rebuilt_doc_of[p.doc_ord], p.positions)
-                for p in other.postings(term)
-            ]
-            if got != want:
-                return (
-                    f"postings for {field_name}:{term!r} diverged from "
-                    f"cold rebuild: {got!r} vs {want!r}"
-                )
+        got = [(doc_of[doc_ord], tf) for doc_ord, tf in posts]
+        want = [
+            (rebuilt_doc_of[doc_ord], tf)
+            for doc_ord, tf in other.postings(term)
+        ]
+        if got != want:
+            return (
+                f"postings for {term!r} diverged from cold rebuild: "
+                f"{got!r} vs {want!r}"
+            )
     return None
 
 
@@ -133,13 +129,13 @@ def check_search_case(case: dict) -> str | None:
         case.get("ops")
     ):
         return None  # malformed (post-shrink) case: vacuous
-    analyzers = field_analyzers(case)
-    engine = SearchEngine(analyzers)
-    reference = ReferenceSearchEngine(analyzers)
+    config = ANALYZER_CONFIGS[case["analyzer"]]
+    engine = SearchEngine(config)
+    reference = ReferenceSearchEngine(config)
     message = apply_ops(case["ops"], engine, reference)
     if message is not None:
         return message
-    message = _postings_order_invariant(engine, analyzers)
+    message = _postings_order_invariant(engine, config)
     if message is not None:
         return message
     return compare_queries(case["queries"], engine, reference, "search")

@@ -35,28 +35,28 @@ from repro.runtime.executor import BatchExecutor
 from repro.search.analysis import create_analyzer
 from repro.search.engine import SearchEngine
 from repro.search.inverted_index import InvertedIndex
-from repro.testing.lockstep import field_analyzers, search_once
+from repro.testing.lockstep import search_once
 from repro.testing.oracles import ANALYZER_CONFIGS, reference_fuse
 
 _TOLERANCE = 1e-9
 
 
-def _live_docs(case: dict) -> list[tuple[str, dict]]:
+def _live_docs(case: dict) -> list[tuple[str, str]]:
     """The documents left alive after replaying the case's op stream."""
-    alive: dict[str, dict] = {}
+    alive: dict[str, str] = {}
     for op in case["ops"]:
         if op["op"] == "index":
             alive.pop(op["id"], None)
-            alive[op["id"]] = op["fields"]
+            alive[op["id"]] = op["text"]
         else:
             alive.pop(op["id"], None)
     return list(alive.items())
 
 
-def _build_engine(case: dict, docs: list[tuple[str, dict]]) -> SearchEngine:
-    engine = SearchEngine(field_analyzers(case))
-    for doc_id, fields in docs:
-        engine.index(doc_id, fields)
+def _build_engine(case: dict, docs: list[tuple[str, str]]) -> SearchEngine:
+    engine = SearchEngine(ANALYZER_CONFIGS[case["analyzer"]])
+    for doc_id, text in docs:
+        engine.index(doc_id, text)
     return engine
 
 
@@ -64,35 +64,17 @@ def _rankings(engine: SearchEngine, queries) -> list:
     return [search_once(engine, query, size=50) for query in queries]
 
 
-def engine_index_snapshot(engine: SearchEngine) -> str:
-    """A canonical byte-for-byte rendering of all index statistics.
-
-    Deliberately excludes ``_next_ordinal`` (a monotone allocator) and
-    empty per-field indexes (an index every document has left is
-    semantically identical to one never created) — everything that
-    influences scoring or retrieval is included.
-    """
-    parts = []
-    for field in sorted(engine._indexes):
-        index: InvertedIndex = engine._indexes[field]
-        if index.n_documents == 0 and index.vocabulary_size == 0:
-            continue
-        postings = {
-            term: [(p.doc_ord, tuple(p.positions)) for p in plist]
-            for term, plist in sorted(index._postings.items())
-        }
-        parts.append(
-            repr(
-                (
-                    field,
-                    postings,
-                    sorted(index._doc_lengths.items()),
-                    index._total_length,
-                    sorted(index._doc_terms.items()),
-                )
-            )
+def index_snapshot(index: InvertedIndex) -> str:
+    """A canonical byte-for-byte rendering of all index statistics:
+    everything that influences scoring or retrieval."""
+    return repr(
+        (
+            sorted(index._postings.items()),
+            sorted(index._doc_lengths.items()),
+            index._total_length,
+            sorted(index._doc_terms.items()),
         )
-    return "\n".join(parts)
+    )
 
 
 # -- invariant checks --------------------------------------------------------
@@ -119,12 +101,10 @@ def check_permutation_invariance(case: dict, shuffle_seed: int) -> str | None:
 def check_add_remove_restores(case: dict) -> str | None:
     """index() then delete() of a new doc must restore statistics."""
     engine = _build_engine(case, _live_docs(case))
-    before = engine_index_snapshot(engine)
-    engine.index(
-        "__probe__", {"body": "probe fever cough", "title": "probe"}
-    )
+    before = index_snapshot(engine._index)
+    engine.index("__probe__", "probe fever cough")
     engine.delete("__probe__")
-    after = engine_index_snapshot(engine)
+    after = index_snapshot(engine._index)
     if before != after:
         return (
             "add-then-remove did not restore index statistics:\n"
@@ -138,36 +118,19 @@ def check_serial_parallel_ingest(case: dict) -> str | None:
     docs = _live_docs(case)
     if not docs:
         return None
-    analyzers = {
-        field: create_analyzer(config)
-        for field, config in field_analyzers(case).items()
-    }
-
-    def analyze(item):
-        _doc_id, fields = item
-        return {
-            field: analyzers[field].analyze(text)
-            for field, text in fields.items()
-            if isinstance(text, str) and field in analyzers
-        }
-
+    analyzer = create_analyzer(ANALYZER_CONFIGS[case["analyzer"]])
     snapshots = []
     for workers in (1, 4):
         outcomes = BatchExecutor(workers=workers, mode="thread").map(
-            analyze, docs
+            lambda item: analyzer.analyze(item[1]), docs
         )
         if not all(outcome.ok for outcome in outcomes):
             errors = [o.error for o in outcomes if not o.ok]
             return f"parallel analysis failed: {errors!r}"
-        indexes: dict[str, InvertedIndex] = {}
+        index = InvertedIndex()
         for ordinal, outcome in enumerate(outcomes):
-            for field, tokens in outcome.value.items():
-                indexes.setdefault(field, InvertedIndex()).add_document(
-                    ordinal, tokens
-                )
-        fake = SearchEngine()
-        fake._indexes = indexes
-        snapshots.append(engine_index_snapshot(fake))
+            index.add_document(ordinal, outcome.value)
+        snapshots.append(index_snapshot(index))
     if snapshots[0] != snapshots[1]:
         return (
             "serial vs parallel ingest built different indexes:\n"
@@ -179,62 +142,28 @@ def check_serial_parallel_ingest(case: dict) -> str | None:
 def check_duplication_monotonicity(case: dict) -> str | None:
     """Duplicating a query term must never lower a document's score."""
     engine = _build_engine(case, _live_docs(case))
-    for query in case["queries"]:
-        if "match" not in query:
-            continue
-        ((field, text),) = query["match"].items()
-        words = str(text).split()
+    for text in case["queries"]:
+        words = text.split()
         if not words:
             continue
         base = {
-            hit.doc_id: hit.score
-            for hit in engine.search({"match": {field: text}}, size=1000)
+            hit.doc_id: hit.score for hit in engine.search(text, size=1000)
         }
-        doubled_text = f"{text} {words[0]}"
         doubled = {
             hit.doc_id: hit.score
-            for hit in engine.search(
-                {"match": {field: doubled_text}}, size=1000
-            )
+            for hit in engine.search(f"{text} {words[0]}", size=1000)
         }
         missing = set(base) - set(doubled)
         if missing:
             return (
                 f"duplicating {words[0]!r} dropped docs {sorted(missing)} "
-                f"from {query!r}"
+                f"from {text!r}"
             )
         for doc_id, score in base.items():
             if doubled[doc_id] < score - _TOLERANCE:
                 return (
                     f"duplicating {words[0]!r} lowered score of "
                     f"{doc_id!r}: {score} -> {doubled[doc_id]}"
-                )
-    return None
-
-
-def check_phrase_self_match(case: dict) -> str | None:
-    """A document must phrase-match its own field text.
-
-    The analyzed query positions (including stopword gaps) are exactly
-    the document's own indexed positions, so the phrase necessarily
-    occurs at start 0 — regardless of analyzer.
-    """
-    docs = _live_docs(case)
-    engine = _build_engine(case, docs)
-    for doc_id, fields in docs:
-        for field in ("body", "title"):
-            text = fields.get(field)
-            if not isinstance(text, str):
-                continue
-            if not engine.explain_terms(field, text):
-                continue  # nothing survives analysis (e.g. all stopwords)
-            hits = engine.search(
-                {"match_phrase": {field: text}}, size=1000
-            )
-            if doc_id not in {hit.doc_id for hit in hits}:
-                return (
-                    f"doc {doc_id!r} does not phrase-match its own "
-                    f"{field} text {text!r}"
                 )
     return None
 
@@ -362,7 +291,6 @@ def check_invariants_case(case: dict) -> str | None:
         (check_add_remove_restores, (search_case,)),
         (check_serial_parallel_ingest, (search_case,)),
         (check_duplication_monotonicity, (search_case,)),
-        (check_phrase_self_match, (search_case,)),
         (check_fusion_determinism, (case["fusion"], shuffle_seed)),
     ):
         message = check(*args)

@@ -9,9 +9,6 @@ stays in the checker.
 
 from __future__ import annotations
 
-from repro.search.analysis import STANDARD_ANALYZER_CONFIG
-from repro.testing.oracles import ANALYZER_CONFIGS
-
 OPS = ("index", "delete")
 
 _TOLERANCE = 1e-8
@@ -19,14 +16,6 @@ _TOLERANCE = 1e-8
 
 def close(a: float, b: float) -> bool:
     return abs(a - b) <= _TOLERANCE * (1.0 + max(abs(a), abs(b)))
-
-
-def field_analyzers(case: dict) -> dict:
-    """The per-field analyzer configs every engine in a case shares."""
-    return {
-        "body": ANALYZER_CONFIGS[case["analyzer"]],
-        "title": STANDARD_ANALYZER_CONFIG,
-    }
 
 
 def positive_ints(case: dict, *keys: str) -> bool:
@@ -40,7 +29,7 @@ def valid_ops(ops) -> bool:
     return isinstance(ops, list) and all(
         isinstance(op, dict)
         and op.get("op") in OPS
-        and (op["op"] != "index" or isinstance(op.get("fields"), dict))
+        and (op["op"] != "index" or isinstance(op.get("text"), str))
         for op in ops
     )
 
@@ -102,7 +91,7 @@ def apply_ops(ops: list, engine, *references):
         kind = op["op"]
         if kind == "index":
             for each in engines:
-                each.index(op["id"], op["fields"])
+                each.index(op["id"], op["text"])
         else:
             verdicts = [each.delete(op["id"]) for each in engines]
             if len(set(verdicts)) > 1:

@@ -3,9 +3,9 @@
 Each oracle recomputes what an optimized subsystem computes, using the
 most naive algorithm that is obviously correct:
 
-* :class:`ReferenceSearchEngine` — linear-scan BM25/boolean/phrase
-  retrieval straight off the analyzed token streams (no inverted
-  index, no postings, no cached statistics).
+* :class:`ReferenceSearchEngine` — linear-scan BM25 retrieval straight
+  off the analyzed term lists (no inverted index, no postings, no
+  cached statistics).
 * :func:`brute_force_bindings` — exhaustive injective enumeration of
   pattern variable assignments, checking every pattern edge against
   the full edge list (no candidate pruning, no backtracking order).
@@ -36,12 +36,10 @@ import math
 from typing import Any, Sequence
 
 from repro.search.analysis import (
-    Analyzer,
     CREATE_IR_ANALYZER_CONFIG,
     STANDARD_ANALYZER_CONFIG,
     create_analyzer,
 )
-from repro.exceptions import SearchError
 from repro.graphdb.graph import Node, PropertyGraph
 from repro.graphdb.match import EdgePattern, GraphPattern
 from repro.ir.ranking import labels_match
@@ -61,48 +59,23 @@ ANALYZER_CONFIGS = {
 class ReferenceSearchEngine:
     """Linear-scan reference for :class:`repro.search.SearchEngine`.
 
-    Mirrors the engine's query DSL and BM25 formula but holds only a
-    dict of per-document analyzed token streams — document statistics
-    (df, avgdl, N) are recomputed from scratch at query time, so any
-    stale incremental state in the optimized engine shows up as a
-    score difference.
+    Mirrors the engine's one query (analysed text, BM25 over an OR of
+    its terms) but holds only a dict of per-document analysed term
+    lists — document statistics (df, avgdl, N) are recomputed from
+    scratch at query time, so any stale incremental state in the
+    optimized engine shows up as a score difference.
     """
 
     K1 = 1.2
     B = 0.75
 
-    def __init__(
-        self,
-        field_analyzers: dict[str, dict] | None = None,
-        default_field: str = "body",
-    ):
-        self.default_field = default_field
-        self._analyzer_configs = dict(field_analyzers or {})
-        self._analyzers: dict[str, Analyzer] = {}
-        # doc_id -> field -> list of (term, position)
-        self._docs: dict[Any, dict[str, list[tuple[str, int]]]] = {}
+    def __init__(self, analyzer_config: dict = CREATE_IR_ANALYZER_CONFIG):
+        self._analyzer = create_analyzer(analyzer_config)
+        self._docs: dict[Any, list[str]] = {}  # doc_id -> analysed terms
 
-    def _analyzer_for(self, field: str) -> Analyzer:
-        analyzer = self._analyzers.get(field)
-        if analyzer is None:
-            config = self._analyzer_configs.get(
-                field, STANDARD_ANALYZER_CONFIG
-            )
-            analyzer = create_analyzer(config)
-            self._analyzers[field] = analyzer
-        return analyzer
-
-    def index(self, doc_id: Any, fields: dict[str, Any]) -> None:
-        analyzed = {}
-        for field, text in fields.items():
-            if not isinstance(text, str):
-                continue
-            analyzed[field] = [
-                (t.term, t.position)
-                for t in self._analyzer_for(field).analyze(text)
-            ]
+    def index(self, doc_id: Any, text: str) -> None:
         self._docs.pop(doc_id, None)
-        self._docs[doc_id] = analyzed
+        self._docs[doc_id] = self._analyzer.terms(text)
 
     def delete(self, doc_id: Any) -> bool:
         return self._docs.pop(doc_id, None) is not None
@@ -111,36 +84,19 @@ class ReferenceSearchEngine:
     def n_documents(self) -> int:
         return len(self._docs)
 
-    # -- scoring ------------------------------------------------------------
-
-    def _field_docs(self, field: str) -> dict[Any, list[tuple[str, int]]]:
-        return {
-            doc_id: fields[field]
-            for doc_id, fields in self._docs.items()
-            if field in fields
-        }
-
-    def _bm25(
-        self, field: str, terms: Sequence[str]
-    ) -> dict[Any, float]:
-        """Accumulated BM25 over ``terms`` by scanning every document."""
-        docs = self._field_docs(field)
-        n = len(docs)
-        if not n or not terms:
-            return {}
-        lengths = {doc_id: len(tokens) for doc_id, tokens in docs.items()}
-        total = sum(lengths.values())
-        avg_len = (total / n) or 1.0
+    def search(self, text: str, size: int = 10) -> list[tuple[Any, float]]:
+        """Ranked ``(doc_id, score)`` pairs, engine tie-break rules:
+        BM25 accumulated over the query's terms by scanning every
+        document."""
+        n = len(self._docs)
+        lengths = {doc_id: len(terms) for doc_id, terms in self._docs.items()}
+        avg_len = (sum(lengths.values()) / n if n else 0.0) or 1.0
         scores: dict[Any, float] = {}
-        for term in terms:
-            df = sum(
-                1
-                for tokens in docs.values()
-                if any(t == term for t, _ in tokens)
-            )
+        for term in self._analyzer.terms(text):
+            df = sum(1 for terms in self._docs.values() if term in terms)
             idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-            for doc_id, tokens in docs.items():
-                tf = sum(1 for t, _ in tokens if t == term)
+            for doc_id, terms in self._docs.items():
+                tf = terms.count(term)
                 if tf == 0:
                     continue
                 denom = tf + self.K1 * (
@@ -148,115 +104,6 @@ class ReferenceSearchEngine:
                 )
                 contribution = idf * tf * (self.K1 + 1.0) / denom
                 scores[doc_id] = scores.get(doc_id, 0.0) + contribution
-        return scores
-
-    def _eval(self, query: dict) -> dict[Any, float]:
-        if not isinstance(query, dict) or len(query) != 1:
-            raise SearchError("query must have exactly one clause")
-        kind, body = next(iter(query.items()))
-        if kind == "match":
-            field, text = self._unpack(body)
-            terms = self._analyzer_for(field).terms(str(text))
-            return self._bm25(field, terms)
-        if kind == "match_phrase":
-            return self._phrase(body)
-        if kind == "term":
-            field, value = self._unpack(body)
-            return self._bm25(field, [str(value)])
-        if kind == "multi_match":
-            return self._multi_match(body)
-        if kind == "bool":
-            return self._bool(body)
-        if kind == "match_all":
-            return {doc_id: 1.0 for doc_id in self._docs}
-        raise SearchError(f"unknown query clause: {kind!r}")
-
-    def _phrase(self, body: dict) -> dict[Any, float]:
-        field, text = self._unpack(body)
-        tokens = self._analyzer_for(field).analyze(str(text))
-        by_position: dict[int, str] = {}
-        for token in tokens:
-            current = by_position.get(token.position)
-            if current is None or len(token.term) > len(current):
-                by_position[token.position] = token.term
-        if not by_position:
-            return {}
-        offsets = sorted(by_position)
-        terms = [by_position[pos] for pos in offsets]
-        relative = [pos - offsets[0] for pos in offsets]
-        base = self._bm25(field, terms)
-        out = {}
-        for doc_id in base:
-            doc_tokens = self._field_docs(field)[doc_id]
-            occupied = set(doc_tokens)  # (term, position) pairs
-            starts = {p for t, p in doc_tokens if t == terms[0]}
-            if any(
-                all(
-                    (terms[i], start + relative[i]) in occupied
-                    for i in range(len(terms))
-                )
-                for start in starts
-            ):
-                out[doc_id] = base[doc_id] * 2.0
-        return out
-
-    def _multi_match(self, body: dict) -> dict[Any, float]:
-        if not isinstance(body, dict) or "query" not in body:
-            raise SearchError("multi_match requires a query")
-        text = str(body["query"])
-        combined: dict[Any, float] = {}
-        for spec in body.get("fields") or [self.default_field]:
-            field, _, boost_text = str(spec).partition("^")
-            try:
-                boost = float(boost_text) if boost_text else 1.0
-            except ValueError as exc:
-                raise SearchError(f"bad field boost: {spec!r}") from exc
-            for doc_id, score in self._eval(
-                {"match": {field: text}}
-            ).items():
-                combined[doc_id] = combined.get(doc_id, 0.0) + boost * score
-        return combined
-
-    def _bool(self, body: dict) -> dict[Any, float]:
-        if not isinstance(body, dict):
-            raise SearchError("bool body must be a dict")
-        must = [self._eval(q) for q in body.get("must", [])]
-        should = [self._eval(q) for q in body.get("should", [])]
-        must_not = [self._eval(q) for q in body.get("must_not", [])]
-        if must:
-            candidates = set(must[0])
-            for scores in must[1:]:
-                candidates &= set(scores)
-        elif should:
-            candidates = set()
-            for scores in should:
-                candidates |= set(scores)
-        else:
-            candidates = set(self._docs)
-        for scores in must_not:
-            candidates -= set(scores)
-        out = {}
-        for doc_id in candidates:
-            score = sum(s.get(doc_id, 0.0) for s in must)
-            score += sum(s.get(doc_id, 0.0) for s in should)
-            if not must and not should:
-                score = 1.0
-            out[doc_id] = score
-        return out
-
-    @staticmethod
-    def _unpack(body: dict) -> tuple[str, Any]:
-        if not isinstance(body, dict) or len(body) != 1:
-            raise SearchError("clause body must map one field to a value")
-        return next(iter(body.items()))
-
-    def search(
-        self, query: str | dict, size: int = 10
-    ) -> list[tuple[Any, float]]:
-        """Ranked ``(doc_id, score)`` pairs, engine tie-break rules."""
-        if isinstance(query, str):
-            query = {"match": {self.default_field: query}}
-        scores = self._eval(query)
         ranked = sorted(
             scores.items(), key=lambda item: (-item[1], str(item[0]))
         )

@@ -116,7 +116,6 @@ class TestEngine:
         for report in reports:
             oracle.add_report(
                 report.report_id,
-                report.title,
                 report.to_document(),
                 report.annotations,
             )

@@ -57,37 +57,6 @@ class TestExtractorLocalOnly:
         assert not extracted.relations
 
 
-class TestSearchEngineEdgeCases:
-    def test_term_query(self):
-        from repro.search.engine import SearchEngine
-
-        engine = SearchEngine(
-            {"tag": {"tokenizer": {"type": "keyword"}}}
-        )
-        engine.index("a", {"tag": "cvd"})
-        engine.index("b", {"tag": "cancer"})
-        hits = engine.search({"term": {"tag": "cvd"}})
-        assert [h.doc_id for h in hits] == ["a"]
-
-    def test_bool_only_must_not(self):
-        from repro.search.engine import create_ir_engine
-
-        engine = create_ir_engine()
-        engine.index("a", {"body": "fever"})
-        engine.index("b", {"body": "cough"})
-        hits = engine.search(
-            {"bool": {"must_not": [{"match": {"body": "fever"}}]}}
-        )
-        assert [h.doc_id for h in hits] == ["b"]
-
-    def test_unknown_field_match_is_empty(self):
-        from repro.search.engine import create_ir_engine
-
-        engine = create_ir_engine()
-        engine.index("a", {"body": "fever"})
-        assert engine.search({"match": {"nonfield": "fever"}}) == []
-
-
 class TestLayoutDegenerateInputs:
     def test_two_coincident_seeded_nodes(self):
         from repro.viz.force_layout import ForceLayout

@@ -20,7 +20,6 @@ class TestContradictionSkips:
         # contradicting the stored pair label.
         record = indexer.index_report(
             "doc-1",
-            "t",
             "fever treated with aspirin",
             _SPANS,
             [("T1", "T2", "BEFORE"), ("T1", "T2", "AFTER")],
@@ -33,7 +32,6 @@ class TestContradictionSkips:
         indexer = CreateIrIndexer()
         record = indexer.index_report(
             "doc-1",
-            "t",
             "fever treated with aspirin",
             _SPANS,
             [("T1", "T2", "BEFORE"), ("T2", "T3", "BEFORE")],
@@ -57,7 +55,6 @@ class TestClosureFailures:
         monkeypatch.setattr(TemporalGraph, "close", exploding_close)
         record = indexer.index_report(
             "doc-1",
-            "t",
             "fever treated with aspirin",
             _SPANS,
             [("T1", "T2", "BEFORE")],
@@ -80,7 +77,6 @@ class TestClosureFailures:
         for i in range(3):
             indexer.index_report(
                 f"doc-{i}",
-                "t",
                 "fever treated with aspirin",
                 _SPANS,
                 [("T1", "T2", "BEFORE")],

@@ -66,7 +66,7 @@ def build_index(reports):
     indexer = CreateIrIndexer()
     for report in reports:
         indexer.index_annotation_document(
-            report.report_id, report.title, report.annotations
+            report.report_id, report.annotations
         )
     return indexer
 
@@ -109,11 +109,10 @@ class TestIndexer:
             indexer = CreateIrIndexer(graph=graph)
             for report in cvd_reports[:4]:
                 indexer.index_annotation_document(
-                    report.report_id, report.title, report.annotations
+                    report.report_id, report.annotations
                 )
             indexer.index_report(
                 "quoted",
-                "t",
                 "Crohn's \\ flare, no fever",
                 [
                     ("T1", "Crohn's \\ flare", "Disease_disorder", "event"),
@@ -174,7 +173,7 @@ class TestIndexer:
         indexer = CreateIrIndexer(close_temporal=False)
         report = cvd_reports[0]
         record = indexer.index_annotation_document(
-            report.report_id, report.title, report.annotations
+            report.report_id, report.annotations
         )
         assert record.n_inferred_edges == 0
 

@@ -76,7 +76,7 @@ def test_ir_searcher_cache_honours_both_store_epochs(small_corpus):
     indexer = CreateIrIndexer()
     for report in small_corpus[:10]:
         indexer.index_annotation_document(
-            report.report_id, report.title, report.annotations
+            report.report_id, report.annotations
         )
     searcher = CreateIrSearcher(indexer)
     cache = searcher.cache = QueryCache(8, indexer.epochs)
@@ -84,7 +84,7 @@ def test_ir_searcher_cache_honours_both_store_epochs(small_corpus):
     assert searcher.search(query) == searcher.search(query)
     indexer.graph.remove_node(next(indexer.graph.nodes()).node_id)
     searcher.search(query)
-    indexer.engine.index("kw-only", {"title": "", "body": "cough"})
+    indexer.engine.index("kw-only", "cough")
     searcher.search(query)
     assert (cache.hits, cache.stale_drops) == (1, 2)
 
@@ -93,7 +93,7 @@ def test_ir_searcher_cache_honours_both_store_epochs(small_corpus):
     def racing_search(engine_query, size=10):
         indexer.engine.search = original
         hits = original(engine_query, size=size)
-        indexer.engine.index("late", {"title": "", "body": "chest pain"})
+        indexer.engine.index("late", "chest pain")
         return hits
 
     indexer.engine.search = racing_search
@@ -143,14 +143,12 @@ def test_cached_searcher_answers_like_an_uncached_one(
             if action == "index":
                 indexer.delete_report(report.report_id)
                 indexer.index_annotation_document(
-                    report.report_id, report.title, report.annotations
+                    report.report_id, report.annotations
                 )
             elif action == "delete":
                 indexer.delete_report(report.report_id)
             elif action == "keyword":
-                indexer.engine.index(
-                    f"kw-{slot}", {"title": "", "body": _KEYWORD_BODIES[slot]}
-                )
+                indexer.engine.index(f"kw-{slot}", _KEYWORD_BODIES[slot])
             assert cached.search(query) == uncached.search(query), action
             assert len(cached.cache) <= capacity
 

@@ -83,7 +83,7 @@ class TestNegationInPipeline:
         indexer = CreateIrIndexer()
         report = negated_corpus[0]
         indexer.index_annotation_document(
-            report.report_id, report.title, report.annotations
+            report.report_id, report.annotations
         )
         flagged = [
             node
@@ -96,7 +96,7 @@ class TestNegationInPipeline:
         indexer = CreateIrIndexer()
         for report in negated_corpus:
             indexer.index_annotation_document(
-                report.report_id, report.title, report.annotations
+                report.report_id, report.annotations
             )
         searcher = CreateIrSearcher(indexer, parser=None)
         # Pick a denied surface that appears ONLY negated in its report.

@@ -104,7 +104,7 @@ class TestOntologyInRetrieval:
         indexer = CreateIrIndexer()
         report = cvd_reports[0]
         indexer.index_annotation_document(
-            report.report_id, report.title, report.annotations
+            report.report_id, report.annotations
         )
         stamped = [
             node
@@ -130,7 +130,7 @@ class TestOntologyInRetrieval:
             ):
                 target = report
             indexer.index_annotation_document(
-                report.report_id, report.title, report.annotations
+                report.report_id, report.annotations
             )
         if target is None:
             pytest.skip("no dyspnea mention in fixture corpus")

@@ -11,7 +11,7 @@ from repro.exceptions import PipelineError, ReviewError
 from repro.ir import CreateIrIndexer
 from repro.ner.encoding import spans_of_document
 from repro.pipeline import ClinicalExtractor, CreatePipeline
-from repro.search.engine import create_ir_engine
+from repro.search.engine import SearchEngine
 
 
 class TestClinicalExtractor:
@@ -91,10 +91,8 @@ class _UndurableEngine:
     nothing but what the indexer and the searcher call."""
 
     def __init__(self):
-        self._engine = create_ir_engine()
-        for name in (
-            "index", "delete", "search", "highlight", "explain_terms"
-        ):
+        self._engine = SearchEngine()
+        for name in ("index", "delete", "search", "highlight"):
             setattr(self, name, getattr(self._engine, name))
 
     epoch = property(lambda self: self._engine.epoch)

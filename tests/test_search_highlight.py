@@ -1,10 +1,7 @@
-"""Tests for highlighting and multi_match."""
+"""Tests for highlighting."""
 
-import pytest
-
-from repro.exceptions import SearchError
 from repro.search.analysis import STANDARD_ANALYZER_CONFIG, create_analyzer
-from repro.search.engine import SearchEngine, create_ir_engine
+from repro.search.engine import SearchEngine
 from repro.search.highlight import highlight
 
 ANALYZER = create_analyzer(STANDARD_ANALYZER_CONFIG)
@@ -56,62 +53,17 @@ class TestHighlight:
         assert "[fever]" in snippets[0]
 
 
-class TestMultiMatch:
-    def _engine(self):
-        engine = SearchEngine(
-            {
-                "title": STANDARD_ANALYZER_CONFIG,
-                "body": STANDARD_ANALYZER_CONFIG,
-            }
-        )
-        engine.index("t", {"title": "fever case", "body": "unrelated text"})
-        engine.index("b", {"title": "something else", "body": "fever fever"})
-        return engine
-
-    def test_searches_all_fields(self):
-        hits = self._engine().search(
-            {"multi_match": {"query": "fever", "fields": ["title", "body"]}}
-        )
-        assert {h.doc_id for h in hits} == {"t", "b"}
-
-    def test_boost_changes_ranking(self):
-        engine = self._engine()
-        boosted = engine.search(
-            {"multi_match": {"query": "fever", "fields": ["title^10", "body"]}}
-        )
-        assert boosted[0].doc_id == "t"
-        unboosted = engine.search(
-            {"multi_match": {"query": "fever", "fields": ["title", "body^10"]}}
-        )
-        assert unboosted[0].doc_id == "b"
-
-    def test_defaults_to_default_field(self):
-        engine = self._engine()
-        hits = engine.search({"multi_match": {"query": "fever"}})
-        assert {h.doc_id for h in hits} == {"b"}
-
-    def test_requires_query(self):
-        with pytest.raises(SearchError):
-            self._engine().search({"multi_match": {"fields": ["body"]}})
-
-    def test_bad_boost_rejected(self):
-        with pytest.raises(SearchError):
-            self._engine().search(
-                {"multi_match": {"query": "x", "fields": ["title^big"]}}
-            )
-
-
 class TestEngineHighlight:
     def test_highlight_via_engine(self):
-        engine = create_ir_engine()
-        engine.index("d", {"body": TEXT, "title": "Fever case"})
-        snippets = engine.highlight("d", "body", "persistent cough")
+        engine = SearchEngine()
+        engine.index("d", TEXT)
+        snippets = engine.highlight("d", "persistent cough")
         assert snippets
         assert "<em>" in snippets[0]
 
     def test_unknown_doc_empty(self):
-        engine = create_ir_engine()
-        assert engine.highlight("missing", "body", "fever") == []
+        engine = SearchEngine()
+        assert engine.highlight("missing", "fever") == []
 
 
 class TestHighlightBoundarySnapping:

@@ -59,7 +59,7 @@ class TestQuerySuggester:
         indexer = CreateIrIndexer()
         report = cvd_reports[0]
         indexer.index_annotation_document(
-            report.report_id, report.title, report.annotations
+            report.report_id, report.annotations
         )
         suggester = QuerySuggester()
         assert suggester.add_from_graph(indexer.graph) > 0

@@ -59,7 +59,7 @@ class TestBatchRun:
         # The digest hashes the generated cases only: it moves when a
         # generator (or the order it draws from its RNG) changes, never
         # when a checker does.
-        assert report.digest.startswith("085a83eacbcab87b")
+        assert report.digest.startswith("868dec6b6e877a17")
 
     def test_one_table_of_subsystems(self):
         names = tuple(subsystem.name for subsystem in TABLE)
@@ -239,6 +239,27 @@ def _plant_cache_ignores_stamp(monkeypatch):
     monkeypatch.setattr(QueryCache, "get", get)
 
 
+def _plant_postings_appended_at_tail(monkeypatch):
+    """``InvertedIndex.add_document`` that appends every posting at the
+    tail: a document re-indexed under its lower ordinal lands after
+    later ones, out of doc-ord order."""
+    from collections import Counter
+
+    from repro.search.inverted_index import InvertedIndex
+
+    def add_document(self, doc_ord, tokens):
+        if doc_ord in self._doc_lengths:
+            self.remove_document(doc_ord)
+        per_term = Counter(token.term for token in tokens)
+        for term, tf in per_term.items():
+            self._postings.setdefault(term, []).append((doc_ord, tf))
+        self._doc_terms[doc_ord] = tuple(per_term)
+        self._doc_lengths[doc_ord] = len(tokens)
+        self._total_length += len(tokens)
+
+    monkeypatch.setattr(InvertedIndex, "add_document", add_document)
+
+
 def _plant_skipped_exclusion(monkeypatch):
     """Cohort evaluation whose short-circuit drops the last exclusion
     criterion unevaluated."""
@@ -267,6 +288,7 @@ class TestCheckersHaveTeeth:
             ("durability", _plant_unsynced_ack),
             ("durability", _plant_rederive_skips_reregistered),
             ("cohort", _plant_skipped_exclusion),
+            ("search", _plant_postings_appended_at_tail),
         ],
         ids=lambda value: getattr(value, "__name__", value),
     )

@@ -26,12 +26,12 @@ from repro.testing.oracles import (
 class TestReferenceSearchEngine:
     def test_hand_computed_bm25(self):
         engine = ReferenceSearchEngine(
-            {"body": {"tokenizer": {"type": "whitespace"},
-                      "filter": ["lowercase"], "char_filter": []}}
+            {"tokenizer": {"type": "whitespace"},
+             "filter": ["lowercase"], "char_filter": []}
         )
-        engine.index("d1", {"body": "fever fever cough"})
-        engine.index("d2", {"body": "cough"})
-        ranked = dict(engine.search({"match": {"body": "fever"}}))
+        engine.index("d1", "fever fever cough")
+        engine.index("d2", "cough")
+        ranked = dict(engine.search("fever"))
         # N=2, df=1, idf=log(1 + 1.5/1.5)=log 2; tf=2, dl=3, avgdl=2.
         idf = math.log(2.0)
         denom = 2 + 1.2 * (1 - 0.75 + 0.75 * 3 / 2)
@@ -40,30 +40,14 @@ class TestReferenceSearchEngine:
 
     def test_delete_refreshes_statistics(self):
         engine = ReferenceSearchEngine()
-        engine.index("d1", {"body": "fever"})
-        engine.index("d2", {"body": "cough"})
+        engine.index("d1", "fever")
+        engine.index("d2", "cough")
         assert engine.delete("d2") is True
         assert engine.delete("d2") is False
         assert engine.n_documents == 1
         # df/N now reflect only the surviving document.
-        (doc_id, _score), = engine.search({"match": {"body": "fever"}})
+        (doc_id, _score), = engine.search("fever")
         assert doc_id == "d1"
-
-    def test_phrase_respects_position_gaps(self):
-        engine = ReferenceSearchEngine()
-        engine.index("d1", {"body": "fever and cough"})
-        engine.index("d2", {"body": "cough fever"})
-        ranked = engine.search({"match_phrase": {"body": "fever and cough"}})
-        assert [doc_id for doc_id, _ in ranked] == ["d1"]
-
-    def test_bool_must_not_only(self):
-        engine = ReferenceSearchEngine()
-        engine.index("d1", {"body": "fever"})
-        engine.index("d2", {"body": "cough"})
-        ranked = engine.search(
-            {"bool": {"must_not": [{"match": {"body": "fever"}}]}}
-        )
-        assert ranked == [("d2", 1.0)]
 
 
 class TestBruteForceBindings:

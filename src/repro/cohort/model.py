@@ -87,6 +87,11 @@ class MentionSpec:
         negated = body.get("negated", False)
         if negated not in (True, False, None):
             raise CohortError(f"negated must be true/false/null: {negated!r}")
+        for key in ("entity_type", "value"):
+            if not isinstance(body.get(key), (str, type(None))):
+                raise CohortError(
+                    f"{key} must be a string or null: {body[key]!r}"
+                )
         return cls(
             entity_type=body.get("entity_type"),
             value=body.get("value"),
@@ -279,6 +284,10 @@ def criterion_from_json(body: dict) -> Criterion:
             if not isinstance(item, (list, tuple)) or len(item) != 4:
                 raise CohortError(f"bad graph edge: {item!r}")
             src, dst, label, directed = item
+            if not isinstance(label, (str, type(None))):
+                raise CohortError(
+                    f"graph edge label must be a string or null: {label!r}"
+                )
             parsed_edges.append(
                 (str(src), str(dst), label, bool(directed))
             )

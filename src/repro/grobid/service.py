@@ -8,7 +8,6 @@ automatic metadata extraction.
 
 from __future__ import annotations
 
-import time
 import zlib
 from dataclasses import dataclass, field
 
@@ -39,12 +38,10 @@ class GrobidService:
     the paper's crawler encounters: "The contents can be captured in
     XML or online PDFs").
 
-    The real Grobid is a remote REST service; two knobs model that:
+    The real Grobid is a remote REST service that can fail transiently;
+    two knobs model that:
 
     Args:
-        latency: simulated round-trip seconds per :meth:`process` call
-            (a real wall-clock sleep, so concurrent callers overlap it
-            the way concurrent RPCs would).
         transient_error_rate: fraction of documents whose *first*
             :meth:`process` call raises :class:`TransientParseError`.
             The decision is keyed on the content (not call order), so
@@ -55,11 +52,9 @@ class GrobidService:
 
     def __init__(
         self,
-        latency: float = 0.0,
         transient_error_rate: float = 0.0,
         seed: int = 0,
     ):
-        self.latency = latency
         self.transient_error_rate = transient_error_rate
         self.seed = seed
         self._attempted: set[int] = set()
@@ -71,8 +66,6 @@ class GrobidService:
             TransientParseError: injected retryable service failure.
             ParseError: the content is neither SimPDF nor TEI XML.
         """
-        if self.latency > 0.0:
-            time.sleep(self.latency)
         if self.transient_error_rate > 0.0:
             key = zlib.crc32(content.encode("utf-8")) ^ (self.seed * 2654435761)
             if key not in self._attempted:

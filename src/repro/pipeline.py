@@ -241,8 +241,8 @@ class _ExtractedDoc:
 
 # Worker-side state for the parse+extract stage.  Set by
 # :func:`_init_ingest_worker`, which the executor runs once per process
-# worker (inheriting heavyweight models via fork) and once inline for
-# serial/thread mode.
+# worker (inheriting heavyweight models via fork) and once inline when
+# the stage runs serially.
 _INGEST_WORKER: dict = {}
 
 
@@ -325,10 +325,9 @@ class CreatePipeline:
     run or being silently swallowed.
 
     Args:
-        workers: default parse+extract pool size (1 = serial).
-        executor_mode: ``"thread"`` (overlaps Grobid service latency)
-            or ``"process"`` (sidesteps the GIL for CPU-bound
-            extraction on multi-core hosts).
+        workers: parse+extract process pool size; 1 runs the stage
+            inline.  Extraction is CPU-bound, so only processes
+            (one per core) overlap it.
         parse_retries: bounded retries for transient Grobid errors.
         indexer: the dual index to load and serve.  The default is the
             paper's configuration (in-memory graph + in-memory keyword
@@ -347,7 +346,6 @@ class CreatePipeline:
     grobid: GrobidService = field(default_factory=GrobidService)
     stats: PipelineStats = field(default_factory=PipelineStats)
     workers: int = 1
-    executor_mode: str = "thread"
     parse_retries: int = 2
     indexer: CreateIrIndexer = field(default_factory=CreateIrIndexer)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
@@ -401,7 +399,6 @@ class CreatePipeline:
         self,
         site: SyntheticPubMed,
         max_pages: int | None = None,
-        workers: int | None = None,
     ) -> PipelineStats:
         """Crawl a site and run every captured publication through
         parse -> extract -> index -> store.
@@ -409,14 +406,13 @@ class CreatePipeline:
         Stages:
 
         1. **crawl** (serial): frontier-driven capture.
-        2. **parse+extract** (parallel over ``workers``): Grobid parse
+        2. **parse+extract** (over ``self.workers``): Grobid parse
            with bounded retry for transient service errors, then NER +
            temporal extraction.  Per-document failures dead-letter;
            unexpected exceptions propagate.
         3. **index/store** (serial, input order): keeps graph/keyword
            index contents byte-identical at any worker count.
         """
-        workers = self.workers if workers is None else workers
         with self.metrics.time("pipeline.ingest_seconds"):
             with self.metrics.time("pipeline.crawl_seconds"):
                 crawler = Crawler(site, metrics=self.metrics)
@@ -427,8 +423,7 @@ class CreatePipeline:
             payloads = self._assign_doc_ids(results)
             with self.metrics.time("pipeline.parse_extract_seconds"):
                 executor = BatchExecutor(
-                    workers=workers,
-                    mode=self.executor_mode,
+                    workers=self.workers,
                     initializer=_init_ingest_worker,
                     initargs=(self.grobid, self.extractor, self.parse_retries),
                 )
@@ -564,7 +559,6 @@ def build_demo_system(
     n_train: int = 60,
     seed: int = 0,
     use_gold_annotations: bool = False,
-    workers: int = 1,
 ) -> tuple[CreatePipeline, list[CaseReport]]:
     """Standard demo configuration: train, crawl, ingest, serve.
 
@@ -574,7 +568,6 @@ def build_demo_system(
             (disjoint from the served corpus).
         use_gold_annotations: index gold annotations instead of running
             extraction (the "perfect extraction" upper bound).
-        workers: parse+extract pool size for the ingest stage.
 
     Returns:
         (pipeline, served_reports) — the reports list carries the gold
@@ -592,7 +585,7 @@ def build_demo_system(
     extractor = ClinicalExtractor.train(
         train_reports, unlabeled_sentences=unlabeled, seed=seed + 13
     )
-    pipeline = CreatePipeline(extractor=extractor, workers=workers)
+    pipeline = CreatePipeline(extractor=extractor)
 
     reports = build_corpus(n_reports, seed=seed)
     if use_gold_annotations:

@@ -1,7 +1,7 @@
 """Batch execution with ordered results and per-item fault isolation.
 
-The executor maps a function over a batch of items on a thread pool, a
-process pool, or inline (``workers <= 1``), and always returns one
+The executor maps a function over a batch of items inline
+(``workers <= 1``) or on a process pool, and always returns one
 :class:`TaskOutcome` per input item **in input order** — results are
 deterministic regardless of completion order, which is what lets the
 pipeline produce byte-identical indexes serial vs parallel.
@@ -11,23 +11,19 @@ its outcome and every other item still completes.  Retrying a transient
 failure is the mapped function's business (ingest bounds its Grobid
 retries inside ``pipeline._parse_extract``).
 
-Process mode requires ``fn`` (and the items and return values) to be
+The pool requires ``fn`` (and the items and return values) to be
 picklable; per-worker state that is expensive to ship — a trained
 model, a parser — goes through ``initializer``/``initargs``, which run
-once per worker (and once inline for serial/thread mode, so one code
-path serves all three).
+once per worker (and once inline when ``workers <= 1``, so one code
+path serves both).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
-
-from repro.exceptions import ReproError
-
-_MODES = ("serial", "thread", "process")
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,31 +58,21 @@ def _run_one(fn: Callable[[Any], Any], item: Any, index: int) -> TaskOutcome:
 
 
 class BatchExecutor:
-    """Maps a function over batches with a configurable worker pool.
+    """Maps a function over batches, inline or on a process pool.
 
     Args:
-        workers: pool size; ``<= 1`` runs inline (serial).
-        mode: ``"thread"`` (default), ``"process"``, or ``"serial"``.
-            Serial is forced when ``workers <= 1``.
-        initializer / initargs: per-worker setup hook (also invoked
-            once, inline, for serial and thread mode).
+        workers: process pool size; ``<= 1`` runs inline.
+        initializer / initargs: per-worker setup hook (invoked once,
+            inline, when ``workers <= 1``).
     """
 
     def __init__(
         self,
         workers: int = 1,
-        mode: str = "thread",
         initializer: Callable[..., None] | None = None,
         initargs: tuple = (),
     ):
-        if mode not in _MODES:
-            raise ReproError(
-                f"unknown executor mode {mode!r}; expected one of {_MODES}"
-            )
-        if workers <= 1:
-            mode = "serial"
         self.workers = max(1, int(workers))
-        self.mode = mode
         self.initializer = initializer
         self.initargs = tuple(initargs)
 
@@ -99,11 +85,16 @@ class BatchExecutor:
         batch = list(items)
         if not batch:
             return []
-        if self.mode == "serial":
+        if self.workers == 1:
             if self.initializer is not None:
                 self.initializer(*self.initargs)
             return [_run_one(fn, item, i) for i, item in enumerate(batch)]
-        with self._pool() as pool:
+        with ProcessPoolExecutor(
+            max_workers=self.workers,
+            mp_context=self._mp_context(),
+            initializer=self.initializer,
+            initargs=self.initargs,
+        ) as pool:
             futures = [
                 pool.submit(_run_one, fn, item, i)
                 for i, item in enumerate(batch)
@@ -133,17 +124,3 @@ class BatchExecutor:
             if method in available:
                 return multiprocessing.get_context(method)
         return None
-
-    def _pool(self) -> Executor:
-        if self.mode == "thread":
-            # Thread workers share the process; run the initializer once
-            # inline instead of once per thread.
-            if self.initializer is not None:
-                self.initializer(*self.initargs)
-            return ThreadPoolExecutor(max_workers=self.workers)
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=self._mp_context(),
-            initializer=self.initializer,
-            initargs=self.initargs,
-        )

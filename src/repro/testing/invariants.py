@@ -7,7 +7,7 @@ under input transformations that provably preserve the answer":
 * document insertion-order permutation leaves every ranking unchanged;
 * indexing then deleting a document restores the index statistics
   byte-for-byte;
-* analyzing a batch serially vs. in parallel (via
+* analyzing a batch serially vs. on a process pool (via
   :class:`repro.runtime.BatchExecutor`) builds byte-identical indexes;
 * duplicating a query term never lowers any document's score (BM25
   idf is strictly positive in the Lucene variant);
@@ -32,7 +32,7 @@ from repro.graphdb.match import EdgePattern, GraphPattern, NodePattern
 from repro.graphdb.planner import explain_pattern
 from repro.ir.ranking import fuse_results
 from repro.runtime.executor import BatchExecutor
-from repro.search.analysis import create_analyzer
+from repro.search.analysis import AnalyzedToken, create_analyzer
 from repro.search.engine import SearchEngine
 from repro.search.inverted_index import InvertedIndex
 from repro.testing.lockstep import search_once
@@ -113,17 +113,24 @@ def check_add_remove_restores(case: dict) -> str | None:
     return None
 
 
+def _analyze(item: tuple[str, str]) -> list[AnalyzedToken]:
+    """Analyze one text under a named analyzer config.  Module-level and
+    keyed by name so it pickles into a pool worker (an ``Analyzer``
+    holds a lock and does not)."""
+    config_name, text = item
+    return create_analyzer(ANALYZER_CONFIGS[config_name]).analyze(text)
+
+
 def check_serial_parallel_ingest(case: dict) -> str | None:
-    """Serial and parallel analysis must build byte-identical indexes."""
+    """Serial and process-pool analysis must build byte-identical
+    indexes."""
     docs = _live_docs(case)
     if not docs:
         return None
-    analyzer = create_analyzer(ANALYZER_CONFIGS[case["analyzer"]])
+    items = [(case["analyzer"], text) for _, text in docs]
     snapshots = []
-    for workers in (1, 4):
-        outcomes = BatchExecutor(workers=workers, mode="thread").map(
-            lambda item: analyzer.analyze(item[1]), docs
-        )
+    for workers in (1, 2):
+        outcomes = BatchExecutor(workers=workers).map(_analyze, items)
         if not all(outcome.ok for outcome in outcomes):
             errors = [o.error for o in outcomes if not o.ok]
             return f"parallel analysis failed: {errors!r}"

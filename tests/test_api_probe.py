@@ -140,3 +140,67 @@ def test_route_table_is_fully_probed():
         for name in re.findall(r"{(\w+)}", template)
     }
     assert variables == set(IDS)
+
+
+# Cohort bodies that parse into a criterion the engine cannot evaluate:
+# a non-string mention field or a non-string graph edge label.
+MALFORMED_COHORTS = [
+    {"kind": "entity", "value": 5},
+    {"kind": "entity", "entity_type": ["Sign_symptom"]},
+    {
+        "kind": "temporal",
+        "relation": "BEFORE",
+        "a": {"value": 7},
+        "b": {"entity_type": "Sign_symptom"},
+    },
+    {
+        "kind": "temporal",
+        "relation": "AFTER",
+        "a": {"entity_type": "Sign_symptom"},
+        "b": {"entity_type": {"x": 1}},
+    },
+    {
+        "kind": "graph",
+        "nodes": [["a", {"entityType": "Sign_symptom"}], ["b", {}]],
+        "edges": [["a", "b", {"x": 1}, True]],
+    },
+]
+
+
+@pytest.mark.parametrize(
+    "criterion",
+    MALFORMED_COHORTS,
+    ids=[
+        "entity-value-int",
+        "entity-type-list",
+        "temporal-value-int",
+        "temporal-type-dict",
+        "graph-edge-label-dict",
+    ],
+)
+def test_malformed_cohort_is_refused_not_evaluated(criterion, reports):
+    app = _populated_app(reports)
+    calls = [
+        ("POST", "/cohorts", {"name": "bad", "inclusion": [criterion]}),
+        ("POST", "/cohorts/bad/evaluate", None),
+        ("GET", "/cohorts/bad/fhir", None),
+    ]
+    statuses = []
+    for method, path, body in calls:
+        try:
+            response = app.handle(method, path, body=body)
+        except Exception as exc:  # the contract under test
+            pytest.fail(
+                f"{method} {path} escaped handle: {type(exc).__name__}: {exc}"
+            )
+        statuses.append(response.status)
+    assert statuses == [400, 404, 404]
+    # A bad definition persisted before validation existed answers 400.
+    app.store.collection("cohorts").insert_one(
+        {"_id": "stored", "name": "stored", "inclusion": [criterion]}
+    )
+    for method, path in (
+        ("POST", "/cohorts/stored/evaluate"),
+        ("GET", "/cohorts/stored/fhir"),
+    ):
+        assert app.handle(method, path).status == 400

@@ -1,9 +1,11 @@
-"""Every benchmark on disk is run by some CI job, and every benchmark a
-CI job names is on disk.
+"""Every benchmark and example on disk is run by some CI job, and
+every benchmark or example a CI job names is on disk.
 
 A bench nobody runs is a claim nobody defends (the paper's three
 quality benches sat ungated for ten PRs), and a job naming a deleted
-bench fails only after the merge.
+bench fails only after the merge.  The examples are held to the same
+rule: ``tests/test_reachability.py`` counts them as what reaches
+``corpus.export`` and ``ml.serialization``.
 """
 
 import re
@@ -12,9 +14,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 WORKFLOWS = REPO_ROOT / ".github" / "workflows"
 BENCH_PATH = re.compile(r"benchmarks/(bench_\w+\.py)")
+EXAMPLE_PATH = re.compile(r"examples/(\w+\.py)")
 
 
-def _benches_named_by_ci() -> set[str]:
+def _named_by_ci(pattern: re.Pattern) -> set[str]:
     named: set[str] = set()
     for workflow in ("ci.yml", "nightly.yml"):
         text = (WORKFLOWS / workflow).read_text(encoding="utf-8")
@@ -23,18 +26,29 @@ def _benches_named_by_ci() -> set[str]:
             line for line in text.splitlines()
             if not line.lstrip().startswith("#")
         )
-        named.update(BENCH_PATH.findall(steps))
+        named.update(pattern.findall(steps))
     return named
 
 
-def _benches_on_disk() -> set[str]:
-    benchmarks = REPO_ROOT / "benchmarks"
-    return {path.name for path in benchmarks.glob("bench_*.py")}
+def _on_disk(directory: str, glob: str) -> set[str]:
+    return {path.name for path in (REPO_ROOT / directory).glob(glob)}
 
 
 def test_every_bench_on_disk_is_run_by_a_workflow():
-    assert _benches_on_disk() - _benches_named_by_ci() == set()
+    on_disk = _on_disk("benchmarks", "bench_*.py")
+    assert on_disk - _named_by_ci(BENCH_PATH) == set()
 
 
 def test_every_bench_a_workflow_names_exists():
-    assert _benches_named_by_ci() - _benches_on_disk() == set()
+    on_disk = _on_disk("benchmarks", "bench_*.py")
+    assert _named_by_ci(BENCH_PATH) - on_disk == set()
+
+
+def test_every_example_on_disk_is_run_by_a_workflow():
+    on_disk = _on_disk("examples", "*.py")
+    assert on_disk - _named_by_ci(EXAMPLE_PATH) == set()
+
+
+def test_every_example_a_workflow_names_exists():
+    on_disk = _on_disk("examples", "*.py")
+    assert _named_by_ci(EXAMPLE_PATH) - on_disk == set()

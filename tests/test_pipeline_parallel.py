@@ -44,6 +44,14 @@ class _SelectiveFailExtractor:
         return self.inner.extract(doc_id, text)
 
 
+class ExplodingGrobid(GrobidService):
+    """Module-level so it pickles into a pool worker under any start
+    method."""
+
+    def process(self, content):
+        raise RuntimeError("unexpected infrastructure failure")
+
+
 class TestDeterminism:
     def test_parallel_matches_serial(self, demo_system):
         trained, _ = demo_system
@@ -51,9 +59,9 @@ class TestDeterminism:
         site_b, _ = _make_site()
 
         serial = _fresh_pipeline(trained.extractor)
-        serial_stats = serial.ingest_from_site(site_a, workers=1)
-        parallel = _fresh_pipeline(trained.extractor)
-        parallel_stats = parallel.ingest_from_site(site_b, workers=4)
+        serial_stats = serial.ingest_from_site(site_a)
+        parallel = _fresh_pipeline(trained.extractor, workers=2)
+        parallel_stats = parallel.ingest_from_site(site_b)
 
         assert serial_stats.as_dict() == parallel_stats.as_dict()
         assert _index_fingerprint(serial) == _index_fingerprint(parallel)
@@ -80,9 +88,9 @@ class TestFaultIsolation:
         site, reports = _make_site()
         victim = reports[2].pmid
         extractor = _SelectiveFailExtractor(trained.extractor, {victim})
-        pipeline = _fresh_pipeline(extractor)
+        pipeline = _fresh_pipeline(extractor, workers=2)
 
-        stats = pipeline.ingest_from_site(site, workers=3)
+        stats = pipeline.ingest_from_site(site)
 
         assert stats.extract_failures == 1
         assert stats.indexed == len(reports) - 1
@@ -101,9 +109,9 @@ class TestFaultIsolation:
         victim = reports[1].pmid
         url = f"pubmed://article/{victim}"
         site._pages[url] = Page(url, "pdf", "not a publication at all")
-        pipeline = _fresh_pipeline(trained.extractor)
+        pipeline = _fresh_pipeline(trained.extractor, workers=2)
 
-        stats = pipeline.ingest_from_site(site, workers=2)
+        stats = pipeline.ingest_from_site(site)
 
         assert stats.parse_failures == 1
         assert stats.parse_failed_ids == [victim]
@@ -116,13 +124,17 @@ class TestFaultIsolation:
     def test_unexpected_parse_exception_propagates(self, demo_system):
         trained, _ = demo_system
         site, _ = _make_site(n=3)
-
-        class ExplodingGrobid(GrobidService):
-            def process(self, content):
-                raise RuntimeError("unexpected infrastructure failure")
-
         pipeline = _fresh_pipeline(trained.extractor, grobid=ExplodingGrobid())
         with pytest.raises(RuntimeError):
+            pipeline.ingest_from_site(site)
+
+    def test_unexpected_exception_propagates_from_a_worker(self, demo_system):
+        trained, _ = demo_system
+        site, _ = _make_site(n=3)
+        pipeline = _fresh_pipeline(
+            trained.extractor, grobid=ExplodingGrobid(), workers=2
+        )
+        with pytest.raises(RuntimeError, match="infrastructure"):
             pipeline.ingest_from_site(site)
 
 
@@ -132,10 +144,10 @@ class TestTransientRetry:
         site, reports = _make_site()
         grobid = GrobidService(transient_error_rate=1.0, seed=3)
         pipeline = _fresh_pipeline(
-            trained.extractor, grobid=grobid, parse_retries=2
+            trained.extractor, grobid=grobid, parse_retries=2, workers=2
         )
 
-        stats = pipeline.ingest_from_site(site, workers=2)
+        stats = pipeline.ingest_from_site(site)
 
         assert stats.parse_failures == 0
         assert stats.parsed == len(reports)
@@ -185,9 +197,9 @@ class TestDocIdCollisions:
             listing.body,
             listing.links + (mirror_url,),
         )
-        pipeline = _fresh_pipeline(trained.extractor)
+        pipeline = _fresh_pipeline(trained.extractor, workers=2)
 
-        stats = pipeline.ingest_from_site(site, workers=2)
+        stats = pipeline.ingest_from_site(site)
 
         assert stats.id_collisions == 1
         assert stats.indexed == len(reports) + 1

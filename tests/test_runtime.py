@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.exceptions import ReproError, StageFailure
+from repro.exceptions import StageFailure
 from repro.runtime import BatchExecutor, MetricsRegistry
 from repro.runtime.metrics import PERCENTILE_WINDOW
 
@@ -20,45 +20,53 @@ def _fail_on_three(x):
     return x
 
 
+# Set by the executor's initializer in whichever process runs the batch.
+_WORKER_STATE: dict = {}
+
+
+def _set_tag(tag):
+    _WORKER_STATE["tag"] = tag
+
+
+def _tagged(x):
+    return _WORKER_STATE["tag"], x
+
+
 class TestBatchExecutor:
-    @pytest.mark.parametrize(
-        "workers,mode",
-        [(1, "serial"), (4, "thread"), (2, "process")],
-    )
-    def test_results_ordered_by_input(self, workers, mode):
-        executor = BatchExecutor(workers=workers, mode=mode)
+    @pytest.mark.parametrize("workers", [1, 2], ids=["1-serial", "2-process"])
+    def test_results_ordered_by_input(self, workers):
+        executor = BatchExecutor(workers=workers)
         outcomes = executor.map(_square, range(20))
         assert [o.index for o in outcomes] == list(range(20))
         assert [o.value for o in outcomes] == [i * i for i in range(20)]
         assert all(o.ok for o in outcomes)
 
     def test_fault_isolation(self):
-        executor = BatchExecutor(workers=4, mode="thread")
-        outcomes = executor.map(_fail_on_three, [1, 2, 3, 4])
-        assert [o.ok for o in outcomes] == [True, True, False, True]
-        failed = outcomes[2]
-        assert isinstance(failed.error, ValueError)
-        assert failed.value is None
-        assert [o.value for o in outcomes if o.ok] == [1, 2, 4]
+        for workers in (1, 2):
+            outcomes = BatchExecutor(workers=workers).map(
+                _fail_on_three, [1, 2, 3, 4]
+            )
+            assert [o.ok for o in outcomes] == [True, True, False, True]
+            failed = outcomes[2]
+            assert isinstance(failed.error, ValueError)
+            assert failed.value is None
+            assert [o.value for o in outcomes if o.ok] == [1, 2, 4]
 
-    def test_initializer_runs_for_serial_and_thread(self):
-        seen = []
-        executor = BatchExecutor(
-            workers=1, initializer=seen.append, initargs=("ready",)
-        )
-        executor.map(_square, [1])
-        executor = BatchExecutor(
-            workers=2, mode="thread", initializer=seen.append, initargs=("go",)
-        )
-        executor.map(_square, [1])
-        assert seen == ["ready", "go"]
+    def test_initializer_runs_inline_and_in_each_worker(self):
+        for workers in (1, 2):
+            _WORKER_STATE.clear()
+            executor = BatchExecutor(
+                workers=workers, initializer=_set_tag, initargs=(workers,)
+            )
+            outcomes = executor.map(_tagged, [1, 2, 3])
+            assert [o.value for o in outcomes] == [
+                (workers, 1),
+                (workers, 2),
+                (workers, 3),
+            ]
 
     def test_empty_batch(self):
         assert BatchExecutor(workers=4).map(_square, []) == []
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ReproError):
-            BatchExecutor(workers=2, mode="quantum")
 
 
 class TestMetricsRegistry:
@@ -184,7 +192,7 @@ class TestExecutorStartMethod:
         worker = threading.Thread(target=stop.wait)
         worker.start()
         try:
-            executor = BatchExecutor(workers=2, mode="process")
+            executor = BatchExecutor(workers=2)
             outcomes = executor.map(_square, [2, 3])
             assert [o.value for o in outcomes] == [4, 9]
         finally:

@@ -2,8 +2,8 @@
 
 The operational side of running CREATe as a resource platform:
 
-1. the Figure-1 category statistics via the document store's
-   aggregation pipeline (and the ``/categories`` endpoint),
+1. the Figure-1 category statistics counted over the document store's
+   report records (the ``/categories`` endpoint serves the same table),
 2. inter-annotator agreement measurement before accepting a batch of
    expert annotations,
 3. exporting the curated corpus to BRAT and CoNLL for external tools,
@@ -13,6 +13,7 @@ Run:  python examples/portal_statistics.py
 """
 
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from repro.annotation import agreement
@@ -24,37 +25,34 @@ from repro.ml import load_extractor, save_extractor
 from repro.pipeline import ClinicalExtractor
 
 
+def _by_count(counts: Counter) -> list[tuple]:
+    """Rows most frequent first, ties in name order."""
+    return sorted(counts.items(), key=lambda row: (-row[1], row[0]))
+
+
 def main() -> None:
     reports = build_corpus(200, seed=17)
 
-    # ---- 1. Figure 1 statistics through the aggregation pipeline -------
+    # ---- 1. Figure 1 statistics counted over the stored records --------
     store = DocumentStore()
     collection = store.collection("reports")
     for report in reports:
         collection.insert_one(report.to_document())
-    rows = collection.aggregate(
-        [
-            {"$group": {"_id": "$category", "n": {"$count": 1}}},
-            {"$sort": {"n": -1}},
-        ]
-    )
-    total = sum(row["n"] for row in rows)
+    stored = collection.find(projection=["category", "area"])
+    categories = Counter(doc["category"] for doc in stored)
+    total = sum(categories.values())
     print("Figure 1 — category distribution of the stored corpus:")
-    for row in rows:
-        share = row["n"] / total
+    for category, n in _by_count(categories):
+        share = n / total
         bar = "#" * int(share * 50)
-        print(f"  {row['_id']:<20}{row['n']:>5}  {share:>6.1%} {bar}")
+        print(f"  {category:<20}{n:>5}  {share:>6.1%} {bar}")
 
-    cvd_years = collection.aggregate(
-        [
-            {"$match": {"category": "cardiovascular"}},
-            {"$group": {"_id": "$area", "n": {"$count": 1}}},
-            {"$sort": {"n": -1}},
-        ]
+    cvd_areas = Counter(
+        doc["area"] for doc in stored if doc["category"] == "cardiovascular"
     )
     print("\nCVD sub-areas (the paper's six query areas):")
-    for row in cvd_years:
-        print(f"  {row['_id']:<28}{row['n']:>4}")
+    for area, n in _by_count(cvd_areas):
+        print(f"  {area:<28}{n:>4}")
 
     # ---- 2. Inter-annotator agreement before accepting annotations -------
     originals = [r.annotations for r in reports[:20]]

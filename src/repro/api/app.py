@@ -32,6 +32,7 @@ return 400, never 500.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -40,7 +41,7 @@ from repro.annotation.model import AnnotationDocument
 from repro.cohort.engine import CohortEngine
 from repro.cohort.fhir import cohort_bundle
 from repro.cohort.model import CohortDefinition
-from repro.docstore.store import DocumentStore
+from repro.docstore.store import DocumentStore, sort_key
 from repro.exceptions import (
     AnnotationError,
     ApiError,
@@ -308,7 +309,7 @@ class CreateApplication:
         }
         annotations = None
         if self.extractor is not None:
-            doc_id_hint = f"sub-{self.store.collection('reports').count() + 1}"
+            doc_id_hint = f"sub-{len(self.store.collection('reports')) + 1}"
             annotations = self.extractor(doc_id_hint, text)
         doc_id = self.register_report(document, annotations)
         return Response(
@@ -323,13 +324,11 @@ class CreateApplication:
         )
 
     def _list_reports(self, body: Any, params: dict) -> Response:
-        query = {}
-        if "category" in params:
-            # A string only: a dict here would be a query operator.
-            query["category"] = _text_param(params, "category")
+        category = (
+            _text_param(params, "category") if "category" in params else None
+        )
         reports = self.store.collection("reports").find(
-            query,
-            sort=[("_id", 1)],
+            lambda doc: category is None or doc.get("category") == category,
             skip=_int_param(params, "skip", 0),
             limit=_int_param(params, "limit", 20),
             projection=["title", "category", "year", "journal"],
@@ -415,7 +414,7 @@ class CreateApplication:
 
     def _delete_report(self, body: Any, params: dict, doc_id: str) -> Response:
         self._require_report(doc_id)
-        self.store.collection("reports").delete_one({"_id": doc_id})
+        self.store.collection("reports").delete_one(doc_id)
         self.indexer.delete_report(doc_id)
         self.review.drop_document(doc_id)
         self._suggester = None  # vocabulary changed
@@ -445,14 +444,12 @@ class CreateApplication:
         return Response(200, {"query": query, "results": rows})
 
     def _stats(self, body: Any, params: dict) -> Response:
-        reports = self.store.collection("reports")
-        by_category = {
-            category: reports.count({"category": category})
-            for category in reports.distinct("category")
-        }
+        counts = self._category_counts()
         payload = {
-            "n_reports": len(reports),
-            "by_category": by_category,
+            "n_reports": len(self.store.collection("reports")),
+            "by_category": dict(
+                sorted(counts.items(), key=lambda item: sort_key(item[0]))
+            ),
             "graph_nodes": self.indexer.graph.n_nodes,
             "graph_edges": self.indexer.graph.n_edges,
             "indexer": self.indexer.stats(),
@@ -508,28 +505,34 @@ class CreateApplication:
         )
 
     def _categories(self, body: Any, params: dict) -> Response:
-        """The Figure 1 data: per-category counts and shares, computed
-        with the document store's aggregation pipeline."""
-        rows = self.store.collection("reports").aggregate(
-            [
-                {"$match": {"category": {"$exists": True}}},
-                {"$group": {"_id": "$category", "count": {"$count": 1}}},
-                {"$sort": {"count": -1}},
-            ]
+        """The Figure 1 data: per-category counts and shares, most
+        frequent first."""
+        counts = self._category_counts()
+        total = sum(counts.values()) or 1
+        rows = sorted(
+            counts.items(), key=lambda item: (-item[1], sort_key(item[0]))
         )
-        total = sum(row["count"] for row in rows) or 1
         return Response(
             200,
             {
                 "categories": [
                     {
-                        "category": row["_id"],
-                        "count": row["count"],
-                        "share": row["count"] / total,
+                        "category": category,
+                        "count": count,
+                        "share": count / total,
                     }
-                    for row in rows
+                    for category, count in rows
                 ]
             },
+        )
+
+    def _category_counts(self) -> Counter:
+        """Reports per ``category`` value, over reports that have one."""
+        return Counter(
+            doc["category"]
+            for doc in self.store.collection("reports").find(
+                lambda doc: "category" in doc, projection=["category"]
+            )
         )
 
     # -- cohorts -------------------------------------------------------------
@@ -539,13 +542,13 @@ class CreateApplication:
         validated and persisted in the docstore."""
         definition = CohortDefinition.from_json(body)
         cohorts = self.store.collection("cohorts")
-        cohorts.delete_one({"_id": definition.name})
+        cohorts.delete_one(definition.name)
         cohorts.insert_one({"_id": definition.name, **definition.to_json()})
         return Response(201, definition.to_json())
 
     def _list_cohorts(self, body: Any, params: dict) -> Response:
         rows = self.store.collection("cohorts").find(
-            sort=[("_id", 1)], projection=["name", "description"]
+            projection=["name", "description"]
         )
         return Response(200, {"cohorts": rows})
 
@@ -554,7 +557,7 @@ class CreateApplication:
 
     def _delete_cohort(self, body: Any, params: dict, name: str) -> Response:
         self._require_cohort(name)
-        self.store.collection("cohorts").delete_one({"_id": name})
+        self.store.collection("cohorts").delete_one(name)
         return Response(200, {"deleted": name})
 
     def _evaluate_cohort(

@@ -6,7 +6,7 @@ Each criterion compiles to the cheapest store that can answer it:
 * ``temporal`` / ``graph`` — planner-driven :func:`match_pattern`
   (join order chosen from the graph's exact cardinality statistics);
 * ``text``     — the keyword engine's match query;
-* ``value``    — a docstore aggregation pipeline.
+* ``value``    — a predicate scan over the docstore's report records.
 
 Evaluation intersects candidate report sets in ascending order of
 *estimated* cardinality (reusing the same statistics the graph planner
@@ -286,11 +286,8 @@ class CohortEngine:
             hits = self.search.search(criterion.query, size=size)
             return {str(hit.doc_id) for hit in hits}, "search"
         if isinstance(criterion, ValueCriterion):
-            rows = self.store.collection("reports").aggregate(
-                [
-                    {"$match": _value_query(criterion)},
-                    {"$project": {"_id": 1}},
-                ]
+            rows = self.store.collection("reports").find(
+                lambda doc: _value_holds(doc, criterion), projection=[]
             )
             return {row["_id"] for row in rows}, "docstore"
         raise CohortError(f"unknown criterion: {type(criterion).__name__}")
@@ -386,22 +383,41 @@ class CohortEngine:
         }
 
 
-def _value_query(criterion: ValueCriterion) -> dict:
-    """The docstore query for one value criterion."""
-    value = criterion.value
-    if isinstance(value, tuple):
-        value = list(value)
+def _value_holds(document: dict, criterion: ValueCriterion) -> bool:
+    """Does ``document`` satisfy ``criterion``?  The rule is the one
+    :class:`ValueCriterion` states: the dotted path steps through
+    objects only, and the value found matches when it, or one element
+    of it when it is an array, passes the whole comparison."""
+    found = document
+    for key in criterion.field.split("."):
+        if not isinstance(found, dict) or key not in found:
+            return criterion.op == "ne"
+        found = found[key]
+    candidates = [found] + (found if isinstance(found, list) else [])
+    operand = criterion.value
     if criterion.op == "eq":
-        return {criterion.field: value}
+        return operand in candidates
     if criterion.op == "ne":
-        return {criterion.field: {"$ne": value}}
-    if criterion.op == "gte":
-        return {criterion.field: {"$gte": value}}
-    if criterion.op == "lte":
-        return {criterion.field: {"$lte": value}}
-    if criterion.op == "between":
-        low, high = value
-        return {criterion.field: {"$gte": low, "$lte": high}}
+        return operand not in candidates
     if criterion.op == "in":
-        return {criterion.field: {"$in": list(value)}}
-    raise CohortError(f"unknown value op {criterion.op!r}")
+        return any(item in operand for item in candidates)
+    if criterion.op == "gte":
+        low, high = operand, None
+    elif criterion.op == "lte":
+        low, high = None, operand
+    else:
+        low, high = operand
+    return any(
+        (low is None or (_same_kind(item, low) and item >= low))
+        and (high is None or (_same_kind(item, high) and item <= high))
+        for item in candidates
+    )
+
+
+def _same_kind(a, b) -> bool:
+    """Ordered comparisons never cross types; bool is not a number."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return isinstance(a, bool) and isinstance(b, bool)
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        return True
+    return isinstance(a, str) and isinstance(b, str)

@@ -22,7 +22,7 @@ Criterion kinds and the store each compiles to:
 * ``text``     — keyword match over report text — the CREATe-IR keyword
   engine.
 * ``value``    — metadata comparisons (year, category, journal, MeSH)
-  — docstore aggregation pipeline.
+  — a predicate scan over the docstore's report records.
 
 Definitions round-trip through plain JSON (:func:`CohortDefinition.
 from_json` / :meth:`CohortDefinition.to_json`) so they can be POSTed to
@@ -195,13 +195,22 @@ class TextCriterion:
 
 @dataclass(frozen=True, slots=True)
 class ValueCriterion:
-    """A metadata field comparison evaluated by the docstore.
+    """A metadata field comparison evaluated over the docstore's
+    report records.
 
     ``op`` is one of ``eq``/``ne``/``gte``/``lte``/``between``/``in``;
     ``between`` takes a two-element ``[low, high]`` (inclusive) and
-    ``in`` a list of admissible values.  Array-valued fields (e.g.
-    ``mesh_terms``) follow Mongo semantics: ``eq`` matches when any
-    element equals the value.
+    ``in`` a list of admissible values.  The bounds of ``gte``, ``lte``
+    and ``between`` are strings, numbers or booleans.
+
+    A dotted ``field`` steps through objects only, so a path through an
+    array (``sections.name``) finds nothing.  The value found matches
+    when it, or one element of it when it is an array (e.g.
+    ``mesh_terms``), passes the whole comparison: ``between`` needs one
+    element inside ``[low, high]``.  Ordered comparisons never cross
+    types (a string is never ``gte`` a number, a bool is not a number).
+    ``ne`` means "no element equals", so it holds where the field is
+    absent; every other op needs the field.
     """
 
     field: str
@@ -221,6 +230,12 @@ class ValueCriterion:
             not isinstance(self.value, (list, tuple)) or len(self.value) != 2
         ):
             raise CohortError("between takes a [low, high] pair")
+        if self.op in ("gte", "lte", "between"):
+            bounds = self.value if self.op == "between" else [self.value]
+            if not all(isinstance(b, (str, int, float)) for b in bounds):
+                raise CohortError(
+                    f"{self.op} bounds must be strings, numbers or booleans"
+                )
         if self.op == "in" and not isinstance(self.value, (list, tuple)):
             raise CohortError("in takes a list of values")
 

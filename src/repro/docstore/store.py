@@ -1,9 +1,9 @@
 """Collections and the document store (MongoDB analog).
 
-Documents are plain JSON dicts with a unique ``_id``.  Collections
-support insert, Mongo-style find (with the operators implemented in
-:mod:`repro.docstore.query`, sorting, skip/limit and projection),
-count, distinct, delete and aggregation.  Persistence is the
+Documents are plain JSON dicts with a unique ``_id``.  A collection is
+a keyed record store: insert, primary-key get and delete, and a scan
+that filters with a caller's Python predicate and returns copies in
+``_id`` order.  It interprets no query format.  Persistence is the
 :class:`repro.durability.Durable` journal and snapshot.
 """
 
@@ -11,11 +11,25 @@ from __future__ import annotations
 
 import copy
 import json
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
-from repro.docstore.aggregate import run_pipeline
-from repro.docstore.query import compile_query, get_path, sort_key, _MISSING
-from repro.exceptions import DocumentStoreError, DuplicateKeyError, QueryError
+from repro.exceptions import DocumentStoreError, DuplicateKeyError
+
+
+def sort_key(value: Any):
+    """Total order over heterogeneous JSON values (None < bool < numbers
+    < str < list < dict), mirroring Mongo's BSON type ordering loosely."""
+    if value is None:
+        return (0, "")
+    if isinstance(value, bool):
+        return (1, value)
+    if isinstance(value, (int, float)):
+        return (2, value)
+    if isinstance(value, str):
+        return (3, value)
+    if isinstance(value, list):
+        return (4, json.dumps(value, default=str))
+    return (5, json.dumps(value, sort_keys=True, default=str))
 
 
 class Collection:
@@ -60,29 +74,25 @@ class Collection:
 
     def find(
         self,
-        query: dict | None = None,
-        sort: list[tuple[str, int]] | None = None,
+        where: Callable[[dict], bool] | None = None,
         skip: int = 0,
         limit: int | None = None,
         projection: list[str] | None = None,
     ) -> list[dict]:
-        """Query the collection.
+        """Copies of the documents ``where`` admits, in ``_id`` order.
 
         Args:
-            query: Mongo-style filter (None / {} selects everything).
-            sort: list of ``(path, direction)`` with direction +1 / -1.
+            where: predicate run on each stored document before any
+                copy (None selects everything); it must not mutate.
             skip / limit: pagination.
             projection: keep only these top-level fields (plus ``_id``).
         """
-        results = list(self._matching(query or {}))
-        if sort:
-            for path, direction in reversed(sort):
-                if direction not in (1, -1):
-                    raise QueryError("sort direction must be 1 or -1")
-                results.sort(
-                    key=lambda doc: sort_key(get_path(doc, path)),
-                    reverse=direction == -1,
-                )
+        results = [
+            doc
+            for doc in self._documents.values()
+            if where is None or where(doc)
+        ]
+        results.sort(key=lambda doc: sort_key(doc["_id"]))
         if skip:
             results = results[skip:]
         if limit is not None:
@@ -100,43 +110,13 @@ class Collection:
         doc = self._documents.get(doc_id)
         return copy.deepcopy(doc) if doc is not None else None
 
-    def count(self, query: dict | None = None) -> int:
-        """Number of matching documents."""
-        if not query:
-            return len(self._documents)
-        return sum(1 for _ in self._matching(query))
-
-    def distinct(self, path: str, query: dict | None = None) -> list:
-        """Sorted distinct values at ``path`` across matching documents."""
-        seen = set()
-        out = []
-        for doc in self._matching(query or {}):
-            value = get_path(doc, path)
-            if value is _MISSING:
-                continue
-            values = value if isinstance(value, list) else [value]
-            for item in values:
-                key = json.dumps(item, sort_keys=True, default=str)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(item)
-        return sorted(out, key=lambda v: json.dumps(v, default=str))
-
-    def delete_one(self, query: dict) -> int:
-        """Delete the first match; returns 0 or 1."""
-        for doc in self._matching(query):
-            doc_id = doc["_id"]
-            del self._documents[doc_id]
-            self._log_op({"op": "delete", "c": self.name, "id": doc_id})
-            return 1
-        return 0
-
-    def aggregate(self, pipeline: list[dict]) -> list[dict]:
-        """Run an aggregation pipeline over the collection.
-
-        See :mod:`repro.docstore.aggregate` for supported stages.
-        """
-        return run_pipeline(self._documents.values(), pipeline)
+    def delete_one(self, doc_id: Any) -> int:
+        """Delete the document with ``_id`` ``doc_id``; returns 0 or 1."""
+        if doc_id not in self._documents:
+            return 0
+        del self._documents[doc_id]
+        self._log_op({"op": "delete", "c": self.name, "id": doc_id})
+        return 1
 
     def __len__(self) -> int:
         return len(self._documents)
@@ -161,12 +141,6 @@ class Collection:
     def _log_op(self, op: dict) -> None:
         if self.journal is not None:
             self.journal.append(op)
-
-    def _matching(self, query: dict) -> Iterator[dict]:
-        predicate = compile_query(query)
-        for doc in self._documents.values():
-            if predicate(doc):
-                yield doc
 
 
 class DocumentStore:
@@ -218,7 +192,7 @@ class DocumentStore:
         if kind == "insert":
             coll.insert_one(op["doc"])
         elif kind == "delete":
-            coll.delete_one({"_id": op["id"]})
+            coll.delete_one(op["id"])
         elif kind != "ensure":
             raise DocumentStoreError(f"unknown journal op: {kind!r}")
 

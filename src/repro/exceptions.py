@@ -32,10 +32,6 @@ class DuplicateKeyError(DocumentStoreError):
     """An _id that already exists was inserted again."""
 
 
-class QueryError(DocumentStoreError):
-    """A document-store query uses an unknown operator or bad operand."""
-
-
 class SearchError(ReproError):
     """Base error for the full-text search engine (ElasticSearch analog)."""
 

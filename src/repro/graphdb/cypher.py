@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.docstore.query import sort_key
+from repro.docstore.store import sort_key
 from repro.exceptions import CypherError
 from repro.graphdb.graph import Node, PropertyGraph
 from repro.graphdb.match import (

@@ -2,8 +2,8 @@
 
 The :class:`BruteForceCohortEvaluator` answers every criterion by
 linear scans over per-report source data — it never consults the shared
-property graph, the inverted index, the planner, or the docstore query
-compiler, so it is a complete independent oracle for
+property graph, the inverted index, the planner, or the docstore's
+record scan, so it is a complete independent oracle for
 :class:`repro.cohort.CohortEngine`:
 
 * entity criteria scan each report's text-bound spans directly;
@@ -13,8 +13,8 @@ compiler, so it is a complete independent oracle for
   closure recomputed by :func:`repro.testing.oracles.reference_closure`
   rather than ``TemporalGraph.close``;
 * text criteria ask the linear-scan :class:`ReferenceSearchEngine`;
-* value criteria evaluate a hand-rolled Mongo-semantics predicate on
-  the raw metadata dict.
+* value criteria evaluate their own predicate on the raw metadata
+  dict, written apart from the engine's ``_value_holds``.
 
 Because every criterion is a per-report predicate, membership is just
 "all inclusions hold, no exclusion holds" document by document.
@@ -150,8 +150,8 @@ def _build_report_graph(
 
 
 def _value_matches(document: dict, criterion: ValueCriterion) -> bool:
-    """Mongo field semantics, restated: dotted paths descend dicts, an
-    array field matches when any element matches, and ordered
+    """The rule :class:`ValueCriterion` states: dotted paths descend
+    dicts, an array field matches when any element matches, and ordered
     comparisons never cross types."""
     value: object = document
     for segment in criterion.field.split("."):

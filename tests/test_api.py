@@ -15,7 +15,7 @@ def app(demo_system):
 
 @pytest.fixture(scope="module")
 def some_id(app):
-    return app.store.collection("reports").find({}, limit=1)[0]["_id"]
+    return app.store.collection("reports").find(limit=1)[0]["_id"]
 
 
 class TestRouting:
@@ -62,7 +62,7 @@ class TestReports:
             )
             assert [r["_id"] for r in response.body["reports"]] == ["cat-a"]
         finally:
-            reports.delete_one({"_id": "cat-a"})
+            reports.delete_one("cat-a")
 
     def test_get_report(self, app, some_id):
         response = app.handle("GET", f"/reports/{some_id}")

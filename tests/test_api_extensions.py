@@ -22,15 +22,41 @@ class TestCategoriesEndpoint:
         assert rows[0]["count"] == 2
         assert sum(row["share"] for row in rows) == pytest.approx(1.0)
         for i in range(3):
-            pipeline.store.collection("reports").delete_one(
-                {"_id": f"cat-{i}"}
-            )
+            pipeline.store.collection("reports").delete_one(f"cat-{i}")
+
+    def test_stats_and_categories_count_alike(self, demo_system):
+        pipeline, _reports = demo_system
+        reports = pipeline.store.collection("reports")
+        categories = ["neuro", "cancer", "neuro", "derm", "cancer", "cardio"]
+        for i, category in enumerate(categories):
+            reports.insert_one({"_id": f"cat-{i}", "category": category})
+        try:
+            rows = pipeline.app.handle("GET", "/categories").body["categories"]
+            by_category = pipeline.app.handle("GET", "/stats").body[
+                "by_category"
+            ]
+        finally:
+            for i in range(len(categories)):
+                reports.delete_one(f"cat-{i}")
+        # Most frequent first; ties in category order.
+        assert [(row["category"], row["count"]) for row in rows] == [
+            ("cancer", 2),
+            ("neuro", 2),
+            ("cardio", 1),
+            ("derm", 1),
+        ]
+        assert list(by_category.items()) == [
+            ("cancer", 2),
+            ("cardio", 1),
+            ("derm", 1),
+            ("neuro", 2),
+        ]
 
 
 class TestDeleteEndpoint:
     def test_delete_removes_everywhere(self, demo_system):
         pipeline, _ = demo_system
-        doc = pipeline.store.collection("reports").find({}, limit=1)[0]
+        doc = pipeline.store.collection("reports").find(limit=1)[0]
         doc_id = doc["_id"]
         n_nodes_before = pipeline.indexer.graph.n_nodes
         response = pipeline.app.handle("DELETE", f"/reports/{doc_id}")

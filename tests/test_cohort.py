@@ -97,6 +97,9 @@ class TestModel:
             {"kind": "graph", "nodes": []},
             {"kind": "graph", "nodes": [["x", {}]], "edges": [["x", "y", None, True]]},
             {"kind": "entity", "negated": "yes"},
+            {"kind": "value", "field": "area", "op": "gte", "value": None},
+            {"kind": "value", "field": "sections", "op": "lte", "value": {"a": 1}},
+            {"kind": "value", "field": "year", "op": "between", "value": [1, [2]]},
         ],
     )
     def test_malformed_criteria_rejected(self, body):
@@ -295,6 +298,38 @@ class TestCohortApi:
         assert app.handle("GET", "/cohorts/none").status == 404
         assert app.handle("POST", "/cohorts/none/evaluate").status == 404
         assert app.handle("DELETE", "/cohorts/none").status == 404
+
+    @pytest.mark.parametrize(
+        "criterion",
+        [
+            # Operator-shaped values and fields are plain data.
+            {"kind": "value", "field": "text", "op": "eq", "value": {"$regex": "."}},
+            {"kind": "value", "field": "$or", "op": "eq", "value": [{"year": {"$gt": 0}}]},
+            {"kind": "value", "field": "text", "op": "eq", "value": {"$where": "1"}},
+            # A dotted path does not step into an array of objects.
+            {"kind": "value", "field": "sections.name", "op": "eq", "value": "demographics"},
+            {"kind": "value", "field": "sections.name", "op": "ne", "value": "demographics"},
+            # One element must satisfy both bounds.
+            {"kind": "value", "field": "nums", "op": "between", "value": [5, 6]},
+            {"kind": "value", "field": "nums", "op": "between", "value": [0, 1]},
+        ],
+    )
+    def test_value_criterion_agrees_with_oracle(self, criterion):
+        app, reports = _build_app(n_docs=5)
+        extra = {"_id": "nums", "title": "t", "text": "t", "nums": [1, 10]}
+        app.register_report(extra)
+        oracle = BruteForceCohortEvaluator()
+        for report in reports:
+            oracle.add_report(
+                report.report_id, report.to_document(), report.annotations
+            )
+        oracle.add_report("nums", extra, None)
+        body = {"name": "v", "inclusion": [criterion]}
+        assert app.handle("POST", "/cohorts", body=body).status == 201
+        evaluated = app.handle("POST", "/cohorts/v/evaluate")
+        assert evaluated.status == 200
+        expected = oracle.evaluate(CohortDefinition.from_json(body))
+        assert evaluated.body["members"] == expected
 
     def test_redefine_replaces_and_delete_removes(self):
         app, _reports = _build_app(n_docs=2)

@@ -1,9 +1,7 @@
 """Tests for the document store (MongoDB analog)."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.docstore.query import compile_query, matches
 from repro.docstore.store import Collection, DocumentStore
 from repro.durability import (
     DurabilityManager,
@@ -11,114 +9,7 @@ from repro.durability import (
     WriteAheadLog,
     write_snapshot,
 )
-from repro.exceptions import DocumentStoreError, DuplicateKeyError, QueryError
-
-
-class TestQueryOperators:
-    DOC = {
-        "title": "case 1",
-        "year": 2018,
-        "tags": ["cvd", "rare"],
-        "meta": {"journal": {"name": "JCCR"}},
-        "authors": [{"name": "Chen"}, {"name": "Garcia"}],
-    }
-
-    def test_implicit_equality(self):
-        assert matches(self.DOC, {"title": "case 1"})
-        assert not matches(self.DOC, {"title": "case 2"})
-
-    def test_dotted_path(self):
-        assert matches(self.DOC, {"meta.journal.name": "JCCR"})
-
-    def test_array_element_equality(self):
-        assert matches(self.DOC, {"tags": "cvd"})
-
-    def test_array_of_documents_field(self):
-        assert matches(self.DOC, {"authors.name": "Garcia"})
-
-    def test_array_numeric_index(self):
-        assert matches(self.DOC, {"authors.0.name": "Chen"})
-        assert not matches(self.DOC, {"authors.9.name": "Chen"})
-
-    def test_comparisons(self):
-        assert matches(self.DOC, {"year": {"$gt": 2017}})
-        assert matches(self.DOC, {"year": {"$gte": 2018}})
-        assert matches(self.DOC, {"year": {"$lt": 2019}})
-        assert not matches(self.DOC, {"year": {"$lte": 2017}})
-
-    def test_comparison_type_guard(self):
-        assert not matches(self.DOC, {"title": {"$gt": 5}})
-
-    def test_ne(self):
-        assert matches(self.DOC, {"year": {"$ne": 1999}})
-
-    def test_in_nin(self):
-        assert matches(self.DOC, {"year": {"$in": [2017, 2018]}})
-        assert matches(self.DOC, {"year": {"$nin": [1999]}})
-        assert matches(self.DOC, {"tags": {"$in": ["rare"]}})
-
-    def test_in_requires_list(self):
-        with pytest.raises(QueryError):
-            matches(self.DOC, {"year": {"$in": 2018}})
-
-    def test_exists(self):
-        assert matches(self.DOC, {"title": {"$exists": True}})
-        assert matches(self.DOC, {"missing": {"$exists": False}})
-
-    def test_regex(self):
-        assert matches(self.DOC, {"title": {"$regex": r"^case \d"}})
-
-    def test_size(self):
-        assert matches(self.DOC, {"tags": {"$size": 2}})
-        with pytest.raises(QueryError):
-            matches(self.DOC, {"tags": {"$size": "2"}})
-
-    def test_all(self):
-        assert matches(self.DOC, {"tags": {"$all": ["cvd", "rare"]}})
-        assert not matches(self.DOC, {"tags": {"$all": ["cvd", "x"]}})
-
-    def test_elem_match(self):
-        assert matches(
-            self.DOC, {"authors": {"$elemMatch": {"name": "Chen"}}}
-        )
-
-    def test_not(self):
-        assert matches(self.DOC, {"year": {"$not": {"$gt": 2020}}})
-
-    def test_logical_combinators(self):
-        assert matches(
-            self.DOC,
-            {"$and": [{"year": 2018}, {"title": "case 1"}]},
-        )
-        assert matches(
-            self.DOC, {"$or": [{"year": 1999}, {"title": "case 1"}]}
-        )
-        assert matches(self.DOC, {"$nor": [{"year": 1999}]})
-
-    def test_multiple_operators_on_field(self):
-        assert matches(self.DOC, {"year": {"$gte": 2018, "$lte": 2018}})
-
-    def test_unknown_operator(self):
-        with pytest.raises(QueryError):
-            matches(self.DOC, {"year": {"$frob": 1}})
-
-    def test_unknown_top_level_operator(self):
-        with pytest.raises(QueryError):
-            matches(self.DOC, {"$xor": []})
-
-    def test_query_must_be_dict(self):
-        with pytest.raises(QueryError):
-            compile_query("not a dict")
-
-    @given(
-        st.dictionaries(
-            st.sampled_from(["a", "b", "c"]),
-            st.integers(-5, 5),
-            max_size=3,
-        )
-    )
-    def test_empty_query_matches_everything(self, doc):
-        assert matches(doc, {})
+from repro.exceptions import DocumentStoreError, DuplicateKeyError
 
 
 class TestCollection:
@@ -153,42 +44,33 @@ class TestCollection:
 
     def test_find_returns_copies(self):
         coll = self.make()
-        hit = coll.find({"_id": "r0"})[0]
+        hit = coll.find(lambda doc: doc["_id"] == "r0")[0]
         hit["n"] = 999
         assert coll.get("r0")["n"] == 0
 
     def test_find_with_sort_skip_limit(self):
-        coll = self.make()
-        hits = coll.find({}, sort=[("n", -1)], skip=2, limit=3)
-        assert [h["n"] for h in hits] == [7, 6, 5]
-
-    def test_sort_direction_validated(self):
-        coll = self.make()
-        with pytest.raises(QueryError):
-            coll.find({}, sort=[("n", 2)])
+        coll = Collection("c")
+        for i in (5, 3, 9, 0, 7, 2, 8):
+            coll.insert_one({"_id": f"r{i}", "n": i})
+        hits = coll.find(lambda doc: doc["n"] > 1, skip=2, limit=3)
+        assert [h["_id"] for h in hits] == ["r5", "r7", "r8"]
 
     def test_projection(self):
         coll = self.make()
-        hit = coll.find({"_id": "r1"}, projection=["cat"])[0]
+        hit = coll.find(lambda doc: doc["_id"] == "r1", projection=["cat"])[0]
         assert set(hit) == {"_id", "cat"}
 
     def test_count_and_len(self):
         coll = self.make()
         assert len(coll) == 10
-        assert coll.count({"cat": "cvd"}) == 5
-
-    def test_distinct(self):
-        coll = self.make()
-        assert coll.distinct("cat") == ["cvd", "other"]
+        assert len(coll.find(lambda doc: doc["cat"] == "cvd")) == 5
 
     def test_delete(self):
         coll = self.make()
-        assert coll.delete_one({"cat": "cvd"}) == 1
-        assert coll.count({"cat": "cvd"}) == 4
-        while coll.delete_one({"cat": "cvd"}):
-            pass
-        assert coll.count({"cat": "cvd"}) == 0
-        assert len(coll) == 5
+        assert coll.delete_one("r0") == 1
+        assert coll.delete_one("r0") == 0
+        assert coll.get("r0") is None
+        assert len(coll) == 9
 
 
 class TestDocumentStore:
@@ -202,7 +84,7 @@ class TestDocumentStore:
         store.journal = []
         reports = store.collection("reports")
         reports.insert_one({"_id": "a", "cat": "cvd"})
-        reports.delete_one({"cat": "cvd"})
+        reports.delete_one("a")
         assert store.journal == [
             {"op": "ensure", "c": "reports"},
             {"op": "insert", "c": "reports", "doc": {"_id": "a", "cat": "cvd"}},
@@ -252,14 +134,12 @@ class TestDocumentStore:
         assert report.snapshot_loaded and report.records_replayed == 2
         assert store.collection_names() == ["cohorts", "reports"]
         reports = store.collection("reports")
-        assert [doc["_id"] for doc in reports.find({}, sort=[("n", 1)])] == [
+        assert [doc["_id"] for doc in reports.find()] == [
             "a",
-            "reports-00000001",
             "c",
+            "reports-00000001",
         ]
-        assert reports.count() == 3
-        assert reports.count({"cat": "cvd"}) == 2
-        assert reports.distinct("cat") == ["cvd", "neuro"]
+        assert [doc["cat"] for doc in reports.find()] == ["cvd", "neuro", "cvd"]
         assert store.collection("cohorts").get("c1") == {"_id": "c1"}
         # The id sequence came back with the snapshot.
         assert reports.insert_one({"n": 5}) == "reports-00000002"

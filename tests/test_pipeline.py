@@ -60,7 +60,7 @@ class TestPipelineRun:
 
     def test_every_report_stored_and_searchable(self, demo_system):
         pipeline, reports = demo_system
-        assert pipeline.store.collection("reports").count() >= len(reports)
+        assert len(pipeline.store.collection("reports")) >= len(reports)
         assert pipeline.indexer.engine.n_documents >= len(reports)
 
     def test_search_finds_relevant_report(self, demo_system):

@@ -25,7 +25,7 @@ def _index_fingerprint(pipeline):
         "nodes": graph.n_nodes,
         "edges": graph.n_edges,
         "docs": pipeline.indexer.engine.n_documents,
-        "stored": pipeline.store.collection("reports").count(),
+        "stored": len(pipeline.store.collection("reports")),
     }
 
 

@@ -2,7 +2,6 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.docstore.query import matches
 from repro.docstore.store import Collection
 from repro.ir.ranking import fuse_results, label_similarity
 from repro.temporal.graph import TemporalGraph
@@ -15,31 +14,32 @@ _VALUE = st.one_of(st.integers(-3, 3), st.sampled_from(["x", "y"]), st.none())
 _DOC = st.dictionaries(_FIELD, _VALUE, max_size=3)
 
 
-@st.composite
-def _simple_query(draw):
-    field = draw(_FIELD)
-    kind = draw(st.sampled_from(["eq", "gt", "in", "exists"]))
-    if kind == "eq":
-        return {field: draw(_VALUE)}
-    if kind == "gt":
-        return {field: {"$gt": draw(st.integers(-3, 3))}}
-    if kind == "in":
-        return {field: {"$in": draw(st.lists(_VALUE, max_size=3))}}
-    return {field: {"$exists": draw(st.booleans())}}
-
-
 class TestDocstoreModel:
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(_DOC, max_size=10), _simple_query())
-    def test_find_agrees_with_reference_filter(self, docs, query):
+    @given(
+        st.lists(_DOC, max_size=10),
+        _FIELD,
+        _VALUE,
+        st.integers(0, 4),
+        st.one_of(st.none(), st.integers(0, 4)),
+    )
+    def test_find_agrees_with_reference_filter(
+        self, docs, field, value, skip, limit
+    ):
         collection = Collection("prop")
         ids = [collection.insert_one(doc) for doc in docs]
-        found = {doc["_id"] for doc in collection.find(query)}
-        expected = {
+
+        def where(doc):
+            return doc.get(field) == value
+
+        found = [doc["_id"] for doc in collection.find(where, skip, limit)]
+        expected = sorted(
             doc_id
             for doc_id, doc in zip(ids, docs)
-            if matches({**doc, "_id": doc_id}, query)
-        }
+            if where({**doc, "_id": doc_id})
+        )[skip:]
+        if limit is not None:
+            expected = expected[:limit]
         assert found == expected
 
     @settings(max_examples=40, deadline=None)
@@ -48,9 +48,9 @@ class TestDocstoreModel:
         collection = Collection("del")
         ids = [collection.insert_one(doc) for doc in docs]
         for doc_id in ids:
-            assert collection.delete_one({"_id": doc_id}) == 1
-        assert collection.count() == 0
-        assert collection.delete_one({}) == 0
+            assert collection.delete_one(doc_id) == 1
+        assert len(collection) == 0
+        assert collection.delete_one(ids[0]) == 0
 
 
 # -- temporal graph: closure properties -------------------------------------

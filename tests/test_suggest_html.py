@@ -151,9 +151,11 @@ class TestReportHtml:
 class TestApiEndpoints:
     def test_html_endpoint(self, demo_system):
         pipeline, _ = demo_system
-        doc_id = pipeline.store.collection("reports").find({}, limit=1)[0][
-            "_id"
-        ]
+        doc_id = next(
+            doc["_id"]
+            for doc in pipeline.store.collection("reports").find()
+            if pipeline.app.review.annotations(doc["_id"]) is not None
+        )
         response = pipeline.app.handle("GET", f"/reports/{doc_id}/html")
         assert response.ok
         assert "<mark" in response.body

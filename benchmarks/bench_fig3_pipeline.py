@@ -26,6 +26,10 @@ def test_fig3_end_to_end_pipeline(benchmark, trained_extractor):
     pipeline = benchmark.pedantic(run, rounds=1, iterations=1)
     stats = pipeline.stats
 
+    parse_extract, index_stage = (
+        pipeline.metrics.timer_stats(f"pipeline.{stage}_seconds").total
+        for stage in ("parse_extract", "index_stage")
+    )
     search = pipeline.app.handle(
         "GET", "/search", params={"q": "chest pain and dyspnea", "size": 5}
     )
@@ -37,6 +41,9 @@ def test_fig3_end_to_end_pipeline(benchmark, trained_extractor):
         f"indexed:        {stats.indexed}",
         f"graph nodes:    {stats.graph_nodes}",
         f"graph edges:    {stats.graph_edges}",
+        f"workers:        {pipeline.workers}",
+        f"parse_extract:  {parse_extract:.3f} s",
+        f"index_stage:    {index_stage:.3f} s",
         f"search smoke:   {len(search.body['results'])} results, "
         f"engines={sorted({r['engine'] for r in search.body['results']})}",
     ]

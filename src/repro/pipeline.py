@@ -10,6 +10,7 @@ facade serves search/annotation/visualization requests.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -310,6 +311,14 @@ def _parse_extract(payload: tuple[str, str, str]) -> _ExtractedDoc:
     )
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 @dataclass
 class CreatePipeline:
     """The assembled system, end to end.
@@ -325,9 +334,12 @@ class CreatePipeline:
     run or being silently swallowed.
 
     Args:
-        workers: parse+extract process pool size; 1 runs the stage
-            inline.  Extraction is CPU-bound, so only processes
-            (one per core) overlap it.
+        workers: parse+extract process pool size, by default the
+            usable core count; 1 runs the stage inline, as does any
+            ingest while another thread is alive.  The pool is
+            ``fork``-only, so workers inherit the trained models:
+            a forkserver/spawn pool pickled them into every worker and
+            ran 28.3 docs/s against 62.5 inline (100 reports, 2 cores).
         parse_retries: bounded retries for transient Grobid errors.
         indexer: the dual index to load and serve.  The default is the
             paper's configuration (in-memory graph + in-memory keyword
@@ -345,7 +357,7 @@ class CreatePipeline:
     store: DocumentStore = field(default_factory=DocumentStore)
     grobid: GrobidService = field(default_factory=GrobidService)
     stats: PipelineStats = field(default_factory=PipelineStats)
-    workers: int = 1
+    workers: int = field(default_factory=_usable_cores)
     parse_retries: int = 2
     indexer: CreateIrIndexer = field(default_factory=CreateIrIndexer)
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)

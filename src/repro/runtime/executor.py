@@ -1,25 +1,30 @@
 """Batch execution with ordered results and per-item fault isolation.
 
-The executor maps a function over a batch of items inline
-(``workers <= 1``) or on a process pool, and always returns one
-:class:`TaskOutcome` per input item **in input order** — results are
-deterministic regardless of completion order, which is what lets the
-pipeline produce byte-identical indexes serial vs parallel.
+The executor maps a function over a batch of items inline or on a
+``fork`` process pool, and always returns one :class:`TaskOutcome` per
+input item **in input order** — results are deterministic regardless of
+completion order, which is what lets the pipeline produce byte-identical
+indexes serial vs parallel.
+
+The pool is ``fork``-only, so per-worker state is inherited, never
+pickled, and runs only while no other thread is alive (a forked child
+can deadlock on a lock a live thread held) and the batch has more than
+one item for more than one worker; anything else runs inline.
 
 A failing item never takes down the batch: its exception is captured in
 its outcome and every other item still completes.  Retrying a transient
 failure is the mapped function's business (ingest bounds its Grobid
 retries inside ``pipeline._parse_extract``).
 
-The pool requires ``fn`` (and the items and return values) to be
-picklable; per-worker state that is expensive to ship — a trained
-model, a parser — goes through ``initializer``/``initargs``, which run
-once per worker (and once inline when ``workers <= 1``, so one code
-path serves both).
+Per-worker state goes through ``initializer``/``initargs``, which run
+once per worker (and once inline when the batch runs inline, so one
+code path serves both); ``fn``'s items and return values must pickle.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -58,12 +63,13 @@ def _run_one(fn: Callable[[Any], Any], item: Any, index: int) -> TaskOutcome:
 
 
 class BatchExecutor:
-    """Maps a function over batches, inline or on a process pool.
+    """Maps a function over batches, inline or on a fork process pool.
 
     Args:
-        workers: process pool size; ``<= 1`` runs inline.
+        workers: the most pool processes a batch may use; the pool never
+            has more processes than items, and ``<= 1`` runs inline.
         initializer / initargs: per-worker setup hook (invoked once,
-            inline, when ``workers <= 1``).
+            inline, when the batch runs inline).
     """
 
     def __init__(
@@ -85,13 +91,18 @@ class BatchExecutor:
         batch = list(items)
         if not batch:
             return []
-        if self.workers == 1:
+        processes = min(self.workers, len(batch))
+        if (
+            processes <= 1
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or threading.active_count() > 1
+        ):
             if self.initializer is not None:
                 self.initializer(*self.initargs)
             return [_run_one(fn, item, i) for i, item in enumerate(batch)]
         with ProcessPoolExecutor(
-            max_workers=self.workers,
-            mp_context=self._mp_context(),
+            max_workers=processes,
+            mp_context=multiprocessing.get_context("fork"),
             initializer=self.initializer,
             initargs=self.initargs,
         ) as pool:
@@ -100,27 +111,3 @@ class BatchExecutor:
                 for i, item in enumerate(batch)
             ]
             return [future.result() for future in futures]
-
-    @staticmethod
-    def _mp_context():
-        """The safest available multiprocessing start method.
-
-        ``fork`` inherits heavyweight initargs (trained models) without
-        pickling them through the call pipe — but forking a process with
-        live threads can deadlock the child on locks the forked thread
-        held (and is a DeprecationWarning on Python 3.12+), so when any
-        extra thread is running we fall back to ``forkserver`` and then
-        ``spawn``.
-        """
-        import multiprocessing
-        import threading
-
-        available = multiprocessing.get_all_start_methods()
-        if threading.active_count() > 1:
-            preferred = ("forkserver", "spawn")
-        else:
-            preferred = ("fork", "forkserver", "spawn")
-        for method in preferred:
-            if method in available:
-                return multiprocessing.get_context(method)
-        return None

@@ -1,5 +1,8 @@
 """Fault-isolated staged ingestion: determinism, dead letters, retries."""
 
+import os
+import threading
+
 import pytest
 
 from repro.corpus.generator import CaseReportGenerator
@@ -44,6 +47,35 @@ class _SelectiveFailExtractor:
         return self.inner.extract(doc_id, text)
 
 
+class _RecordingExtractor:
+    """Delegates to a trained extractor, noting each doc id it extracts
+    in whichever process runs it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.ner = inner.ner
+        self.temporal = inner.temporal
+        self.seen = []
+
+    def extract(self, doc_id, text):
+        self.seen.append(doc_id)
+        return self.inner.extract(doc_id, text)
+
+
+def _hits(pipeline, reports):
+    hits = []
+    for report in reports:
+        symptom = report.annotations.spans_with_label("Sign_symptom")
+        if symptom:
+            hits.append(
+                [
+                    (r.doc_id, r.engine)
+                    for r in pipeline.searcher.search(symptom[0].text, size=8)
+                ]
+            )
+    return hits
+
+
 class ExplodingGrobid(GrobidService):
     """Module-level so it pickles into a pool worker under any start
     method."""
@@ -58,28 +90,50 @@ class TestDeterminism:
         site_a, reports = _make_site()
         site_b, _ = _make_site()
 
-        serial = _fresh_pipeline(trained.extractor)
+        serial = _fresh_pipeline(trained.extractor, workers=1)
         serial_stats = serial.ingest_from_site(site_a)
         parallel = _fresh_pipeline(trained.extractor, workers=2)
         parallel_stats = parallel.ingest_from_site(site_b)
 
         assert serial_stats.as_dict() == parallel_stats.as_dict()
         assert _index_fingerprint(serial) == _index_fingerprint(parallel)
+        assert _hits(serial, reports) == _hits(parallel, reports)
 
-        for report in reports:
-            symptom = report.annotations.spans_with_label("Sign_symptom")
-            if not symptom:
-                continue
-            query = symptom[0].text
-            serial_hits = [
-                (r.doc_id, r.engine)
-                for r in serial.searcher.search(query, size=8)
-            ]
-            parallel_hits = [
-                (r.doc_id, r.engine)
-                for r in parallel.searcher.search(query, size=8)
-            ]
-            assert serial_hits == parallel_hits
+    def test_default_workers_is_usable_cores(self, demo_system):
+        trained, _ = demo_system
+        try:
+            usable = len(os.sched_getaffinity(0))
+        except AttributeError:
+            usable = os.cpu_count()
+        assert _fresh_pipeline(trained.extractor).workers == usable
+
+    def test_live_thread_ingest_runs_inline_and_matches_serial(
+        self, demo_system
+    ):
+        trained, _ = demo_system
+        site_a, reports = _make_site()
+        site_b, _ = _make_site()
+
+        serial = _fresh_pipeline(trained.extractor, workers=1)
+        serial_stats = serial.ingest_from_site(site_a)
+        recording = _RecordingExtractor(trained.extractor)
+        threaded = _fresh_pipeline(recording, workers=2)
+        stop = threading.Event()
+        idle = threading.Thread(target=stop.wait)
+        idle.start()
+        try:
+            threaded_stats = threaded.ingest_from_site(site_b)
+        finally:
+            stop.set()
+            idle.join(timeout=10)
+        assert not idle.is_alive()
+
+        # Every extraction ran in this process: no worker was forked
+        # beside the live thread, and nothing was pickled into one.
+        assert sorted(recording.seen) == sorted(r.pmid for r in reports)
+        assert serial_stats.as_dict() == threaded_stats.as_dict()
+        assert _index_fingerprint(serial) == _index_fingerprint(threaded)
+        assert _hits(serial, reports) == _hits(threaded, reports)
 
 
 class TestFaultIsolation:
@@ -124,7 +178,9 @@ class TestFaultIsolation:
     def test_unexpected_parse_exception_propagates(self, demo_system):
         trained, _ = demo_system
         site, _ = _make_site(n=3)
-        pipeline = _fresh_pipeline(trained.extractor, grobid=ExplodingGrobid())
+        pipeline = _fresh_pipeline(
+            trained.extractor, grobid=ExplodingGrobid(), workers=1
+        )
         with pytest.raises(RuntimeError):
             pipeline.ingest_from_site(site)
 

@@ -1,5 +1,7 @@
 """The runtime substrate: batch executor and metrics."""
 
+import multiprocessing
+import os
 import threading
 import time
 
@@ -165,27 +167,35 @@ class TestStageFailure:
         )
 
 
+def _pid(_item):
+    return os.getpid()
+
+
+def _count_start(counter):
+    with counter.get_lock():
+        counter.value += 1
+
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the pool runs only where fork exists",
+)
+
+
 class TestExecutorStartMethod:
     def test_fork_avoided_while_threads_are_live(self):
+        # Forking with a live thread risks deadlocking the child on
+        # locks the thread holds: the batch runs inline instead.
         stop = threading.Event()
-        worker = threading.Thread(target=stop.wait)
-        worker.start()
+        idle = threading.Thread(target=stop.wait)
+        idle.start()
         try:
-            ctx = BatchExecutor._mp_context()
-            # Forking with a live thread risks deadlocking the child on
-            # locks the thread holds; a thread-safe method must win.
-            assert ctx.get_start_method() in ("forkserver", "spawn")
+            outcomes = BatchExecutor(workers=2).map(_pid, range(4))
         finally:
             stop.set()
-            worker.join()
-
-    def test_context_method_is_always_available(self):
-        import multiprocessing
-
-        ctx = BatchExecutor._mp_context()
-        assert ctx.get_start_method() in (
-            multiprocessing.get_all_start_methods()
-        )
+            idle.join(timeout=10)
+        assert not idle.is_alive()
+        assert [o.value for o in outcomes] == [os.getpid()] * 4
 
     def test_process_map_works_with_live_threads(self):
         stop = threading.Event()
@@ -198,3 +208,26 @@ class TestExecutorStartMethod:
         finally:
             stop.set()
             worker.join()
+
+    @needs_fork
+    def test_pool_runs_outside_the_caller_without_threads(self):
+        assert threading.active_count() == 1
+        outcomes = BatchExecutor(workers=2).map(_pid, range(4))
+        assert all(o.ok for o in outcomes)
+        assert os.getpid() not in {o.value for o in outcomes}
+
+    def test_single_item_batch_runs_inline(self):
+        outcomes = BatchExecutor(workers=4).map(_pid, [0])
+        assert [o.value for o in outcomes] == [os.getpid()]
+
+    @needs_fork
+    def test_pool_never_larger_than_batch(self):
+        # Every pool process runs the initializer once, used or not.
+        started = multiprocessing.get_context("fork").Value("i", 0)
+        executor = BatchExecutor(
+            workers=8, initializer=_count_start, initargs=(started,)
+        )
+        pids = {o.value for o in executor.map(_pid, [0, 1])}
+        assert os.getpid() not in pids
+        assert len(pids) <= 2
+        assert started.value <= 2

@@ -1,4 +1,4 @@
-"""Scenario: curating the portal — statistics, agreement, persistence.
+"""Scenario: curating the portal — statistics, agreement, export.
 
 The operational side of running CREATe as a resource platform:
 
@@ -6,8 +6,7 @@ The operational side of running CREATe as a resource platform:
    report records (the ``/categories`` endpoint serves the same table),
 2. inter-annotator agreement measurement before accepting a batch of
    expert annotations,
-3. exporting the curated corpus to BRAT and CoNLL for external tools,
-4. saving the trained extraction models for redeployment.
+3. exporting the curated corpus to CoNLL for external tools.
 
 Run:  python examples/portal_statistics.py
 """
@@ -21,8 +20,6 @@ from repro.annotation.model import AnnotationDocument
 from repro.corpus import export_conll
 from repro.corpus.pubmed import build_corpus
 from repro.docstore.store import DocumentStore
-from repro.ml import load_extractor, save_extractor
-from repro.pipeline import ClinicalExtractor
 
 
 def _by_count(counts: Counter) -> list[tuple]:
@@ -76,31 +73,6 @@ def main() -> None:
         n = export_conll(originals, conll_path)
         size_kb = conll_path.stat().st_size / 1024
         print(f"\nExported {n} documents to CoNLL ({size_kb:.0f} KiB)")
-
-        # ---- 4. Train, save, reload and verify the extractor ----------------
-        print("\nTraining and persisting the extraction stack...")
-        extractor = ClinicalExtractor.train(
-            reports[:25], ner_epochs=3, temporal_epochs=8
-        )
-        model_dir = Path(tmp) / "models"
-        save_extractor(extractor, model_dir)
-        reloaded = load_extractor(model_dir)
-        sample_text = reports[30].text
-        assert [
-            (s.start, s.end, s.label)
-            for s in reloaded.ner.predict_spans(sample_text)
-        ] == [
-            (s.start, s.end, s.label)
-            for s in extractor.ner.predict_spans(sample_text)
-        ]
-        n_files = sum(1 for _ in model_dir.rglob("*") if _.is_file())
-        size_kb = sum(
-            f.stat().st_size for f in model_dir.rglob("*") if f.is_file()
-        ) / 1024
-        print(
-            f"Saved to {n_files} open-format files ({size_kb:.0f} KiB); "
-            "reloaded model reproduces predictions exactly."
-        )
 
 
 if __name__ == "__main__":

@@ -102,7 +102,9 @@ class GrobidService:
     def process_xml(self, xml_content: str) -> ParsedPublication:
         """TEI XML -> structured parse (no layout heuristics needed)."""
         if xml_content.lstrip().startswith("<?xml"):
-            xml_content = xml_content.split("?>", 1)[1]
+            _, closed, xml_content = xml_content.partition("?>")
+            if not closed:
+                raise ParseError("unterminated XML declaration")
         tei = parse_tei_xml(xml_content)
         metadata = PublicationMetadata(
             title=tei.title,

@@ -55,11 +55,12 @@ def parse_tei_xml(xml_content: str) -> TeiDocument:
     """Parse TEI-like XML back into a :class:`TeiDocument`.
 
     Raises:
-        ParseError: malformed XML or missing TEI root.
+        ParseError: malformed XML, text that cannot be encoded as UTF-8
+            (a lone surrogate), or a missing TEI root.
     """
     try:
         root = ElementTree.fromstring(xml_content)
-    except ElementTree.ParseError as exc:
+    except (ElementTree.ParseError, UnicodeEncodeError) as exc:
         raise ParseError(f"malformed XML: {exc}") from exc
     if root.tag != "TEI":
         raise ParseError(f"expected <TEI> root, got <{root.tag}>")

@@ -13,14 +13,6 @@ from repro.ml.logistic import LogisticRegression
 from repro.ml.crf import LinearChainCRF
 from repro.ml.perceptron import StructuredPerceptron
 from repro.ml.embeddings import CharNgramEmbedder
-from repro.ml.serialization import (
-    save_ner_tagger,
-    load_ner_tagger,
-    save_temporal_classifier,
-    load_temporal_classifier,
-    save_extractor,
-    load_extractor,
-)
 from repro.ml.metrics import (
     classification_f1,
     confusion_matrix,
@@ -39,12 +31,6 @@ __all__ = [
     "LinearChainCRF",
     "StructuredPerceptron",
     "CharNgramEmbedder",
-    "save_ner_tagger",
-    "load_ner_tagger",
-    "save_temporal_classifier",
-    "load_temporal_classifier",
-    "save_extractor",
-    "load_extractor",
     "classification_f1",
     "confusion_matrix",
     "span_prf1",

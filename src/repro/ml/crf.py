@@ -53,14 +53,12 @@ class LinearChainCRF:
         self,
         sequences: Sequence[Sequence[np.ndarray]],
         label_sequences: Sequence[Sequence[str]],
-        quiet: bool = True,
     ) -> "LinearChainCRF":
         """Train on parallel (features, labels) sequences.
 
         Args:
             sequences: per-sentence lists of per-token feature-index arrays.
             label_sequences: per-sentence label strings, same lengths.
-            quiet: suppress per-epoch loss logging.
         """
         if len(sequences) != len(label_sequences):
             raise ModelError("sequences/labels count mismatch")
@@ -77,18 +75,15 @@ class LinearChainCRF:
         acc_start = np.full_like(self._start, 1e-8)
         acc_end = np.full_like(self._end, 1e-8)
 
-        for epoch in range(self.epochs):
+        for _ in range(self.epochs):
             rng.shuffle(order)
-            total_nll = 0.0
             for i in order:
                 feats, gold = sequences[i], encoded[i]
                 if len(gold) == 0:
                     continue
-                total_nll += self._update_one(
+                self._update_one(
                     feats, gold, acc_emit, acc_trans, acc_start, acc_end
                 )
-            if not quiet:
-                print(f"crf epoch {epoch}: nll={total_nll:.2f}")
         return self
 
     def predict(self, feats: Sequence[np.ndarray]) -> list[str]:
@@ -158,16 +153,12 @@ class LinearChainCRF:
         acc_trans: np.ndarray,
         acc_start: np.ndarray,
         acc_end: np.ndarray,
-    ) -> float:
-        """One Adagrad step on one sentence; returns its NLL."""
+    ) -> None:
+        """One Adagrad step on one sentence."""
         emissions = self._emissions(feats)
-        unary, pairwise, log_z = infer.marginals(
+        unary, pairwise, _ = infer.marginals(
             emissions, self._trans, self._start, self._end
         )
-        gold_score = infer.sequence_score(
-            gold, emissions, self._trans, self._start, self._end
-        )
-        nll = log_z - gold_score
 
         n_labels = len(self.labels)
         lr = self.learning_rate
@@ -204,8 +195,6 @@ class LinearChainCRF:
         grad_end[gold[-1]] -= 1.0
         acc_end += grad_end**2
         self._end -= lr * grad_end / np.sqrt(acc_end)
-
-        return nll
 
     def _require_fitted(self) -> None:
         if self._emit is None:

@@ -85,7 +85,6 @@ class LogisticRegression:
         epochs: int = 30,
         batch_size: int = 64,
         seed: int = 11,
-        quiet: bool = True,
     ) -> "LogisticRegression":
         """Standard cross-entropy training with minibatch Adam."""
         y = np.asarray(y, dtype=np.int64)
@@ -95,16 +94,12 @@ class LogisticRegression:
             raise ModelError("label id out of range")
         rng = np.random.default_rng(seed)
         indices = np.arange(x.shape[0])
-        for epoch in range(epochs):
+        for _ in range(epochs):
             rng.shuffle(indices)
-            total = 0.0
             for lo in range(0, len(indices), batch_size):
                 batch = indices[lo : lo + batch_size]
-                loss, grad_w, grad_b = self.ce_gradient(x[batch], y[batch])
+                _, grad_w, grad_b = self.ce_gradient(x[batch], y[batch])
                 self.step(grad_w, grad_b)
-                total += loss * len(batch)
-            if not quiet and len(indices):
-                print(f"logreg epoch {epoch}: loss={total / len(indices):.4f}")
         self._fitted = True
         return self
 

@@ -8,7 +8,9 @@ Configurations (matching the benchmark's comparison grid):
   (the strong "SOTA baseline");
 * ``NerTagger(decoder="crf", use_context_embeddings=True)`` — the
   **C-FLAIR substitute**: the same CRF whose feature set is enriched
-  with sign-bits of pretrained contextual char-n-gram embeddings.
+  with pretrained char-n-gram embeddings, as word classes
+  (``embedding_feature_mode="clusters"``, the default) or as sign bits
+  of the contextual vector (``"signs"``).
 """
 
 from __future__ import annotations
@@ -101,8 +103,8 @@ class NerTagger:
         embedding_feature_mode: how embeddings enter the feature set:
             ``"clusters"`` (default; Brown-cluster-style word classes
             for the token and its neighbors — the empirically winning
-            configuration), ``"signs"`` (LSH sign bits of the contextual
-            vector) or ``"both"``.
+            configuration) or ``"signs"`` (LSH sign bits of the
+            contextual vector).
         embedder: optionally a pre-fitted :class:`CharNgramEmbedder`
             (pretraining on a larger unlabeled corpus); when None and
             embeddings are enabled, one is fitted on the training text.
@@ -122,7 +124,7 @@ class NerTagger:
     ):
         if decoder not in ("crf", "perceptron"):
             raise ModelError(f"unknown decoder {decoder!r}")
-        if embedding_feature_mode not in ("clusters", "signs", "both"):
+        if embedding_feature_mode not in ("clusters", "signs"):
             raise ModelError(
                 f"unknown embedding_feature_mode {embedding_feature_mode!r}"
             )
@@ -150,7 +152,7 @@ class NerTagger:
         if (
             self.use_context_embeddings
             and self.embedder is not None
-            and self.embedding_feature_mode in ("clusters", "both")
+            and self.embedding_feature_mode == "clusters"
             and not self.embedder._centroids
         ):
             # Word-class (Brown-cluster-style) features need centroids.
@@ -229,25 +231,14 @@ class NerTagger:
     def _featurize(self, tokens: Sequence[Token]) -> list[np.ndarray]:
         per_token = [token_features(tokens, i) for i in range(len(tokens))]
         if self.use_context_embeddings and self.embedder is not None:
-            use_signs = self.embedding_feature_mode in ("signs", "both")
-            use_clusters = self.embedding_feature_mode in (
-                "clusters",
-                "both",
-            )
-            emb_feats = (
-                self.embedder.sign_features([t.text for t in tokens])
-                if use_signs
-                else None
-            )
-            clusters = (
-                [self.embedder.cluster_ids(t.text) for t in tokens]
-                if use_clusters
-                else None
-            )
-            for i, feats in enumerate(per_token):
-                if emb_feats is not None:
-                    feats.extend(emb_feats[i])
-                if clusters is not None:
+            words = [t.text for t in tokens]
+            if self.embedding_feature_mode == "signs":
+                signs = self.embedder.sign_features(words)
+                for feats, token_signs in zip(per_token, signs):
+                    feats.extend(token_signs)
+            else:
+                clusters = [self.embedder.cluster_ids(w) for w in words]
+                for i, feats in enumerate(per_token):
                     for k, cid in clusters[i]:
                         feats.append(f"cl{k}={cid}")
                     if i > 0:

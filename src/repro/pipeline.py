@@ -14,8 +14,6 @@ import os
 import time
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from repro.annotation.model import AnnotationDocument
 from repro.api.app import CreateApplication
 from repro.corpus.datasets import (
@@ -54,26 +52,23 @@ from repro.temporal.relations import THREE_WAY_ALGEBRA
 from repro.text.tokenize import tokenize
 
 
+# Events at most this many apart in narrative order form a candidate
+# temporal pair, in training and in extraction alike.
+MAX_PAIR_DISTANCE = 3
+
+
 class ClinicalExtractor:
     """NER + temporal RE applied to raw report text.
 
     The trained extraction stack of CREATe-IR: tags entity/event spans
     with the C-FLAIR-substitute tagger, classifies temporal relations
-    between nearby events with the PSL-trained classifier, and (by
-    default) enforces global consistency before emitting relations.
+    between nearby events with the PSL-trained classifier, and enforces
+    global consistency before emitting relations.
     """
 
-    def __init__(
-        self,
-        ner: NerTagger,
-        temporal: TemporalClassifier | None,
-        use_global_inference: bool = True,
-        max_pair_distance: int = 3,
-    ):
+    def __init__(self, ner: NerTagger, temporal: TemporalClassifier | None):
         self.ner = ner
         self.temporal = temporal
-        self.use_global_inference = use_global_inference
-        self.max_pair_distance = max_pair_distance
         self.algebra = THREE_WAY_ALGEBRA
         self.negation = NegationDetector()
 
@@ -103,8 +98,7 @@ class ClinicalExtractor:
         ner.fit([report.annotations for report in train_reports])
 
         temporal_docs = [
-            _temporal_doc_from_report(report, max_distance=3)
-            for report in train_reports
+            _temporal_doc_from_report(report) for report in train_reports
         ]
         temporal_docs = [doc for doc in temporal_docs if doc.pairs]
         temporal = None
@@ -140,7 +134,7 @@ class ClinicalExtractor:
         ]
         pairs = []
         for i, src_id in enumerate(event_ids):
-            upper = min(i + 1 + self.max_pair_distance, len(event_ids))
+            upper = min(i + 1 + MAX_PAIR_DISTANCE, len(event_ids))
             for j in range(i + 1, upper):
                 pairs.append(
                     TemporalInstance(
@@ -155,25 +149,17 @@ class ClinicalExtractor:
             return doc
         tdoc = TemporalDocument(doc_id, doc, event_ids, pairs)
         probs = self.temporal.predict_proba_doc(tdoc)
-        if self.use_global_inference:
-            labels = global_inference(
-                tdoc, probs, self.temporal.labels, self.algebra
-            )
-        else:
-            labels = [
-                self.temporal.labels[int(k)]
-                for k in np.argmax(probs, axis=1)
-            ]
+        labels = global_inference(
+            tdoc, probs, self.temporal.labels, self.algebra
+        )
         for pair, label in zip(pairs, labels):
             doc.add_relation(label, pair.src_id, pair.tgt_id)
         return doc
 
 
-def _temporal_doc_from_report(
-    report: CaseReport, max_distance: int
-) -> TemporalDocument:
+def _temporal_doc_from_report(report: CaseReport) -> TemporalDocument:
     order, pairs = pairs_from_timeline(
-        report.report_id, report.timeline, max_distance, interval_relation
+        report.report_id, report.timeline, MAX_PAIR_DISTANCE, interval_relation
     )
     return TemporalDocument(
         report.report_id, report.annotations, order, pairs

@@ -1,6 +1,6 @@
 """Stdlib-only AST lint for hazards the test suite can't catch.
 
-Three rules, each motivated by a real failure mode in this codebase:
+Five rules, each motivated by a real failure mode in this codebase:
 
 * **REPRO001 — bare ``except:``** (everywhere).  The runtime layer's
   whole point is that failures are isolated *and visible*; a bare
@@ -21,6 +21,11 @@ Three rules, each motivated by a real failure mode in this codebase:
   toward memory exhaustion and unbounded latency instead of shedding.
   Bounded admission is a serving invariant; pass an explicit positive
   ``maxsize``.  Tests may build unbounded queues as scaffolding.
+* **REPRO005 — ``print()`` in library code** (``src/repro/`` outside
+  ``src/repro/testing/``).  The library reports through return values,
+  ``/stats`` and exceptions; a print is output no caller asked for and
+  none can capture.  The harness CLIs under ``repro.testing`` print
+  their reports and are exempt.
 
 Run as ``python -m repro.testing.lint [paths...]``; exits 1 when any
 violation is found.  No third-party dependencies — this must run on a
@@ -41,6 +46,10 @@ DETERMINISTIC_PARTS = (
     ("src", "repro", "testing"),
     ("tests",),
 )
+
+# Library code that must not print (REPRO005 scope), and its exemption.
+LIBRARY_PARTS = ("src", "repro")
+HARNESS_PARTS = ("src", "repro", "testing")
 
 _MUTABLE_LITERALS = (ast.List, ast.Dict, ast.Set)
 _MUTABLE_CALLS = {"list", "dict", "set", "defaultdict", "OrderedDict"}
@@ -76,6 +85,10 @@ class _Visitor(ast.NodeVisitor):
         self.path = path
         self.deterministic = deterministic
         self.bounded_queues = path.parts[:1] != ("tests",)
+        self.library = (
+            path.parts[:2] == LIBRARY_PARTS
+            and path.parts[:3] != HARNESS_PARTS
+        )
         self.findings: list[tuple[int, str, str]] = []
 
     def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
@@ -132,6 +145,19 @@ class _Visitor(ast.NodeVisitor):
                 )
         if self.bounded_queues:
             self._check_queue_bound(node)
+        if (
+            self.library
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "print"
+        ):
+            self.findings.append(
+                (
+                    node.lineno,
+                    "REPRO005",
+                    "print() in library code; return the value or "
+                    "record it in the metrics registry",
+                )
+            )
         self.generic_visit(node)
 
     def _queue_name(self, node: ast.Call) -> str | None:

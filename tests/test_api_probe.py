@@ -34,6 +34,8 @@ BODIES = [
     {"reviewer": 5, "verdict": []},
     b"bytes",
     float("inf"),
+    "<?xml",
+    "<TEI>\ud800</TEI>",
 ]
 
 PARAMS = [

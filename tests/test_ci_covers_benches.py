@@ -5,7 +5,7 @@ A bench nobody runs is a claim nobody defends (the paper's three
 quality benches sat ungated for ten PRs), and a job naming a deleted
 bench fails only after the merge.  The examples are held to the same
 rule: ``tests/test_reachability.py`` counts them as what reaches
-``corpus.export`` and ``ml.serialization``.
+``corpus.export``.
 """
 
 import re

@@ -34,18 +34,6 @@ class TestQueryParserWithoutTemporal:
 
 
 class TestExtractorLocalOnly:
-    def test_global_inference_off(self, demo_system):
-        from repro.pipeline import ClinicalExtractor
-
-        pipeline, _ = demo_system
-        trained = pipeline.extractor
-        local_only = ClinicalExtractor(
-            trained.ner, trained.temporal, use_global_inference=False
-        )
-        text = CaseReportGenerator(seed=777).generate("loc").text
-        extracted = local_only.extract("loc", text)
-        assert extracted.relations  # still produces relations
-
     def test_without_temporal_model(self, demo_system):
         from repro.pipeline import ClinicalExtractor
 

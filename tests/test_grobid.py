@@ -88,6 +88,9 @@ class TestTei:
     def test_malformed_xml_rejected(self):
         with pytest.raises(ParseError):
             parse_tei_xml("<TEI><unclosed>")
+        # JSON "\ud800" decodes to a str that cannot be encoded as UTF-8.
+        with pytest.raises(ParseError):
+            parse_tei_xml("<TEI>\ud800</TEI>")
 
     def test_wrong_root_rejected(self):
         with pytest.raises(ParseError):

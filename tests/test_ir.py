@@ -354,9 +354,7 @@ class TestQueryParser:
         ner = NerTagger(decoder="crf", epochs=3).fit(
             [r.annotations for r in reports]
         )
-        temporal_docs = [
-            _temporal_doc_from_report(r, max_distance=3) for r in reports
-        ]
+        temporal_docs = [_temporal_doc_from_report(r) for r in reports]
         temporal = TemporalClassifier(epochs=8).fit(temporal_docs)
         return QueryParser(ner, temporal)
 

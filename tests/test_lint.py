@@ -74,6 +74,24 @@ class TestUnboundedQueues:
         assert not any("REPRO004" in f for f in findings)
 
 
+class TestLibraryPrint:
+    def test_print_in_library_flagged(self, tmp_path):
+        source = "def fit():\n    print('epoch 0')\n"
+        findings = _lint_source(tmp_path, source, "src/repro/ml/model.py")
+        assert any("REPRO005" in f for f in findings)
+
+    def test_print_outside_library_not_flagged(self, tmp_path):
+        source = "print('report')\n"
+        for relative in (
+            "src/repro/testing/cli.py",
+            "tests/test_x.py",
+            "benchmarks/bench_x.py",
+            "examples/demo.py",
+        ):
+            findings = _lint_source(tmp_path, source, relative)
+            assert not any("REPRO005" in f for f in findings), relative
+
+
 def test_repository_is_lint_clean():
     root = Path(__file__).resolve().parent.parent
     findings = lint_paths(["src", "tests", "benchmarks"], root)

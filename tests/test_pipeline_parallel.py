@@ -7,9 +7,13 @@ import pytest
 
 from repro.corpus.generator import CaseReportGenerator
 from repro.crawler.repository import Page, SyntheticPubMed
-from repro.exceptions import ModelError
+from repro.exceptions import ModelError, StageFailure
 from repro.grobid.service import GrobidService
-from repro.pipeline import CreatePipeline
+from repro.pipeline import (
+    CreatePipeline,
+    _init_ingest_worker,
+    _parse_extract,
+)
 
 
 def _make_site(n=6, seed=5):
@@ -174,6 +178,18 @@ class TestFaultIsolation:
         assert letters[0].doc_id == victim
         assert letters[0].error_type == "ParseError"
         assert stats.indexed == len(reports) - 1
+
+    def test_unterminated_xml_declaration_is_a_parse_failure(
+        self, demo_system
+    ):
+        # A crawled page opening "<?xml" with no "?>" is dead-lettered
+        # like any other unparseable page; it must not abort the ingest.
+        trained, _ = demo_system
+        _init_ingest_worker(GrobidService(), trained.extractor, 0)
+        with pytest.raises(StageFailure) as failure:
+            _parse_extract(("bad-xml", "<?xml", "xml"))
+        assert failure.value.stage == "parse"
+        assert failure.value.error_type == "ParseError"
 
     def test_unexpected_parse_exception_propagates(self, demo_system):
         trained, _ = demo_system

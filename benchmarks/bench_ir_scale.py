@@ -1,7 +1,7 @@
-"""CREATe-IR graph search at 2,000 reports: candidates per query concept.
+"""CREATe-IR at 2,000 reports: both halves of a Figure-6 search.
 
-Graph search (Figure 6) finds, for every query concept, the nodes of
-its ``entityType`` that can stand for it.  The number of such nodes
+**Graph search.**  For every query concept it finds the nodes of its
+``entityType`` that can stand for it.  The number of such nodes
 grows with the corpus; the number of distinct labels they carry grows
 far slower, because reports phrase the same findings the same way.
 :func:`repro.ir.searcher.concept_candidates` decides ``labels_match``
@@ -14,14 +14,27 @@ concept_candidates_scan` decides it for every node.
 * **Then the ratio**: ms per query concept both ways, in this process,
   and the fast path must be >= 2x the scan.
 
-The corpus is gold reports indexed through ``index_annotation_document``
-(no NER, no ILP), so building it is a few seconds.
+**Keyword search.**  ``SearchEngine.search`` scores a query in one
+numpy pass over postings arrays; :func:`repro.testing.oracles.
+bm25_scores_scalar` accumulates the same BM25 one posting at a time.
+
+* **Identity first**: every query's top 30 ids and scores (``==``)
+  are the same both ways.
+* **Then the ratio**: ms per query both ways (the scalar side ranks
+  every scored document, as the engine used to), and the engine must
+  be >= 5x the scalar loop.  The traced memory of the index is printed.
+
+The graph half indexes gold reports through
+``index_annotation_document`` (no NER, no ILP); the keyword half indexes
+their texts into a bare ``SearchEngine``.  Each builds in a few seconds.
 """
 
 from __future__ import annotations
 
 import time
+import tracemalloc
 
+import pytest
 from conftest import gold_parse, write_result
 
 import repro.ir.searcher as searcher_module
@@ -29,11 +42,18 @@ from repro.corpus.pubmed import build_corpus
 from repro.corpus.queries import make_query_workload
 from repro.ir.indexer import CreateIrIndexer
 from repro.ir.searcher import CreateIrSearcher, concept_candidates
-from repro.testing.oracles import concept_candidates_scan
+from repro.search.engine import SearchEngine
+from repro.testing.oracles import bm25_scores_scalar, concept_candidates_scan
 
 N_REPORTS = 2000
 N_QUERIES = 25
 TIMED_ROUNDS = 3
+TOP_K = 30
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return build_corpus(N_REPORTS, seed=11)
 
 
 def _ms_per_concept(candidates, indexer, concepts) -> float:
@@ -47,8 +67,7 @@ def _ms_per_concept(candidates, indexer, concepts) -> float:
     return 1000.0 * best / len(concepts)
 
 
-def test_graph_search_candidates_at_scale(monkeypatch):
-    corpus = build_corpus(N_REPORTS, seed=11)
+def test_graph_search_candidates_at_scale(corpus, monkeypatch):
     indexer = CreateIrIndexer()
     for report in corpus:
         indexer.index_annotation_document(
@@ -93,4 +112,72 @@ def test_graph_search_candidates_at_scale(monkeypatch):
     assert ratio >= 2.0, (
         f"concept_candidates only {ratio:.2f}x the scan "
         f"({fast_ms:.2f} vs {scan_ms:.2f} ms per concept)"
+    )
+
+
+def _scalar_search(engine: SearchEngine, text: str, size: int) -> list:
+    """``(doc_id, score)`` top ``size``: the scalar loop's scores, every
+    scored document sorted by ``(-score, str(doc_id))``."""
+    scores = bm25_scores_scalar(engine._index, engine._analyzer.terms(text))
+    ranked = sorted(
+        ((engine._ids_by_ordinal[ordinal], score)
+         for ordinal, score in scores.items()),
+        key=lambda item: (-item[1], str(item[0])),
+    )
+    return ranked[:size]
+
+
+def _engine_search(engine: SearchEngine, text: str, size: int) -> list:
+    return [(hit.doc_id, hit.score) for hit in engine.search(text, size)]
+
+
+def _ms_per_query(search, engine, texts) -> float:
+    """Best of :data:`TIMED_ROUNDS` passes over every query."""
+    best = float("inf")
+    for _ in range(TIMED_ROUNDS):
+        start = time.perf_counter()
+        for text in texts:
+            search(engine, text, TOP_K)
+        best = min(best, time.perf_counter() - start)
+    return 1000.0 * best / len(texts)
+
+
+def test_keyword_search_at_scale(corpus):
+    tracemalloc.start()
+    try:
+        engine = SearchEngine()
+        for report in corpus:
+            engine.index(report.report_id, report.text)
+        index_mb = tracemalloc.get_traced_memory()[0] / 2**20
+    finally:
+        tracemalloc.stop()
+    texts = [
+        query.text
+        for query in make_query_workload(corpus, n_queries=N_QUERIES, seed=12)
+    ]
+
+    # Identity before any timing.
+    for text in texts:
+        hits = _engine_search(engine, text, TOP_K)
+        assert hits == _scalar_search(engine, text, TOP_K), text
+        assert len(hits) == TOP_K
+
+    scalar_ms = _ms_per_query(_scalar_search, engine, texts)
+    engine_ms = _ms_per_query(_engine_search, engine, texts)
+    ratio = scalar_ms / engine_ms
+
+    lines = [
+        f"Keyword search ({engine.n_documents} reports, traced index "
+        f"{index_mb:.1f} MB; {len(texts)} queries, top {TOP_K})",
+        f"{'scoring':<34}{'ms/query':>12}{'speedup':>10}",
+        f"{'scalar loop (dict per posting)':<34}{scalar_ms:>12.2f}"
+        f"{1.0:>9.2f}x",
+        f"{'SearchEngine.search (numpy)':<34}{engine_ms:>12.2f}"
+        f"{ratio:>9.2f}x",
+    ]
+    write_result("bench_ir_scale keyword", lines)
+
+    assert ratio >= 5.0, (
+        f"SearchEngine.search only {ratio:.2f}x the scalar loop "
+        f"({engine_ms:.2f} vs {scalar_ms:.2f} ms per query)"
     )

@@ -26,7 +26,9 @@ Routes (method, path template):
 
 Query parameters are validated by :func:`_int_param` and
 :func:`_text_param`: non-integers, negatives and non-string ``q``
-return 400, never 500.
+return 400, never 500.  A request whose path, parameters or body hold
+a surrogate code point is answered 400 before routing: UTF-8 cannot
+encode one, so neither the WAL nor any export could carry it.
 """
 
 from __future__ import annotations
@@ -92,6 +94,26 @@ def _text_param(params: dict, name: str) -> str:
     if not raw:
         raise ApiError(400, f"missing query parameter {name}")
     return raw
+
+
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _holds_surrogate(*values: Any) -> bool:
+    """Whether any string in ``values`` (walked through dicts, lists and
+    tuples, keys included) holds a surrogate code point."""
+    stack = list(values)
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            if not value.isascii() and _SURROGATE.search(value):
+                return True
+        elif isinstance(value, dict):
+            stack.extend(value.keys())
+            stack.extend(value.values())
+        elif isinstance(value, (list, tuple)):
+            stack.extend(value)
+    return False
 
 
 def _opt_int_field(body: dict, name: str) -> int | None:
@@ -213,9 +235,17 @@ class CreateApplication:
         handler journaled is sealed before the response acknowledges
         it, and a handler that failed half-way leaves the log matching
         memory.  A request that journaled nothing commits nothing.
+
+        A surrogate code point anywhere in the path, the parameters or
+        the body is refused with 400 before routing, so no handler
+        applies a write its WAL record could not encode.
         """
         params = params or {}
         method = method.upper()
+        if _holds_surrogate(path, params, body):
+            return Response(
+                400, {"error": "request holds a surrogate code point"}
+            )
         for route_method, pattern, handler in self._routes:
             if route_method != method:
                 continue

@@ -1,9 +1,22 @@
-"""BM25 (Okapi) ranking over an :class:`InvertedIndex`."""
+"""BM25 (Okapi) ranking over an :class:`InvertedIndex`.
+
+A query is scored in one numpy pass: one Python loop over its terms
+gathers every term's postings into two local int arrays and its idf,
+then the contributions of all postings are computed at once and summed
+per document with ``np.bincount``.  The vector expression applies the
+scalar formula's operations in the scalar order, and ``bincount`` adds
+in input order, which is term order, so every score is bit-identical
+to accumulating the postings one by one in a dict
+(``repro.testing.oracles.bm25_scores_scalar`` is that loop).
+"""
 
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Sequence
+
+import numpy as np
 
 from repro.search.inverted_index import InvertedIndex
 
@@ -27,17 +40,34 @@ class BM25Scorer:
         df = self.index.document_frequency(term)
         return math.log(1.0 + (n - df + 0.5) / (df + 0.5))
 
-    def score_terms(self, terms: Sequence[str]) -> dict[int, float]:
-        """Accumulated BM25 scores per doc ordinal for a bag of terms."""
-        scores: dict[int, float] = {}
-        avg_len = self.index.average_length or 1.0
+    def score_terms(
+        self, terms: Sequence[str]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(ordinals, scores)`` of every document a term touches,
+        ordinals ascending, BM25 accumulated over the bag of terms."""
+        index = self.index
+        ordinals = array("i")
+        tfs = array("i")
+        idfs: list[float] = []
+        counts: list[int] = []
         for term in terms:
-            idf = self.idf(term)
-            for doc_ord, tf in self.index.postings(term):
-                doc_len = self.index.doc_length(doc_ord)
-                denom = tf + self.k1 * (
-                    1.0 - self.b + self.b * doc_len / avg_len
-                )
-                contribution = idf * tf * (self.k1 + 1.0) / denom
-                scores[doc_ord] = scores.get(doc_ord, 0.0) + contribution
-        return scores
+            df = index.extend_postings(term, ordinals, tfs)
+            if df:
+                # Scalar math.log: numpy's vector log may differ from
+                # libm in the last ulp.
+                idfs.append(self.idf(term))
+                counts.append(df)
+        if not ordinals:
+            return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.float64)
+        k1, b = self.k1, self.b
+        avg_len = index.average_length or 1.0
+        ords = np.frombuffer(ordinals, dtype=np.intc)
+        tf = np.frombuffer(tfs, dtype=np.intc).astype(np.float64)
+        idf = np.repeat(np.array(idfs), counts)
+        lengths = np.frombuffer(index.doc_length_table(), dtype=np.int64)
+        doc_len = lengths[ords].astype(np.float64)
+        denom = tf + k1 * (1.0 - b + b * doc_len / avg_len)
+        contribution = idf * tf * (k1 + 1.0) / denom
+        scores = np.bincount(ords, weights=contribution)
+        touched = np.flatnonzero(np.bincount(ords))
+        return touched, scores[touched]

@@ -13,6 +13,8 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.metrics import MetricsRegistry
 from repro.search.analysis import CREATE_IR_ANALYZER_CONFIG, create_analyzer
@@ -90,15 +92,21 @@ class SearchEngine:
     def search(self, text: str, size: int = 10) -> list[ScoredHit]:
         """The top ``size`` documents for ``text``'s analysed terms."""
         start = time.perf_counter()
-        scored = BM25Scorer(self._index).score_terms(
+        ordinals, scores = BM25Scorer(self._index).score_terms(
             self._analyzer.terms(text)
         )
-        by_doc_id = [
-            (self._ids_by_ordinal[ordinal], score)
-            for ordinal, score in scored.items()
-        ]
-        by_doc_id.sort(key=lambda item: (-item[1], str(item[0])))
-        hits = [ScoredHit(doc_id, score) for doc_id, score in by_doc_id[:size]]
+        if 0 < size < len(scores):
+            # Only documents scoring at least the size-th best can
+            # rank; ties at the cut stay in for the id tie-break.
+            cut = np.partition(scores, len(scores) - size)[-size]
+            kept = scores >= cut
+            ordinals, scores = ordinals[kept], scores[kept]
+        ids = self._ids_by_ordinal
+        ranked = sorted(
+            zip(map(ids.__getitem__, ordinals.tolist()), scores.tolist()),
+            key=lambda item: (-item[1], str(item[0])),
+        )
+        hits = [ScoredHit(doc_id, score) for doc_id, score in ranked[:size]]
         if self.metrics is not None:
             self.metrics.increment("engine.searches")
             self.metrics.increment("engine.hits", len(hits))

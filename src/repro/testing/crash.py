@@ -299,14 +299,17 @@ def _engine_state(engine: SearchEngine) -> dict:
     doc_of = engine._ids_by_ordinal
     return {
         "postings": {
-            term: sorted([str(doc_of[doc_ord]), tf] for doc_ord, tf in plist)
-            for term, plist in index._postings.items()
+            term: sorted(
+                [str(doc_of[doc_ord]), tf]
+                for doc_ord, tf in index.postings(term)
+            )
+            for term in index.terms()
         },
         "doc_lengths": sorted(
             [str(doc_of[doc_ord]), length]
-            for doc_ord, length in index._doc_lengths.items()
+            for doc_ord, length in index.doc_lengths.items()
         ),
-        "total_length": index._total_length,
+        "total_length": index.total_length,
     }
 
 

@@ -67,12 +67,13 @@ def _rankings(engine: SearchEngine, queries) -> list:
 def index_snapshot(index: InvertedIndex) -> str:
     """A canonical byte-for-byte rendering of all index statistics:
     everything that influences scoring or retrieval."""
+    lengths = index.doc_lengths
     return repr(
         (
-            sorted(index._postings.items()),
-            sorted(index._doc_lengths.items()),
-            index._total_length,
-            sorted(index._doc_terms.items()),
+            [(term, index.postings(term)) for term in index.terms()],
+            sorted(lengths.items()),
+            index.total_length,
+            [(ord_, index.doc_terms(ord_)) for ord_ in sorted(lengths)],
         )
     )
 

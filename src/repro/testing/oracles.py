@@ -6,6 +6,8 @@ most naive algorithm that is obviously correct:
 * :class:`ReferenceSearchEngine` — linear-scan BM25 retrieval straight
   off the analyzed term lists (no inverted index, no postings, no
   cached statistics).
+* :func:`bm25_scores_scalar` — BM25 accumulated one posting at a time
+  in a dict, the reference for the vectorised ``BM25Scorer`` pass.
 * :func:`brute_force_bindings` — exhaustive injective enumeration of
   pattern variable assignments, checking every pattern edge against
   the full edge list (no candidate pruning, no backtracking order).
@@ -108,6 +110,26 @@ class ReferenceSearchEngine:
             scores.items(), key=lambda item: (-item[1], str(item[0]))
         )
         return ranked[:size]
+
+
+def bm25_scores_scalar(
+    index, terms: Sequence[str], k1: float = 1.2, b: float = 0.75
+) -> dict[int, float]:
+    """BM25 per doc ordinal over an :class:`InvertedIndex`, one posting
+    at a time through ``postings()`` / ``doc_length()``: the scalar loop
+    ``BM25Scorer.score_terms`` must equal float for float."""
+    scores: dict[int, float] = {}
+    n = index.n_documents
+    avg_len = index.average_length or 1.0
+    for term in terms:
+        df = index.document_frequency(term)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        for doc_ord, tf in index.postings(term):
+            doc_len = index.doc_length(doc_ord)
+            denom = tf + k1 * (1.0 - b + b * doc_len / avg_len)
+            contribution = idf * tf * (k1 + 1.0) / denom
+            scores[doc_ord] = scores.get(doc_ord, 0.0) + contribution
+    return scores
 
 
 # -- graph -------------------------------------------------------------------

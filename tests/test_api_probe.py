@@ -14,6 +14,7 @@ import pytest
 from repro.api.app import CreateApplication
 from repro.corpus.generator import CaseReportGenerator
 from repro.docstore.store import DocumentStore
+from repro.durability import DurabilityManager, MemFS
 from repro.ir.indexer import CreateIrIndexer
 from repro.ir.searcher import CreateIrSearcher
 
@@ -36,6 +37,7 @@ BODIES = [
     float("inf"),
     "<?xml",
     "<TEI>\ud800</TEI>",
+    {"name": "x\ud800", "inclusion": []},
 ]
 
 PARAMS = [
@@ -56,15 +58,17 @@ PARAMS = [
     {"category": {"$ne": None}},
     {"doc_id": 5},
     {"reviewer": {}},
+    {"q": "fever \ud800"},
 ]
 
 
-def _bare_app() -> CreateApplication:
+def _bare_app(durability=None) -> CreateApplication:
     indexer = CreateIrIndexer()
     return CreateApplication(
         store=DocumentStore(),
         indexer=indexer,
         searcher=CreateIrSearcher(indexer),
+        durability=durability,
     )
 
 
@@ -132,6 +136,8 @@ def test_no_input_escapes_handle_or_answers_5xx(
                 f"escaped handle: {type(exc).__name__}: {exc}"
             )
         assert response.status < 500, (method, path, body, params)
+        if "\\ud800" in repr((body, params)):
+            assert response.status == 400, (method, path, body, params)
 
 
 def test_route_table_is_fully_probed():
@@ -206,3 +212,31 @@ def test_malformed_cohort_is_refused_not_evaluated(criterion, reports):
         ("GET", "/cohorts/stored/fhir"),
     ):
         assert app.handle(method, path).status == 400
+
+
+# A surrogate code point has no UTF-8 encoding, so no WAL record, FHIR
+# bundle or TEI document can carry one: ``handle`` refuses it before
+# routing.
+
+
+def test_surrogate_query_is_refused_by_a_parser_backed_search(demo_system):
+    pipeline, _ = demo_system
+    assert pipeline.app.searcher._parser is not None
+    response = pipeline.app.handle(
+        "GET", "/search", params={"q": "fever \ud800"}
+    )
+    assert response.status == 400
+
+
+def test_refused_surrogate_cohort_is_not_applied_on_a_durable_app():
+    manager = DurabilityManager(MemFS())
+    app = _bare_app(durability=manager)
+    manager.attach("docstore", app.store)
+    manager.attach("review", app.review)
+    body = {
+        "name": "ok",
+        "inclusion": [{"kind": "text", "query": "fever \ud800"}],
+    }
+    assert app.handle("POST", "/cohorts", body=body).status == 400
+    assert app.handle("GET", "/cohorts/ok").status == 404
+    assert app.handle("GET", "/cohorts").body == {"cohorts": []}

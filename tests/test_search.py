@@ -3,11 +3,12 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import AnalyzerError
 from repro.search import analysis
 from repro.search.analysis import (
+    AnalyzedToken,
     Analyzer,
     CREATE_IR_ANALYZER_CONFIG,
     NGramTokenizer,
@@ -27,6 +28,7 @@ from repro.search.bm25 import BM25Scorer
 from repro.search.engine import SearchEngine
 from repro.search.inverted_index import InvertedIndex
 from repro.search.solr import SolrBaseline
+from repro.testing.oracles import bm25_scores_scalar
 
 
 class TestTokenizers:
@@ -282,8 +284,58 @@ class TestBM25:
         analyzer = create_analyzer({"tokenizer": {"type": "standard"}, "filter": ["lowercase"]})
         index.add_document(0, analyzer.analyze("fever fever fever"))
         index.add_document(1, analyzer.analyze("fever cough dyspnea"))
-        scores = BM25Scorer(index).score_terms(["fever"])
+        ordinals, scores = BM25Scorer(index).score_terms(["fever"])
+        assert ordinals.tolist() == [0, 1]
         assert scores[0] > scores[1]
+
+
+VOCABULARY = ["fever", "cough", "renal", "mass", "ulcer", "pain"]
+
+# One op on an InvertedIndex: ("add", ordinal, terms) or
+# ("remove", ordinal, ...).  Ordinals are drawn from a small pool, so
+# streams re-add a removed lower ordinal after higher ones (the
+# bisect-insert path) and re-add a live one (replace in place).
+INDEX_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "remove"]),
+        st.integers(0, 7),
+        st.lists(st.sampled_from(VOCABULARY), max_size=30),
+    ),
+    max_size=40,
+)
+
+
+class TestVectorisedBM25:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        INDEX_OPS,
+        st.lists(st.sampled_from(VOCABULARY + ["absent"]), max_size=10),
+    )
+    def test_scores_equal_the_scalar_loop_float_for_float(
+        self, ops, query
+    ):
+        index = InvertedIndex()
+        for op, ordinal, terms in ops:
+            if op == "add":
+                index.add_document(
+                    ordinal,
+                    [
+                        AnalyzedToken(term, i, i, i + 1)
+                        for i, term in enumerate(terms)
+                    ],
+                )
+            else:
+                index.remove_document(ordinal)
+        for term in index.terms():
+            ordinals = [doc_ord for doc_ord, _tf in index.postings(term)]
+            assert ordinals and all(
+                a < b for a, b in zip(ordinals, ordinals[1:])
+            ), (term, ordinals)
+        ordinals, scores = BM25Scorer(index).score_terms(query)
+        expected = bm25_scores_scalar(index, query)
+        assert ordinals.tolist() == sorted(expected)
+        # ``==`` on every float: not approx.
+        assert scores.tolist() == [expected[o] for o in sorted(expected)]
 
 
 class TestSearchEngine:
@@ -343,6 +395,25 @@ class TestSearchEngine:
 
     def test_empty_query_no_results(self):
         assert self._engine().search("") == []
+
+    def test_size_zero_returns_nothing(self):
+        assert self._engine().search("with fever stroke", size=0) == []
+
+    def test_ties_at_the_cut_break_by_str_doc_id(self):
+        engine = SearchEngine()
+        for doc_id in ("d3", "d10", "d2"):
+            engine.index(doc_id, "fever and cough")
+        hits = engine.search("fever", size=2)
+        assert [h.doc_id for h in hits] == ["d10", "d2"]
+        assert hits[0].score == hits[1].score
+
+    def test_size_beyond_touched_returns_every_touched_document(self):
+        engine = self._engine()
+        touched = engine.search("with fever stroke amiodarone", size=3)
+        assert engine.search("with fever stroke amiodarone", size=50) == (
+            touched
+        )
+        assert {h.doc_id for h in touched} == {"d1", "d2", "d3"}
 
     def test_deterministic_tie_order(self):
         engine = SearchEngine(STANDARD_ANALYZER_CONFIG)

@@ -51,6 +51,49 @@ class TestDeterminism:
             assert json.loads(json.dumps(case)) == case
 
 
+# sha256 prefixes of ``index_snapshot`` and ``canonical_state`` over one
+# seeded index/re-index/delete stream per analyzer.  They were taken
+# when both functions still read ``InvertedIndex``'s private lists, so
+# the renderings must stay byte-identical however the index stores its
+# postings.
+PINNED_RENDERINGS = {
+    "whitespace": ("94c0ce2946c4363c", "d9b630da0fed2736"),
+    "standard": ("1535f49e9b4a960f", "6f1a681c7d2c68a8"),
+    "ngram": ("263fbc14fdc64ad8", "5b0e21560703f2a8"),
+}
+
+
+@pytest.mark.parametrize("analyzer", sorted(PINNED_RENDERINGS))
+def test_index_renderings_are_pinned(analyzer):
+    import hashlib
+    import random
+
+    from repro.docstore.store import DocumentStore
+    from repro.graphdb.graph import PropertyGraph
+    from repro.search.engine import SearchEngine
+    from repro.testing.crash import canonical_state
+    from repro.testing.invariants import index_snapshot
+    from repro.testing.oracles import ANALYZER_CONFIGS
+
+    rng = random.Random(7)
+    words = "fever cough renal chest pain dyspnea ulcer biopsy mass".split()
+    engine = SearchEngine(ANALYZER_CONFIGS[analyzer])
+    for _ in range(60):
+        doc_id = f"d{rng.randrange(12)}"
+        if rng.random() < 0.25:
+            engine.delete(doc_id)
+        else:
+            text = " ".join(rng.choices(words, k=rng.randrange(1, 9)))
+            engine.index(doc_id, text)
+    rendered = (
+        index_snapshot(engine._index),
+        canonical_state(DocumentStore(), PropertyGraph(), engine),
+    )
+    assert tuple(
+        hashlib.sha256(text.encode()).hexdigest()[:16] for text in rendered
+    ) == PINNED_RENDERINGS[analyzer]
+
+
 class TestBatchRun:
     def test_small_batch_runs_clean(self):
         report = run(seed=0, cases=25)
@@ -243,21 +286,37 @@ def _plant_postings_appended_at_tail(monkeypatch):
     """``InvertedIndex.add_document`` that appends every posting at the
     tail: a document re-indexed under its lower ordinal lands after
     later ones, out of doc-ord order."""
-    from collections import Counter
-
     from repro.search.inverted_index import InvertedIndex
 
+    original_add = InvertedIndex.add_document
+    original_remove = InvertedIndex.remove_document
+
     def add_document(self, doc_ord, tokens):
-        if doc_ord in self._doc_lengths:
-            self.remove_document(doc_ord)
-        per_term = Counter(token.term for token in tokens)
-        for term, tf in per_term.items():
-            self._postings.setdefault(term, []).append((doc_ord, tf))
-        self._doc_terms[doc_ord] = tuple(per_term)
-        self._doc_lengths[doc_ord] = len(tokens)
-        self._total_length += len(tokens)
+        original_add(self, doc_ord, tokens)
+        for term in self.doc_terms(doc_ord):
+            ordinals, tfs = self._postings[term]
+            at = ordinals.index(doc_ord)
+            tf = tfs[at]
+            del ordinals[at], tfs[at]
+            ordinals.append(doc_ord)
+            tfs.append(tf)
+
+    def remove_document(self, doc_ord):
+        # Bisect cannot find a posting in the unsorted lists planted
+        # above: delete them by scan first, so the checker reports the
+        # order bug rather than a wrong deletion.
+        for term in self.doc_terms(doc_ord):
+            ordinals, tfs = self._postings[term]
+            at = ordinals.index(doc_ord)
+            del ordinals[at], tfs[at]
+            if not ordinals:
+                del self._postings[term]
+        if doc_ord in self._doc_terms:
+            self._doc_terms[doc_ord] = ()
+        original_remove(self, doc_ord)
 
     monkeypatch.setattr(InvertedIndex, "add_document", add_document)
+    monkeypatch.setattr(InvertedIndex, "remove_document", remove_document)
 
 
 def _plant_skipped_exclusion(monkeypatch):

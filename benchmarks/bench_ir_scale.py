@@ -4,15 +4,18 @@
 ``entityType`` that can stand for it.  The number of such nodes
 grows with the corpus; the number of distinct labels they carry grows
 far slower, because reports phrase the same findings the same way.
-:func:`repro.ir.searcher.concept_candidates` decides ``labels_match``
-once per distinct label; :func:`repro.testing.oracles.
-concept_candidates_scan` decides it for every node.
+:func:`repro.ir.searcher.concept_candidates` stems the concept once and
+scores each distinct label of its type once, from the graph's
+``(entityType, label)`` buckets; :func:`repro.testing.oracles.
+concept_candidates_scan` matches and scores every node of the type.
 
 * **Identity first**: ``graph_search`` over pre-parsed Figure-6 queries
   answers the same :class:`GraphMatchDetail` lists whichever function
-  supplies the candidates.
+  supplies the candidates (the swapped-in scan is counted, so the swap
+  reaches the call ``graph_search`` makes).
 * **Then the ratio**: ms per query concept both ways, in this process,
-  and the fast path must be >= 2x the scan.
+  and the fast path must be >= 40x the scan.  ``graph_search`` p50 per
+  query is printed both ways.
 
 **Keyword search.**  ``SearchEngine.search`` scores a query in one
 numpy pass over postings arrays; :func:`repro.testing.oracles.
@@ -31,6 +34,7 @@ their texts into a bare ``SearchEngine``.  Each builds in a few seconds.
 
 from __future__ import annotations
 
+import statistics
 import time
 import tracemalloc
 
@@ -67,6 +71,18 @@ def _ms_per_concept(candidates, indexer, concepts) -> float:
     return 1000.0 * best / len(concepts)
 
 
+def _graph_search_p50_ms(searcher, parsed) -> float:
+    """Median over queries of each query's best ``graph_search`` time
+    over :data:`TIMED_ROUNDS` rounds."""
+    best = [float("inf")] * len(parsed)
+    for _ in range(TIMED_ROUNDS):
+        for i, query in enumerate(parsed):
+            start = time.perf_counter()
+            searcher.graph_search(query)
+            best[i] = min(best[i], time.perf_counter() - start)
+    return 1000.0 * statistics.median(best)
+
+
 def test_graph_search_candidates_at_scale(corpus, monkeypatch):
     indexer = CreateIrIndexer()
     for report in corpus:
@@ -80,19 +96,30 @@ def test_graph_search_candidates_at_scale(corpus, monkeypatch):
     concepts = [concept for query in parsed for concept in query.concepts]
     searcher = CreateIrSearcher(indexer, parser=None)
 
+    scan_calls = []
+
+    def counted_scan(*args):
+        scan_calls.append(args[-1])
+        return concept_candidates_scan(*args)
+
     # Identity before any timing.
     fast_details = [searcher.graph_search(query) for query in parsed]
     with monkeypatch.context() as patch:
-        patch.setattr(
-            searcher_module, "concept_candidates", concept_candidates_scan
-        )
+        patch.setattr(searcher_module, "concept_candidates", counted_scan)
         scan_details = [searcher.graph_search(query) for query in parsed]
+    assert len(scan_calls) >= len(parsed)
     assert fast_details == scan_details
     assert sum(map(len, fast_details)) >= len(parsed)
 
     scan_ms = _ms_per_concept(concept_candidates_scan, indexer, concepts)
     fast_ms = _ms_per_concept(concept_candidates, indexer, concepts)
     ratio = scan_ms / fast_ms
+    fast_p50 = _graph_search_p50_ms(searcher, parsed)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            searcher_module, "concept_candidates", concept_candidates_scan
+        )
+        scan_p50 = _graph_search_p50_ms(searcher, parsed)
 
     nodes = list(indexer.graph.nodes())
     distinct = {
@@ -102,14 +129,16 @@ def test_graph_search_candidates_at_scale(corpus, monkeypatch):
         f"Graph search candidates ({indexer.n_reports} reports, "
         f"{len(nodes)} nodes, {len(distinct)} distinct (type, label); "
         f"{len(parsed)} queries, {len(concepts)} concepts)",
-        f"{'candidates':<34}{'ms/concept':>12}{'speedup':>10}",
-        f"{'scan (labels_match per node)':<34}{scan_ms:>12.2f}{1.0:>9.2f}x",
+        f"{'candidates':<34}{'ms/concept':>12}{'speedup':>10}"
+        f"{'graph_search p50 ms':>22}",
+        f"{'scan (per node)':<34}{scan_ms:>12.2f}{1.0:>9.2f}x"
+        f"{scan_p50:>22.2f}",
         f"{'concept_candidates (per label)':<34}{fast_ms:>12.2f}"
-        f"{ratio:>9.2f}x",
+        f"{ratio:>9.2f}x{fast_p50:>22.2f}",
     ]
     write_result("bench_ir_scale", lines)
 
-    assert ratio >= 2.0, (
+    assert ratio >= 40.0, (
         f"concept_candidates only {ratio:.2f}x the scan "
         f"({fast_ms:.2f} vs {scan_ms:.2f} ms per concept)"
     )

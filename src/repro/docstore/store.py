@@ -13,6 +13,7 @@ import copy
 import json
 from typing import Any, Callable, Iterator
 
+from repro.durability.wal import encode_record
 from repro.exceptions import DocumentStoreError, DuplicateKeyError
 
 
@@ -38,7 +39,9 @@ class Collection:
     When ``journal`` is a list (set by the owning
     :class:`DocumentStore` under a durability manager), every mutation
     appends one replayable op dict to it — see
-    :class:`repro.durability.Durable`.
+    :class:`repro.durability.Durable`.  A mutation builds and encodes
+    its op before it touches memory, then applies, then appends: an op
+    the WAL cannot encode raises with the collection unchanged.
     """
 
     def __init__(self, name: str):
@@ -59,17 +62,20 @@ class Collection:
             raise DocumentStoreError("documents must be dicts")
         stored = copy.deepcopy(document)
         doc_id = stored.get("_id")
+        seq = self._id_seq
         if doc_id is None:
-            self._id_seq = self._next_seq()
-            doc_id = stored["_id"] = self._id_for(self._id_seq)
+            seq = self._next_seq()
+            doc_id = stored["_id"] = self._id_for(seq)
         elif doc_id in self._documents:
             raise DuplicateKeyError(
                 f"{self.name}: duplicate _id {doc_id!r}"
             )
-        self._documents[doc_id] = stored
-        self._log_op(
+        op = self._encoded(
             {"op": "insert", "c": self.name, "doc": copy.deepcopy(stored)}
         )
+        self._id_seq = seq
+        self._documents[doc_id] = stored
+        self._log_op(op)
         return doc_id
 
     def find(
@@ -114,8 +120,9 @@ class Collection:
         """Delete the document with ``_id`` ``doc_id``; returns 0 or 1."""
         if doc_id not in self._documents:
             return 0
+        op = self._encoded({"op": "delete", "c": self.name, "id": doc_id})
         del self._documents[doc_id]
-        self._log_op({"op": "delete", "c": self.name, "id": doc_id})
+        self._log_op(op)
         return 1
 
     def __len__(self) -> int:
@@ -137,6 +144,14 @@ class Collection:
 
     def _id_for(self, seq: int) -> str:
         return f"{self.name}-{seq:08d}"
+
+    def _encoded(self, op: dict) -> dict:
+        """``op``, once the WAL is known to hold it: journaled, it is
+        encoded here, before the caller touches memory, so an op that
+        cannot be encoded raises with nothing changed."""
+        if self.journal is not None:
+            encode_record(op)
+        return op
 
     def _log_op(self, op: dict) -> None:
         if self.journal is not None:
@@ -173,9 +188,9 @@ class DocumentStore:
         if existing is None:
             existing = Collection(name)
             existing.journal = self._journal
+            op = existing._encoded({"op": "ensure", "c": name})
             self._collections[name] = existing
-            if self._journal is not None:
-                self._journal.append({"op": "ensure", "c": name})
+            existing._log_op(op)
         return existing
 
     def collection_names(self) -> list[str]:

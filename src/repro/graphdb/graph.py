@@ -12,13 +12,20 @@ counts — plus adjacency lists keyed by ``(node, edge label)``.  Both
 are updated incrementally on every mutation, which is what lets
 :mod:`repro.graphdb.planner` cost join orders without ever scanning the
 graph.
+
+Beside them, nodes sit in buckets keyed by ``(entityType, label)``
+(:meth:`PropertyGraph.type_labels`), kept exact the same way: graph
+search decides a query concept once per distinct label of its type
+instead of once per node.  The buckets are not a property index, so
+the planner's statistics never see them.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from types import MappingProxyType
+from typing import AbstractSet, Any, Iterator, Mapping
 
 from repro.exceptions import GraphError
 
@@ -69,6 +76,9 @@ class PropertyGraph:
             lambda: defaultdict(set)
         )
         self._indexed_properties: set[str] = set()
+        # entityType -> str(label) -> node ids, for every node whose
+        # entityType is hashable (see type_labels).
+        self._type_labels: dict[Any, dict[str, set[str]]] = {}
         # Cardinality statistics + (node, label) adjacency, maintained
         # incrementally (see module docstring).  The planner reads
         # these; they never require a scan.
@@ -230,6 +240,18 @@ class PropertyGraph:
             if _hashable(value):
                 self._property_index[key][value].add(node.node_id)
 
+    def type_labels(self, entity_type: Any) -> Mapping[str, AbstractSet[str]]:
+        """The distinct labels of the nodes whose ``entityType`` is
+        ``entity_type``, each with the ids of the nodes carrying it.
+
+        A label is keyed as ``str(node.get("label", ""))``, so an
+        unlabelled node sits under ``""``.  The view is read-only and
+        exact at all times: every node (un)indexing maintains it.
+        """
+        if not _hashable(entity_type):
+            return MappingProxyType({})
+        return MappingProxyType(self._type_labels.get(entity_type, {}))
+
     def find_nodes(self, **criteria: Any) -> list[Node]:
         """Nodes whose properties equal every criterion.
 
@@ -317,6 +339,11 @@ class PropertyGraph:
             value = node.properties.get(key)
             if _hashable(value):
                 self._property_index[key][value].add(node.node_id)
+        entity_type = node.properties.get("entityType")
+        if _hashable(entity_type):
+            label = str(node.properties.get("label", ""))
+            labels = self._type_labels.setdefault(entity_type, {})
+            labels.setdefault(label, set()).add(node.node_id)
 
     def _unindex_node(self, node: Node) -> None:
         self.epoch += 1
@@ -329,6 +356,18 @@ class PropertyGraph:
                     ids.discard(node.node_id)
                     if not ids:
                         del bucket[value]
+        entity_type = node.properties.get("entityType")
+        if _hashable(entity_type):
+            labels = self._type_labels.get(entity_type)
+            if labels is not None:
+                label = str(node.properties.get("label", ""))
+                ids = labels.get(label)
+                if ids is not None:
+                    ids.discard(node.node_id)
+                    if not ids:
+                        del labels[label]
+                if not labels:
+                    del self._type_labels[entity_type]
 
     def _index_edge(self, edge: Edge) -> None:
         self.epoch += 1

@@ -1,9 +1,12 @@
 """Ranking utilities: fuzzy label similarity and result fusion.
 
 Graph-match scoring needs a soft notion of "this node's label matches
-this query concept" (case reports phrase the same symptom variably);
-fusion implements the Figure 6 policy — graph results on top, keyword
-results after, deduplicated.
+this query concept" (case reports phrase the same symptom variably):
+:func:`score_label` defines it once, over a query surface stemmed once
+by the caller, and :func:`label_similarity` / :func:`labels_match` are
+its two halves for callers holding two plain strings.  Fusion
+implements the Figure 6 policy — graph results on top, keyword results
+after, deduplicated.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from repro.text.tokenize import tokenize
 MATCH_THRESHOLD = 0.5
 
 
-def _stem_tokens(text: str) -> frozenset[str]:
+def stem_tokens(text: str) -> frozenset[str]:
+    """The stemmed, lower-cased alphanumeric tokens of ``text``: the
+    set both sides of :func:`score_label` compare."""
     return frozenset(
         stem(token.lower)
         for token in tokenize(text)
@@ -26,32 +31,50 @@ def _stem_tokens(text: str) -> frozenset[str]:
     )
 
 
+def score_label(
+    query_surface: str, query_stems: frozenset[str], node_label: str
+) -> tuple[float, bool]:
+    """``(similarity, matches)`` of a node label against a query
+    surface whose :func:`stem_tokens` the caller already holds.
+
+    The one definition of the rule: ``similarity`` is the stemmed-token
+    Jaccard in [0, 1]; ``matches`` holds when it reaches
+    :data:`MATCH_THRESHOLD` or, for surfaces of four characters or
+    more, when one surface contains the other (head-word queries:
+    "cough" vs "a mild cough"; shorter ones like "was" would otherwise
+    match almost anything).  Graph search stems a query concept once
+    and calls this once per distinct label.
+    """
+    b = stem_tokens(node_label)
+    if query_stems and b:
+        similarity = len(query_stems & b) / len(query_stems | b)
+    else:
+        similarity = 0.0
+    if similarity >= MATCH_THRESHOLD:
+        return similarity, True
+    a = query_surface.lower().strip()
+    b_text = node_label.lower().strip()
+    if min(len(a), len(b_text)) < 4:
+        return similarity, False
+    return similarity, a in b_text or b_text in a
+
+
 def label_similarity(query_surface: str, node_label: str) -> float:
-    """Stemmed-token Jaccard similarity between two surfaces in [0, 1].
+    """Stemmed-token Jaccard similarity between two surfaces in [0, 1]
+    (:func:`score_label`'s first half).
 
     Example:
         >>> label_similarity("fevers", "fever") > 0.9
         True
     """
-    a = _stem_tokens(query_surface)
-    b = _stem_tokens(node_label)
-    if not a or not b:
-        return 0.0
-    return len(a & b) / len(a | b)
+    query_stems = stem_tokens(query_surface)
+    return score_label(query_surface, query_stems, node_label)[0]
 
 
 def labels_match(query_surface: str, node_label: str) -> bool:
-    """Soft match decision used by graph search node predicates."""
-    if label_similarity(query_surface, node_label) >= MATCH_THRESHOLD:
-        return True
-    # Substring containment handles head-word queries ("cough" vs
-    # "a mild cough"); very short surfaces are excluded because tokens
-    # like "was" would otherwise match almost anything.
-    a = query_surface.lower().strip()
-    b = node_label.lower().strip()
-    if min(len(a), len(b)) < 4:
-        return False
-    return a in b or b in a
+    """Soft match decision (:func:`score_label`'s second half)."""
+    query_stems = stem_tokens(query_surface)
+    return score_label(query_surface, query_stems, node_label)[1]
 
 
 def fuse_results(

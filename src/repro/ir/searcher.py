@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.graphdb.graph import Node, PropertyGraph
 from repro.graphdb.match import (
@@ -29,7 +29,7 @@ from repro.ir.query_parser import (
     QueryConceptMention,
     QueryParser,
 )
-from repro.ir.ranking import fuse_results, label_similarity, labels_match
+from repro.ir.ranking import fuse_results, score_label, stem_tokens
 from repro.schema.types import is_event_label
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -45,6 +45,19 @@ class SearchResult:
     doc_id: str
     score: float
     engine: str  # "graph" or "keyword"
+
+
+class ConceptCandidates(NamedTuple):
+    """What graph search knows about one query concept.
+
+    ``by_doc`` maps a doc id to the nodes that can stand for the
+    concept there; ``similarity`` maps every distinct label of the
+    concept's ``entityType`` to its :func:`~repro.ir.ranking.
+    label_similarity` against the concept's surface.
+    """
+
+    by_doc: dict[str, list[Node]]
+    similarity: dict[str, float]
 
 
 @dataclass
@@ -181,21 +194,21 @@ class CreateIrSearcher:
         if not required:
             required = list(range(len(parsed.concepts)))
 
-        per_concept_docs: dict[int, dict[str, list[Node]]] = {}
+        per_concept: list[ConceptCandidates] = []
         for i, concept in enumerate(parsed.concepts):
             candidates = concept_candidates(graph, normalizer, concept)
-            per_concept_docs[i] = candidates
-            if i in required and not candidates:
+            per_concept.append(candidates)
+            if i in required and not candidates.by_doc:
                 return []
 
-        shared_docs = set(per_concept_docs[required[0]])
+        shared_docs = set(per_concept[required[0]].by_doc)
         for i in required[1:]:
-            shared_docs &= set(per_concept_docs[i])
+            shared_docs &= set(per_concept[i].by_doc)
 
         details = []
         for doc_id in sorted(shared_docs):
             detail = self._match_document(
-                doc_id, parsed, per_concept_docs, required
+                doc_id, parsed, per_concept, required
             )
             if detail is not None:
                 details.append(detail)
@@ -206,16 +219,15 @@ class CreateIrSearcher:
         self,
         doc_id: str,
         parsed: ParsedQuery,
-        per_concept_docs: dict[int, dict[str, list]],
+        per_concept: list[ConceptCandidates],
         required: list[int],
     ) -> GraphMatchDetail | None:
         graph = self._indexer.graph
         pattern = GraphPattern()
         required_set = set(required)
         for i in required:
-            concept = parsed.concepts[i]
             allowed = {
-                node.node_id for node in per_concept_docs[i].get(doc_id, [])
+                node.node_id for node in per_concept[i].by_doc.get(doc_id, [])
             }
             if not allowed:
                 return None
@@ -243,11 +255,11 @@ class CreateIrSearcher:
                 )
             )
 
-        bindings = _best_binding(graph, pattern, parsed)
+        bindings = _best_binding(graph, pattern, per_concept)
         if bindings is None:
             # Retry without relation constraints: concepts alone match.
             relaxed = GraphPattern(nodes=pattern.nodes, edges=[])
-            bindings = _best_binding(graph, relaxed, parsed)
+            bindings = _best_binding(graph, relaxed, per_concept)
             matched_relations = 0
         else:
             matched_relations = len(pattern.edges)
@@ -257,23 +269,18 @@ class CreateIrSearcher:
         detail = GraphMatchDetail(doc_id=doc_id)
         score = 0.0
         for i in required:
-            concept = parsed.concepts[i]
             node = bindings[f"c{i}"]
             detail.concept_nodes[i] = node.node_id
-            score += label_similarity(
-                concept.surface, str(node.get("label", ""))
-            )
+            score += per_concept[i].similarity[str(node.get("label", ""))]
         # Optional (entity) concepts contribute when the document has a
         # matching node at all.
-        for i, concept in enumerate(parsed.concepts):
+        for i, candidates in enumerate(per_concept):
             if i in required_set:
                 continue
-            nodes = per_concept_docs[i].get(doc_id, [])
+            nodes = candidates.by_doc.get(doc_id, [])
             if nodes:
                 best = max(
-                    label_similarity(
-                        concept.surface, str(node.get("label", ""))
-                    )
+                    candidates.similarity[str(node.get("label", ""))]
                     for node in nodes
                 )
                 score += 0.5 * best
@@ -288,41 +295,49 @@ def concept_candidates(
     graph: PropertyGraph,
     normalizer: ConceptNormalizer,
     concept: QueryConceptMention,
-) -> dict[str, list[Node]]:
-    """Nodes that can stand for one query concept, grouped by doc id.
+) -> ConceptCandidates:
+    """Nodes that can stand for one query concept, grouped by doc id,
+    and the similarity of every label of its type.
 
     Candidates are the concept's ``entityType`` nodes in
     :meth:`PropertyGraph.find_nodes` order.  Negated mentions (a report
     that *denies* the finding) never satisfy a positive query concept.
     Ontology standardization: a node matches when its normalized
     ``conceptId`` equals the query concept's ("shortness of breath"
-    retrieves "dyspnea" mentions), else when :func:`labels_match` holds.
-    Labels repeat across reports, so that verdict is decided once per
-    distinct label.
+    retrieves "dyspnea" mentions), else when its label matches the
+    surface (:func:`~repro.ir.ranking.score_label`).
+
+    The surface is stemmed once.  The graph's ``(entityType, label)``
+    buckets (:meth:`PropertyGraph.type_labels`) then give one
+    :func:`score_label` call per distinct label, which yields both the
+    verdict and the similarity float, and the ids of every node it
+    admits.  Only the admitted nodes are fetched and sorted.
     """
     normalized = normalizer.normalize(concept.surface)
     query_concept_id = None if normalized is None else normalized.concept_id
-    verdicts: dict[str, bool] = {}
-    candidates: dict[str, list[Node]] = {}
-    for node in graph.find_nodes(entityType=concept.entity_type):
-        if node.get("negated"):
-            continue
-        concept_hit = (
-            query_concept_id is not None
-            and node.get("conceptId") == query_concept_id
+    surface = concept.surface
+    surface_stems = stem_tokens(surface)
+    similarity: dict[str, float] = {}
+    admitted: set[str] = set()
+    for label, node_ids in graph.type_labels(concept.entity_type).items():
+        similarity[label], hit = score_label(surface, surface_stems, label)
+        if hit:
+            admitted.update(node_ids)
+    if query_concept_id is not None:
+        admitted.update(
+            node.node_id
+            for node in graph.find_nodes(conceptId=query_concept_id)
+            if node.get("entityType") == concept.entity_type
         )
-        if not concept_hit:
-            label = str(node.get("label", ""))
-            hit = verdicts.get(label)
-            if hit is None:
-                hit = verdicts[label] = labels_match(concept.surface, label)
-            if not hit:
-                continue
-        candidates.setdefault(str(node.get("doc_id", "")), []).append(node)
-    return candidates
+    by_doc: dict[str, list[Node]] = {}
+    for node_id in sorted(admitted):
+        node = graph.node(node_id)
+        if not node.get("negated"):
+            by_doc.setdefault(str(node.get("doc_id", "")), []).append(node)
+    return ConceptCandidates(by_doc, similarity)
 
 
-def _best_binding(graph, pattern, parsed):
+def _best_binding(graph, pattern, per_concept):
     from repro.graphdb.match import match_pattern
 
     bindings = match_pattern(graph, pattern, limit=None)
@@ -331,12 +346,10 @@ def _best_binding(graph, pattern, parsed):
     # Pick the binding with the highest total label similarity.
     def binding_score(binding):
         total = 0.0
-        for i, concept in enumerate(parsed.concepts):
+        for i, candidates in enumerate(per_concept):
             node = binding.get(f"c{i}")
             if node is not None:
-                total += label_similarity(
-                    concept.surface, str(node.get("label", ""))
-                )
+                total += candidates.similarity[str(node.get("label", ""))]
         return total
 
     return max(bindings, key=binding_score)

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from repro.annotation.agreement import AgreementReport, agreement, cohens_kappa
 from repro.annotation.brat import parse_ann_unverified, serialize_ann
 from repro.annotation.model import AnnotationDocument
+from repro.durability.wal import encode_record
 from repro.exceptions import AnnotationError, ReviewError
 from repro.ner.encoding import bio_encode, spans_of_document
 from repro.review.model import (
@@ -67,6 +68,9 @@ class ReviewQueue:
     snapshot carry a report as its text plus BRAT standoff; enrollment
     reads that standoff back and enrolls the result, so replay rebuilds
     the very document, and derives the very claims, the live queue holds.
+    Each mutation encodes its op before it touches memory, then
+    applies, then appends: an op the WAL cannot encode raises with the
+    queue unchanged.
 
     A claim is *queued* until its first decision and *decided* after;
     later reviewers may still decide a decided claim (double review,
@@ -109,8 +113,9 @@ class ReviewQueue:
                 f"report {doc_id!r}: annotations do not survive their "
                 "own standoff"
             )
+        op = self._encoded({"op": "enqueue", **payload})
         claims = self._apply_enqueue(document)
-        self._log({"op": "enqueue", **payload})
+        self._log(op)
         return claims
 
     def drop_document(self, doc_id: str) -> int:
@@ -119,11 +124,12 @@ class ReviewQueue:
         Returns the number of claims removed (0 when not enrolled).
         """
         enrolled = doc_id in self._documents
+        # Journal even a zero-claim drop: the enrollment itself is
+        # state, and replay must forget it too.
+        op = self._encoded({"op": "drop", "doc": doc_id}) if enrolled else None
         removed = self._apply_drop(doc_id)
-        if enrolled:
-            # Journal even a zero-claim drop: the enrollment itself is
-            # state, and replay must forget it too.
-            self._log({"op": "drop", "doc": doc_id})
+        if op is not None:
+            self._log(op)
         return removed
 
     # -- review ------------------------------------------------------------
@@ -159,8 +165,9 @@ class ReviewQueue:
             note=note,
         )
         self._validate_correction(claim, decision)
+        op = self._encoded({"op": "decide", "decision": decision.to_json()})
         self._apply_decision(decision)
-        self._log({"op": "decide", "decision": decision.to_json()})
+        self._log(op)
         return decision
 
     # -- queries -----------------------------------------------------------
@@ -560,6 +567,14 @@ class ReviewQueue:
                 label, claim.source, claim.target, ann_id=claim.span_id
             )
         return doc
+
+    def _encoded(self, op: dict) -> dict:
+        """``op``, once the WAL is known to hold it: journaled, it is
+        encoded here, before the caller touches memory, so an op that
+        cannot be encoded raises with nothing changed."""
+        if self.journal is not None:
+            encode_record(op)
+        return op
 
     def _log(self, op: dict) -> None:
         if self.journal is not None:

@@ -15,7 +15,8 @@ most naive algorithm that is obviously correct:
   matcher (full candidate pools, edge-list scans), the faster
   mid-level reference for the planner.
 * :func:`concept_candidates_scan` — graph search's per-concept
-  candidates with a label verdict computed for every node.
+  candidates and label similarities, computed for every node of the
+  type (no ``(type, label)`` bucket, no stem shared between calls).
 * :func:`exhaustive_decode` — CRF Viterbi / partition function by
   enumerating every label path (pure-Python floats).
 * :func:`reference_closure` — temporal transitive closure by repeated
@@ -44,7 +45,8 @@ from repro.search.analysis import (
 )
 from repro.graphdb.graph import Node, PropertyGraph
 from repro.graphdb.match import EdgePattern, GraphPattern
-from repro.ir.ranking import labels_match
+from repro.ir.ranking import label_similarity, labels_match
+from repro.ir.searcher import ConceptCandidates
 from repro.temporal.relations import RelationAlgebra
 
 ANALYZER_CONFIGS = {
@@ -262,11 +264,12 @@ def match_pattern_unplanned(
     return results
 
 
-def concept_candidates_scan(graph, normalizer, concept) -> dict[str, list]:
+def concept_candidates_scan(graph, normalizer, concept) -> ConceptCandidates:
     """Graph search's per-concept candidates by the plain scan:
-    :func:`labels_match` on every node of the concept's type, with no
-    verdict shared between nodes of the same label.  Same dict, same
-    per-document node order as
+    :func:`labels_match` and :func:`label_similarity` on every node of
+    the concept's type, with nothing shared between nodes of the same
+    label and no bucket consulted.  Same dict, same per-document node
+    order and same similarity table as
     :func:`repro.ir.searcher.concept_candidates`."""
     query_concept_id = None
     if normalizer is not None:
@@ -274,10 +277,12 @@ def concept_candidates_scan(graph, normalizer, concept) -> dict[str, list]:
         if normalized is not None:
             query_concept_id = normalized.concept_id
     candidates: dict[str, list] = {}
+    similarity: dict[str, float] = {}
     for node in graph.find_nodes(entityType=concept.entity_type):
+        node_label = str(node.get("label", ""))
+        similarity[node_label] = label_similarity(concept.surface, node_label)
         if node.get("negated"):
             continue
-        node_label = str(node.get("label", ""))
         concept_hit = (
             query_concept_id is not None
             and node.get("conceptId") == query_concept_id
@@ -285,7 +290,7 @@ def concept_candidates_scan(graph, normalizer, concept) -> dict[str, list]:
         if concept_hit or labels_match(concept.surface, node_label):
             doc_id = str(node.get("doc_id", ""))
             candidates.setdefault(doc_id, []).append(node)
-    return candidates
+    return ConceptCandidates(candidates, similarity)
 
 
 def _edge_satisfied(

@@ -4,8 +4,13 @@
 application's own route table, so a new route is probed the day it is
 added: whatever the body and query parameters, the answer is a status
 below 500 and no exception escapes the dispatcher.
+
+Each probe also goes to a durable twin over a ``MemFS``: after every
+request, what recovery rebuilds from its log must equal what the live
+application holds (nothing is visible that the log does not hold).
 """
 
+import copy
 import itertools
 import re
 
@@ -13,10 +18,12 @@ import pytest
 
 from repro.api.app import CreateApplication
 from repro.corpus.generator import CaseReportGenerator
-from repro.docstore.store import DocumentStore
+from repro.docstore.store import Collection, DocumentStore
 from repro.durability import DurabilityManager, MemFS
+from repro.durability.wal import WAL_NAME
 from repro.ir.indexer import CreateIrIndexer
 from repro.ir.searcher import CreateIrSearcher
+from repro.review.queue import ReviewQueue
 
 BODIES = [
     None,
@@ -94,8 +101,49 @@ def reports():
     return [generator.generate(f"r{i:03d}") for i in range(3)]
 
 
-def _populated_app(reports) -> CreateApplication:
-    app = _bare_app()
+def _durable_app() -> CreateApplication:
+    manager = DurabilityManager(MemFS())
+    app = _bare_app(durability=manager)
+    manager.attach("docstore", app.store)
+    manager.attach("review", app.review)
+    return app
+
+
+def _journaled_state(store: DocumentStore, review: ReviewQueue) -> dict:
+    return {
+        "docstore": store.durable_snapshot(),
+        "review": review.durable_snapshot(),
+    }
+
+
+class _RecoveredState:
+    """What recovery rebuilds from a durable application's log,
+    recomputed only when the log has grown since the last look."""
+
+    def __init__(self, app: CreateApplication):
+        self.fs = app.durability.fs
+        self._wal_size = -1
+        self._state = None
+
+    def __call__(self) -> dict:
+        size = len(self.fs.read_bytes(WAL_NAME))
+        if size != self._wal_size:
+            store, review = DocumentStore(), ReviewQueue()
+            manager = DurabilityManager(self.fs)
+            manager.attach("docstore", store)
+            manager.attach("review", review)
+            manager.recover()
+            self._wal_size = size
+            self._state = _journaled_state(store, review)
+        return self._state
+
+
+def _live_state(app: CreateApplication) -> dict:
+    return _journaled_state(app.store, app.review)
+
+
+def _populated_app(reports, durable: bool = False) -> CreateApplication:
+    app = _durable_app() if durable else _bare_app()
     for report in reports:
         app.register_report(
             report.to_document(), annotations=report.annotations
@@ -124,20 +172,28 @@ def test_no_input_escapes_handle_or_answers_5xx(
     # A fresh application per route: DELETE and PUT probes must not
     # turn the later routes' known ids into unknown ones.
     app = _populated_app(reports)
+    durable = _populated_app(reports, durable=True)
+    recovered = _RecoveredState(durable)
     path = template.format(
         **{name: values[id_index] for name, values in IDS.items()}
     )
     for body, params in itertools.product(BODIES, PARAMS):
+        probe = (method, path, body, params)
         try:
             response = app.handle(method, path, body=body, params=params)
+            durable_response = durable.handle(
+                method, path, body=body, params=params
+            )
         except Exception as exc:  # the contract under test
             pytest.fail(
                 f"{method} {path} body={body!r} params={params!r} "
                 f"escaped handle: {type(exc).__name__}: {exc}"
             )
-        assert response.status < 500, (method, path, body, params)
+        assert response.status < 500, probe
+        assert durable_response.status == response.status, probe
         if "\\ud800" in repr((body, params)):
-            assert response.status == 400, (method, path, body, params)
+            assert response.status == 400, probe
+        assert _live_state(durable) == recovered(), probe
 
 
 def test_route_table_is_fully_probed():
@@ -240,3 +296,42 @@ def test_refused_surrogate_cohort_is_not_applied_on_a_durable_app():
     assert app.handle("POST", "/cohorts", body=body).status == 400
     assert app.handle("GET", "/cohorts/ok").status == 404
     assert app.handle("GET", "/cohorts").body == {"cohorts": []}
+
+
+def _insert_applied_before_encoded(self, document):
+    """The ordering encode-then-apply replaced: memory first, and the
+    op encoded only when the manager seals the journal."""
+    stored = copy.deepcopy(document)
+    self._documents[stored["_id"]] = stored
+    self._log_op({"op": "insert", "c": self.name, "doc": copy.deepcopy(stored)})
+    return stored["_id"]
+
+
+def test_a_record_the_log_cannot_hold_changes_nothing():
+    app = _durable_app()
+    recovered = _RecoveredState(app)
+    cohorts = app.store.collection("cohorts")
+    app.durability.commit()
+    before = _live_state(app)
+    with pytest.raises(TypeError):
+        cohorts.insert_one({"_id": "bad", "tags": {"a set"}})
+    app.durability.commit()
+    assert cohorts.get("bad") is None
+    assert _live_state(app) == before == recovered()
+
+
+def test_apply_before_encode_leaves_memory_ahead_of_the_log(monkeypatch):
+    # Planted bug: the docstore applies an insert before anything has
+    # encoded it, so the failure surfaces at commit, after the apply.
+    monkeypatch.setattr(
+        Collection, "insert_one", _insert_applied_before_encoded
+    )
+    app = _durable_app()
+    recovered = _RecoveredState(app)
+    cohorts = app.store.collection("cohorts")
+    app.durability.commit()
+    cohorts.insert_one({"_id": "bad", "tags": {"a set"}})
+    with pytest.raises(TypeError):
+        app.durability.commit()
+    assert cohorts.get("bad") is not None
+    assert _live_state(app) != recovered()

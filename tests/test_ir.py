@@ -1,7 +1,11 @@
 """Tests for CREATe-IR: ranking utilities, indexer, searcher, parser."""
 
-import pytest
+from types import SimpleNamespace
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.ir.ranking as ranking_module
 import repro.ir.searcher as searcher_module
 from repro.corpus.queries import make_query_workload
 from repro.graphdb.cypher import CypherEngine
@@ -287,8 +291,11 @@ class TestSearcher:
             args = (indexer.graph, indexer.normalizer, concept)
             fast = concept_candidates(*args)
             scan = concept_candidates_scan(*args)
-            assert list(fast.items()) == list(scan.items()), concept
-            assert fast, concept
+            assert list(fast.by_doc.items()) == list(scan.by_doc.items()), (
+                concept
+            )
+            assert fast.similarity == scan.similarity, concept
+            assert fast.by_doc, concept
 
     def test_concept_candidates_equal_the_scan_on_edge_cases(
         self, monkeypatch
@@ -317,13 +324,27 @@ class TestSearcher:
             "d9:T1", entityType="Medication", label="fever", doc_id="d9"
         )
 
-        calls = []
+        # The per-label decision is score_label; every stem goes through
+        # ranking.stem_tokens, which the searcher imports by name.
+        decided, stemmed = [], []
+        score_label = searcher_module.score_label
+        stem_tokens = ranking_module.stem_tokens
 
-        def counted(surface, label):
-            calls.append(label)
-            return labels_match(surface, label)
+        def counted_score(surface, surface_stems, label):
+            decided.append(label)
+            return score_label(surface, surface_stems, label)
 
-        monkeypatch.setattr(searcher_module, "labels_match", counted)
+        def counted_stem(text):
+            stemmed.append(text)
+            return stem_tokens(text)
+
+        monkeypatch.setattr(searcher_module, "score_label", counted_score)
+        monkeypatch.setattr(searcher_module, "stem_tokens", counted_stem)
+        monkeypatch.setattr(ranking_module, "stem_tokens", counted_stem)
+        type_labels = {
+            str(node.get("label", ""))
+            for node in graph.find_nodes(entityType="Sign_symptom")
+        }
         expected = {
             "fever": ["d1", "d7", "d8"],  # not the negated twin d2
             "shortness of breath": ["d3"],  # conceptId only
@@ -332,12 +353,109 @@ class TestSearcher:
         }
         for surface, doc_ids in expected.items():
             concept = QueryConceptMention(surface, "Sign_symptom", 0, 0)
-            calls.clear()
+            decided.clear()
+            stemmed.clear()
             fast = concept_candidates(graph, normalizer, concept)
-            assert len(calls) == len(set(calls)), surface
+            # One decision per distinct (type, label), one stem of the
+            # surface, one of each label.
+            assert sorted(decided) == sorted(type_labels), surface
+            assert stemmed[0] == surface, surface
+            assert sorted(stemmed[1:]) == sorted(type_labels), surface
             scan = concept_candidates_scan(graph, normalizer, concept)
-            assert list(fast.items()) == list(scan.items()), surface
-            assert list(fast) == doc_ids, surface
+            assert list(fast.by_doc.items()) == list(scan.by_doc.items()), (
+                surface
+            )
+            assert fast.similarity == scan.similarity, surface
+            assert list(fast.by_doc) == doc_ids, surface
+
+
+# Random add_node / remove_node streams over a few ids, so merges that
+# change label, entityType, negated or conceptId happen often.
+_BUCKET_TYPES = ["Sign_symptom", "Medication"]
+_BUCKET_SURFACES = ["fever", "shortness of breath", "cough", "was"]
+_CONCEPT_IDS = {"fever": "C-fever", "shortness of breath": "C-dyspnea"}
+
+
+class _StubNormalizer:
+    def normalize(self, surface):
+        concept_id = _CONCEPT_IDS.get(surface)
+        return None if concept_id is None else SimpleNamespace(
+            concept_id=concept_id
+        )
+
+
+def _optional(values):
+    return st.one_of(st.just(None), st.sampled_from(values))
+
+
+_NODE_PROPERTIES = st.fixed_dictionaries(
+    {},
+    optional={
+        "entityType": st.sampled_from(_BUCKET_TYPES + [None]),
+        "label": _optional(
+            ["fever", "Fever", "a mild cough", "dyspnea", "was", ""]
+        ),
+        "negated": st.booleans(),
+        "conceptId": st.sampled_from(sorted(_CONCEPT_IDS.values())),
+        "doc_id": st.sampled_from(["d0", "d1", "d2"]),
+    },
+)
+_GRAPH_STEPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("add"),
+            st.sampled_from([f"n{i}" for i in range(5)]),
+            _NODE_PROPERTIES,
+        ),
+        st.tuples(
+            st.just("remove"),
+            st.sampled_from([f"n{i}" for i in range(5)]),
+            st.just({}),
+        ),
+    ),
+    max_size=12,
+)
+
+
+def _graph(indexed: bool) -> PropertyGraph:
+    graph = PropertyGraph()
+    if indexed:
+        for key in ("entityType", "doc_id", "conceptId"):
+            graph.create_property_index(key)
+    return graph
+
+
+class TestConceptBuckets:
+    @settings(max_examples=80, deadline=None)
+    @given(steps=_GRAPH_STEPS, indexed=st.booleans())
+    def test_buckets_stay_exact_under_merges_and_removes(
+        self, steps, indexed
+    ):
+        graph = _graph(indexed)
+        normalizer = _StubNormalizer()
+        for op, node_id, properties in steps:
+            if op == "add":
+                graph.add_node(node_id, **properties)
+            else:
+                graph.remove_node(node_id)
+            one_pass = _graph(indexed)
+            for node in graph.nodes():
+                one_pass.add_node(node.node_id, **node.properties)
+            assert graph.statistics() == one_pass.statistics()
+            for entity_type in _BUCKET_TYPES:
+                assert dict(graph.type_labels(entity_type)) == dict(
+                    one_pass.type_labels(entity_type)
+                )
+                for surface in _BUCKET_SURFACES:
+                    concept = QueryConceptMention(surface, entity_type, 0, 0)
+                    fast = concept_candidates(graph, normalizer, concept)
+                    scan = concept_candidates_scan(graph, normalizer, concept)
+                    assert list(fast.by_doc.items()) == list(
+                        scan.by_doc.items()
+                    )
+                    assert fast.similarity == scan.similarity
+                    for label, similarity in fast.similarity.items():
+                        assert similarity == label_similarity(surface, label)
 
 
 class TestQueryParser:

@@ -6,16 +6,20 @@ grows with the corpus; the number of distinct labels they carry grows
 far slower, because reports phrase the same findings the same way.
 :func:`repro.ir.searcher.concept_candidates` stems the concept once and
 scores each distinct label of its type once, from the graph's
-``(entityType, label)`` buckets; :func:`repro.testing.oracles.
-concept_candidates_scan` matches and scores every node of the type.
+``(entityType, label)`` buckets, taking each label's stems from the
+per-process memo :func:`repro.ir.ranking.label_stems`;
+:func:`repro.testing.oracles.concept_candidates_scan` stems, matches
+and scores every node of the type on every call.
 
 * **Identity first**: ``graph_search`` over pre-parsed Figure-6 queries
   answers the same :class:`GraphMatchDetail` lists whichever function
   supplies the candidates (the swapped-in scan is counted, so the swap
   reaches the call ``graph_search`` makes).
 * **Then the ratio**: ms per query concept both ways, in this process,
-  and the fast path must be >= 40x the scan.  ``graph_search`` p50 per
-  query is printed both ways.
+  and the fast path (memo warm, best of 3) must be >= 65x the scan.
+  Its cold first pass, with the memo just cleared, is printed beside it,
+  so the one-time cost of stemming every label shows.  ``graph_search``
+  p50 per query is printed both ways.
 
 **Keyword search.**  ``SearchEngine.search`` scores a query in one
 numpy pass over postings arrays; :func:`repro.testing.oracles.
@@ -41,6 +45,7 @@ import tracemalloc
 import pytest
 from conftest import gold_parse, write_result
 
+import repro.ir.ranking as ranking_module
 import repro.ir.searcher as searcher_module
 from repro.corpus.pubmed import build_corpus
 from repro.corpus.queries import make_query_workload
@@ -60,15 +65,19 @@ def corpus():
     return build_corpus(N_REPORTS, seed=11)
 
 
+def _pass_ms(candidates, indexer, concepts) -> float:
+    """ms per concept of one pass over every concept."""
+    start = time.perf_counter()
+    for concept in concepts:
+        candidates(indexer.graph, indexer.normalizer, concept)
+    return 1000.0 * (time.perf_counter() - start) / len(concepts)
+
+
 def _ms_per_concept(candidates, indexer, concepts) -> float:
     """Best of :data:`TIMED_ROUNDS` passes over every concept."""
-    best = float("inf")
-    for _ in range(TIMED_ROUNDS):
-        start = time.perf_counter()
-        for concept in concepts:
-            candidates(indexer.graph, indexer.normalizer, concept)
-        best = min(best, time.perf_counter() - start)
-    return 1000.0 * best / len(concepts)
+    return min(
+        _pass_ms(candidates, indexer, concepts) for _ in range(TIMED_ROUNDS)
+    )
 
 
 def _graph_search_p50_ms(searcher, parsed) -> float:
@@ -112,6 +121,8 @@ def test_graph_search_candidates_at_scale(corpus, monkeypatch):
     assert sum(map(len, fast_details)) >= len(parsed)
 
     scan_ms = _ms_per_concept(concept_candidates_scan, indexer, concepts)
+    ranking_module.label_stems.cache_clear()
+    cold_ms = _pass_ms(concept_candidates, indexer, concepts)
     fast_ms = _ms_per_concept(concept_candidates, indexer, concepts)
     ratio = scan_ms / fast_ms
     fast_p50 = _graph_search_p50_ms(searcher, parsed)
@@ -133,12 +144,14 @@ def test_graph_search_candidates_at_scale(corpus, monkeypatch):
         f"{'graph_search p50 ms':>22}",
         f"{'scan (per node)':<34}{scan_ms:>12.2f}{1.0:>9.2f}x"
         f"{scan_p50:>22.2f}",
+        f"{'concept_candidates, cold memo':<34}{cold_ms:>12.2f}"
+        f"{scan_ms / cold_ms:>9.2f}x",
         f"{'concept_candidates (per label)':<34}{fast_ms:>12.2f}"
         f"{ratio:>9.2f}x{fast_p50:>22.2f}",
     ]
     write_result("bench_ir_scale", lines)
 
-    assert ratio >= 40.0, (
+    assert ratio >= 65.0, (
         f"concept_candidates only {ratio:.2f}x the scan "
         f"({fast_ms:.2f} vs {scan_ms:.2f} ms per concept)"
     )

@@ -30,11 +30,44 @@ _MAX_RECORD_BYTES = 64 * 1024 * 1024  # sanity bound on the length field
 
 
 def encode_record(record: dict) -> bytes:
-    """Frame one record: magic, length, checksum, JSON payload."""
+    """Frame one record: magic, length, checksum, JSON payload.
+
+    Raises:
+        TypeError: the record holds a value JSON cannot carry, or one it
+            would carry lossily (see :func:`_refuse_lossy`).
+        UnicodeEncodeError: a string holds a lone surrogate.
+    """
     payload = json.dumps(
         record, sort_keys=True, ensure_ascii=False, separators=(",", ":")
     ).encode("utf-8")
+    _refuse_lossy(record)
     return _HEADER.pack(_MAGIC, len(payload), zlib.crc32(payload)) + payload
+
+
+def _refuse_lossy(record: dict) -> None:
+    """Raise ``TypeError`` at the first value that ``json.dumps``
+    accepted but replay would not give back equal: a tuple (it decodes
+    as a list) or a dict key that is not a ``str`` (it decodes as one).
+
+    Called only after ``json.dumps`` succeeded, so the record holds no
+    cycle and no leaf but ``str``, numbers, ``bool`` and ``None``.
+    NaN and the infinities pass: they round-trip as ``NaN`` /
+    ``Infinity``.
+    """
+    stack: list = [record]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, dict):
+            for key in value:
+                if not isinstance(key, str):
+                    raise TypeError(
+                        f"WAL record keys must be str, not {key!r}"
+                    )
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+        elif isinstance(value, tuple):
+            raise TypeError(f"WAL records hold lists, not the tuple {value!r}")
 
 
 @dataclass

@@ -2,15 +2,19 @@
 
 Graph-match scoring needs a soft notion of "this node's label matches
 this query concept" (case reports phrase the same symptom variably):
-:func:`score_label` defines it once, over a query surface stemmed once
-by the caller, and :func:`label_similarity` / :func:`labels_match` are
-its two halves for callers holding two plain strings.  Fusion
+:func:`score_label` defines it once, over a query surface and a node
+label whose stems the caller already holds, and
+:func:`label_similarity` / :func:`labels_match` are its two halves for
+callers holding two plain strings.  Graph search takes a label's stems
+from :func:`label_stems`, a bounded per-process memo: labels are index
+data, the same on every query.  Fusion
 implements the Figure 6 policy — graph results on top, keyword results
 after, deduplicated.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 from repro.text.stem import stem
@@ -31,11 +35,25 @@ def stem_tokens(text: str) -> frozenset[str]:
     )
 
 
+@lru_cache(maxsize=1 << 16)
+def label_stems(label: str) -> frozenset[str]:
+    """:func:`stem_tokens` of an indexed node label, memoised per
+    process (same bound as :mod:`repro.text.stem`).
+
+    Only graph search's per-label pass reads it, so the memo holds
+    index labels and never a query surface.
+    """
+    return stem_tokens(label)
+
+
 def score_label(
-    query_surface: str, query_stems: frozenset[str], node_label: str
+    query_surface: str,
+    query_stems: frozenset[str],
+    node_label: str,
+    node_stems: frozenset[str],
 ) -> tuple[float, bool]:
     """``(similarity, matches)`` of a node label against a query
-    surface whose :func:`stem_tokens` the caller already holds.
+    surface, given the :func:`stem_tokens` of both.
 
     The one definition of the rule: ``similarity`` is the stemmed-token
     Jaccard in [0, 1]; ``matches`` holds when it reaches
@@ -45,9 +63,10 @@ def score_label(
     match almost anything).  Graph search stems a query concept once
     and calls this once per distinct label.
     """
-    b = stem_tokens(node_label)
-    if query_stems and b:
-        similarity = len(query_stems & b) / len(query_stems | b)
+    if query_stems and node_stems:
+        similarity = len(query_stems & node_stems) / len(
+            query_stems | node_stems
+        )
     else:
         similarity = 0.0
     if similarity >= MATCH_THRESHOLD:
@@ -67,14 +86,22 @@ def label_similarity(query_surface: str, node_label: str) -> float:
         >>> label_similarity("fevers", "fever") > 0.9
         True
     """
-    query_stems = stem_tokens(query_surface)
-    return score_label(query_surface, query_stems, node_label)[0]
+    return score_label(
+        query_surface,
+        stem_tokens(query_surface),
+        node_label,
+        stem_tokens(node_label),
+    )[0]
 
 
 def labels_match(query_surface: str, node_label: str) -> bool:
     """Soft match decision (:func:`score_label`'s second half)."""
-    query_stems = stem_tokens(query_surface)
-    return score_label(query_surface, query_stems, node_label)[1]
+    return score_label(
+        query_surface,
+        stem_tokens(query_surface),
+        node_label,
+        stem_tokens(node_label),
+    )[1]
 
 
 def fuse_results(

@@ -29,7 +29,12 @@ from repro.ir.query_parser import (
     QueryConceptMention,
     QueryParser,
 )
-from repro.ir.ranking import fuse_results, score_label, stem_tokens
+from repro.ir.ranking import (
+    fuse_results,
+    label_stems,
+    score_label,
+    stem_tokens,
+)
 from repro.schema.types import is_event_label
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -311,7 +316,10 @@ def concept_candidates(
     buckets (:meth:`PropertyGraph.type_labels`) then give one
     :func:`score_label` call per distinct label, which yields both the
     verdict and the similarity float, and the ids of every node it
-    admits.  Only the admitted nodes are fetched and sorted.
+    admits.  A label's stems come from
+    :func:`~repro.ir.ranking.label_stems`, so each distinct label is
+    stemmed once per process, not once per query concept.  Only the
+    admitted nodes are fetched and sorted.
     """
     normalized = normalizer.normalize(concept.surface)
     query_concept_id = None if normalized is None else normalized.concept_id
@@ -320,7 +328,9 @@ def concept_candidates(
     similarity: dict[str, float] = {}
     admitted: set[str] = set()
     for label, node_ids in graph.type_labels(concept.entity_type).items():
-        similarity[label], hit = score_label(surface, surface_stems, label)
+        similarity[label], hit = score_label(
+            surface, surface_stems, label, label_stems(label)
+        )
         if hit:
             admitted.update(node_ids)
     if query_concept_id is not None:

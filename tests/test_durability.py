@@ -1,6 +1,7 @@
 """Tests for the durability subsystem: WAL, snapshots, recovery, faults."""
 
 import json
+import math
 
 import pytest
 
@@ -98,6 +99,80 @@ class TestWriteAheadLog:
         result = scan_records(b"XXXX" + b"\x00" * 20)
         assert result.records == []
         assert result.torn
+
+
+class TestLosslessRecords:
+    """A value JSON would hand back changed is refused before memory is
+    touched, so what recovery rebuilds always equals what was live."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"_id": "a", "m": {1: "one"}},
+            {"_id": "a", "t": (1, 2)},
+            {"_id": "a", "deep": [{"ok": [{None: 1}]}]},
+            {"_id": "a", "deep": {"x": [[("y",)]]}},
+            {"_id": "a", "k": {True: 1}},
+        ],
+    )
+    def test_encode_refuses_what_would_not_decode_equal(self, doc):
+        with pytest.raises(TypeError):
+            encode_record({"lsn": 1, "ops": {"docstore": [doc]}})
+
+    def test_lossy_insert_changes_nothing_and_recovers_equal(self):
+        fs = MemFS()
+        manager, store = _attached_manager(fs)
+        _ingest(store, "d0")
+        manager.commit()
+        reports = store.collection("reports")
+        with pytest.raises(TypeError):
+            reports.insert_one({"_id": "a", "m": {1: "one"}, "t": (1, 2)})
+        assert reports.get("a") is None
+        assert manager.commit() is None  # nothing was journaled
+        manager.flush()
+        recovered, r_store = _attached_manager(fs)
+        recovered.recover()
+        assert list(r_store.collection("reports")) == list(reports)
+        assert _reports(r_store) == _reports(store)
+
+    def test_nan_and_infinity_round_trip_as_json_tokens(self):
+        # Pinned as it stands: NaN and the infinities are written as the
+        # JSON extension tokens and recover as the same floats.
+        fs = MemFS()
+        manager, store = _attached_manager(fs)
+        store.collection("reports").insert_one(
+            {"_id": "n", "x": float("nan"), "y": [float("-inf")]}
+        )
+        manager.commit()
+        manager.flush()
+        assert b'"x":NaN,"y":[-Infinity]' in fs.read_bytes("wal.log")
+        recovered, r_store = _attached_manager(fs)
+        recovered.recover()
+        doc = r_store.collection("reports").get("n")
+        assert math.isnan(doc["x"])
+        assert doc["y"] == [float("-inf")]
+
+    def test_frame_bytes_are_pinned(self):
+        record = {
+            "lsn": 7,
+            "ops": {
+                "docstore": [
+                    {
+                        "op": "insert",
+                        "c": "r",
+                        "doc": {
+                            "_id": "\u00e9",
+                            "n": [1, 2.5, None, True, {"k": float("nan")}],
+                        },
+                    }
+                ]
+            },
+        }
+        assert encode_record(record) == (
+            b"WALR\x00\x00\x00i\x19\xe3\xea\x17"
+            b'{"lsn":7,"ops":{"docstore":[{"c":"r","doc":{"_id":"\xc3\xa9",'
+            b'"n":[1,2.5,null,true,{"k":NaN}]},"op":"insert"}]}}'
+        )
 
 
 class TestAtomicWrite:

@@ -325,14 +325,16 @@ class TestSearcher:
         )
 
         # The per-label decision is score_label; every stem goes through
-        # ranking.stem_tokens, which the searcher imports by name.
+        # ranking.stem_tokens, which the searcher imports by name and
+        # label_stems calls on a memo miss.
+        ranking_module.label_stems.cache_clear()
         decided, stemmed = [], []
         score_label = searcher_module.score_label
         stem_tokens = ranking_module.stem_tokens
 
-        def counted_score(surface, surface_stems, label):
+        def counted_score(surface, surface_stems, label, node_stems):
             decided.append(label)
-            return score_label(surface, surface_stems, label)
+            return score_label(surface, surface_stems, label, node_stems)
 
         def counted_stem(text):
             stemmed.append(text)
@@ -351,22 +353,104 @@ class TestSearcher:
             "cough": ["d4"],  # containment only
             "was": [],  # under 4 characters: no containment
         }
-        for surface, doc_ids in expected.items():
+        # Twice over: the second round shows surfaces are never memoised.
+        for i, (surface, doc_ids) in enumerate(list(expected.items()) * 2):
             concept = QueryConceptMention(surface, "Sign_symptom", 0, 0)
             decided.clear()
             stemmed.clear()
             fast = concept_candidates(graph, normalizer, concept)
-            # One decision per distinct (type, label), one stem of the
-            # surface, one of each label.
+            # One decision per distinct (type, label) and one stem of the
+            # surface per concept; each label is stemmed once per
+            # process, so on the first concept and on no later one.
             assert sorted(decided) == sorted(type_labels), surface
             assert stemmed[0] == surface, surface
-            assert sorted(stemmed[1:]) == sorted(type_labels), surface
+            assert sorted(stemmed[1:]) == (
+                sorted(type_labels) if i == 0 else []
+            ), surface
             scan = concept_candidates_scan(graph, normalizer, concept)
             assert list(fast.by_doc.items()) == list(scan.by_doc.items()), (
                 surface
             )
             assert fast.similarity == scan.similarity, surface
             assert list(fast.by_doc) == doc_ids, surface
+
+    def test_the_label_memo_holds_labels_never_surfaces(self, small_corpus):
+        indexer = build_index(small_corpus)
+        graph = indexer.graph
+        entity_types = sorted(
+            {node.get("entityType") for node in graph.nodes()}, key=str
+        )
+        assert len(entity_types) < 50
+        bucket_labels = {
+            label
+            for entity_type in entity_types
+            for label in graph.type_labels(entity_type)
+        }
+        ranking_module.label_stems.cache_clear()
+        for i in range(50):
+            entity_type = entity_types[i % len(entity_types)]
+            concept = QueryConceptMention(
+                f"novel finding {i}", entity_type, 0, 0
+            )
+            concept_candidates(graph, indexer.normalizer, concept)
+        info = ranking_module.label_stems.cache_info()
+        assert info.maxsize == 1 << 16
+        assert info.currsize == len(bucket_labels) > 0
+
+    def test_the_scan_stems_every_node_label_on_every_call(
+        self, small_corpus, monkeypatch
+    ):
+        indexer = build_index(small_corpus)
+        graph = indexer.graph
+        concept = QueryConceptMention(
+            "crushing chest pain", "Sign_symptom", 0, 0
+        )
+        nodes = list(graph.find_nodes(entityType="Sign_symptom"))
+        labels = graph.type_labels("Sign_symptom")
+        assert len(nodes) > len(labels)
+        assert concept.surface not in labels
+        # Warm the label memo first: the scan must not read it.
+        concept_candidates(graph, indexer.normalizer, concept)
+        stem_tokens = ranking_module.stem_tokens
+        stemmed = []
+
+        def counted_stem(text):
+            stemmed.append(text)
+            return stem_tokens(text)
+
+        monkeypatch.setattr(ranking_module, "stem_tokens", counted_stem)
+        for _ in range(2):
+            stemmed.clear()
+            concept_candidates_scan(graph, indexer.normalizer, concept)
+            label_calls = [t for t in stemmed if t != concept.surface]
+            assert len(label_calls) >= len(nodes)
+            for label, node_ids in labels.items():
+                assert label_calls.count(label) >= len(node_ids), label
+
+
+# Arbitrary text, with combining marks, U+2028 and hyphens drawn often.
+_ANY_TEXT = st.text(
+    alphabet=st.one_of(
+        st.characters(), st.sampled_from("\u0301\u0308\u2028 -\nae")
+    ),
+    max_size=24,
+)
+
+
+class TestLabelStems:
+    @settings(max_examples=300, deadline=None)
+    @given(surface=_ANY_TEXT, label=_ANY_TEXT)
+    def test_memoised_label_stems_score_like_fresh_ones(self, surface, label):
+        stem_tokens = ranking_module.stem_tokens
+        label_stems = ranking_module.label_stems
+        score_label = ranking_module.score_label
+        surface_stems = stem_tokens(surface)
+        fresh = score_label(surface, surface_stems, label, stem_tokens(label))
+        for _ in range(2):  # the first call may fill the memo
+            assert label_stems(label) == stem_tokens(label)
+            assert score_label(
+                surface, surface_stems, label, label_stems(label)
+            ) == fresh
 
 
 # Random add_node / remove_node streams over a few ids, so merges that

@@ -88,11 +88,6 @@ class EventAnn:
     trigger: str
     arguments: tuple[tuple[str, str], ...] = ()
 
-    def argument_map(self) -> dict[str, str]:
-        """Role -> annotation id as a dict (roles may repeat in brat;
-        later bindings win here, matching brat's display behaviour)."""
-        return dict(self.arguments)
-
 
 @dataclass(frozen=True, slots=True)
 class AttributeAnn:

@@ -148,8 +148,7 @@ class CreateApplication:
     Args:
         store: document store holding report metadata + text.
         indexer: populated dual index.
-        searcher: the CREATe-IR searcher over ``indexer``; its result
-            cache, when set, is served as ``serving.ir_cache``.
+        searcher: the CREATe-IR searcher over ``indexer``.
         grobid: publication parsing service.
         extractor: optional callable ``(doc_id, text) ->
             AnnotationDocument`` running NER + temporal extraction on
@@ -483,14 +482,10 @@ class CreateApplication:
             "graph_nodes": self.indexer.graph.n_nodes,
             "graph_edges": self.indexer.graph.n_edges,
             "indexer": self.indexer.stats(),
+            "planner": self.indexer.graph.planner_stats(),
         }
-        planner_stats = getattr(self.indexer.graph, "planner_stats", None)
-        if planner_stats is not None:
-            payload["planner"] = planner_stats()
         if self.runtime_stats is not None:
             payload["pipeline"] = self.runtime_stats()
-        if self.searcher.cache is not None:
-            payload["serving"] = {"ir_cache": self.searcher.cache.stats()}
         if self.metrics is not None:
             payload["metrics"] = self.metrics.snapshot()
         if self.durability is not None:

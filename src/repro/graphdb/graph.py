@@ -90,10 +90,6 @@ class PropertyGraph:
             list
         )
         self.planner_counters: dict[str, int] = {}
-        # Mutation counter: every node/edge (un)indexing advances it, so
-        # a cached read stamped with an older value can be recognised as
-        # stale (see repro.ir.cache).
-        self.epoch = 0
         self._next_edge_id = 0
 
     # -- nodes ---------------------------------------------------------------
@@ -334,7 +330,6 @@ class PropertyGraph:
     # -- internals --------------------------------------------------------------
 
     def _index_node(self, node: Node) -> None:
-        self.epoch += 1
         for key in self._indexed_properties:
             value = node.properties.get(key)
             if _hashable(value):
@@ -346,7 +341,6 @@ class PropertyGraph:
             labels.setdefault(label, set()).add(node.node_id)
 
     def _unindex_node(self, node: Node) -> None:
-        self.epoch += 1
         for key in self._indexed_properties:
             value = node.properties.get(key)
             if _hashable(value):
@@ -370,7 +364,6 @@ class PropertyGraph:
                     del self._type_labels[entity_type]
 
     def _index_edge(self, edge: Edge) -> None:
-        self.epoch += 1
         self._edge_label_counts[edge.label] = (
             self._edge_label_counts.get(edge.label, 0) + 1
         )
@@ -378,7 +371,6 @@ class PropertyGraph:
         self._in_by_label[(edge.target, edge.label)].append(edge.edge_id)
 
     def _unindex_edge(self, edge: Edge) -> None:
-        self.epoch += 1
         count = self._edge_label_counts.get(edge.label, 0) - 1
         if count > 0:
             self._edge_label_counts[edge.label] = count

@@ -8,7 +8,6 @@ This package implements the query parser, the dual indexer and the
 Figure 6 search workflow.
 """
 
-from repro.ir.cache import QueryCache
 from repro.ir.query_parser import ParsedQuery, QueryConceptMention, QueryParser
 from repro.ir.indexer import CreateIrIndexer, IndexedReport
 from repro.ir.ranking import label_similarity, fuse_results
@@ -18,7 +17,6 @@ __all__ = [
     "ParsedQuery",
     "QueryConceptMention",
     "QueryParser",
-    "QueryCache",
     "CreateIrIndexer",
     "IndexedReport",
     "label_similarity",

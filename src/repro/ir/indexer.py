@@ -59,7 +59,7 @@ class CreateIrIndexer:
 
     ``engine`` is a :class:`SearchEngine` or anything that offers what
     the indexer and searcher call: ``index`` / ``delete`` / ``search``
-    / ``highlight`` / ``n_documents`` / ``epoch``.
+    / ``highlight`` / ``n_documents``.
     """
 
     def __init__(
@@ -239,11 +239,6 @@ class CreateIrIndexer:
     def n_reports(self) -> int:
         """Reports currently in the keyword index."""
         return self.engine.n_documents
-
-    def epochs(self) -> tuple:
-        """``(graph.epoch, engine.epoch)`` — moves on every mutation of
-        either store; the validity stamp for cached search results."""
-        return (self.graph.epoch, self.engine.epoch)
 
     def stats(self) -> dict:
         """Aggregate indexing health counters (for ``/stats``)."""

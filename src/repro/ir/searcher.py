@@ -39,8 +39,10 @@ from repro.schema.types import is_event_label
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.metrics import MetricsRegistry
-    from repro.ir.cache import QueryCache
     from repro.ontology.normalize import ConceptNormalizer
+
+# Score bonus per query relation a document's graph realises.
+RELATION_BONUS = 1.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,48 +83,24 @@ class CreateIrSearcher:
     Args:
         indexer: the populated :class:`CreateIrIndexer`.
         parser: query parser (None = accept only pre-parsed queries).
-        relation_bonus: score bonus per matched query relation.
-
-    ``cache`` (public, ``None`` by default, set like ``metrics``) is an
-    optional fused-result cache: ``searcher.cache = QueryCache(n,
-    indexer.epochs)``.  String queries are then served from it while
-    neither store has mutated since the entry was computed.
+        metrics: registry for the ``ir.*`` query counters and timings.
     """
 
     def __init__(
         self,
         indexer: CreateIrIndexer,
         parser: QueryParser | None = None,
-        relation_bonus: float = 1.0,
         metrics: "MetricsRegistry | None" = None,
     ):
         self._indexer = indexer
         self._parser = parser
-        self.relation_bonus = relation_bonus
         self.metrics = metrics
-        self.cache: "QueryCache | None" = None
 
     # -- public API ----------------------------------------------------------
 
     def search(self, query, size: int = 10) -> list[SearchResult]:
         """Search with a raw string (parsed) or a :class:`ParsedQuery`."""
         start = time.perf_counter()
-        key = None
-        stamp = None
-        if self.cache is not None and isinstance(query, str):
-            key = ("ir", query, size)
-            cached = self.cache.get(key)
-            if cached is not None:
-                if self.metrics is not None:
-                    self.metrics.increment("ir.searches")
-                    self.metrics.increment("ir.cache_hits")
-                    self.metrics.record(
-                        "ir.search_seconds", time.perf_counter() - start
-                    )
-                return list(cached)
-            # Stamp BEFORE executing: a mutation landing mid-query must
-            # make this entry stale at store time.
-            stamp = self._indexer.epochs()
         if isinstance(query, str):
             if self._parser is None:
                 parsed = ParsedQuery(text=query)
@@ -148,8 +126,6 @@ class CreateIrSearcher:
                 graph_ranked, keyword_ranked, size
             )
         ]
-        if key is not None:
-            self.cache.put(key, list(results), stamp=stamp)
         if self.metrics is not None:
             self.metrics.increment("ir.searches")
             self.metrics.increment("ir.graph_candidates", len(graph_ranked))
@@ -183,7 +159,7 @@ class CreateIrSearcher:
         MATCH); ENTITY concepts (locations, ages, ...) are optional
         score bonuses — a query mentioning "the hospital" should not
         exclude reports from clinics.  Scoring per matched document:
-        ``sum(label similarity per matched concept) + relation_bonus *
+        ``sum(label similarity per matched concept) + RELATION_BONUS *
         matched relations``.
         """
         if not parsed.concepts:
@@ -290,7 +266,7 @@ class CreateIrSearcher:
                 )
                 score += 0.5 * best
                 detail.concept_nodes[i] = nodes[0].node_id
-        score += self.relation_bonus * matched_relations
+        score += RELATION_BONUS * matched_relations
         detail.matched_relations = matched_relations
         detail.score = score
         return detail

@@ -49,17 +49,6 @@ def html_strip(text: str) -> str:
     return _HTML_TAG_RE.sub(lambda m: " " * len(m.group()), text)
 
 
-def make_mapping_filter(mapping: dict[str, str]) -> CharFilter:
-    """Character replacement filter (like ES ``mapping`` char filter)."""
-
-    def apply(text: str) -> str:
-        for old, new in mapping.items():
-            text = text.replace(old, new)
-        return text
-
-    return apply
-
-
 # -- tokenizers ---------------------------------------------------------------
 
 # A tokenizer that splits its input into independent source words also

@@ -57,9 +57,6 @@ class SearchEngine:
         self._ordinals: dict[Any, int] = {}
         self._ids_by_ordinal: dict[int, Any] = {}
         self._next_ordinal = 0
-        # Mutation counter (index / delete): a cached result stamped
-        # with an older value is stale (repro.ir.cache).
-        self.epoch = 0
 
     def index(self, doc_id: Any, text: str) -> None:
         """Index a document's text; re-indexing replaces it in place,
@@ -72,7 +69,6 @@ class SearchEngine:
             self._ids_by_ordinal[ordinal] = doc_id
         self._texts[doc_id] = text
         self._index.add_document(ordinal, self._analyzer.analyze(text))
-        self.epoch += 1
 
     def delete(self, doc_id: Any) -> bool:
         """Remove a document; returns False when it was absent."""
@@ -82,7 +78,6 @@ class SearchEngine:
         del self._ids_by_ordinal[ordinal]
         del self._texts[doc_id]
         self._index.remove_document(ordinal)
-        self.epoch += 1
         return True
 
     @property

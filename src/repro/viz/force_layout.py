@@ -22,12 +22,6 @@ class LayoutResult:
     iterations: int
     final_max_displacement: float
 
-    def bounding_box(self) -> tuple[float, float, float, float]:
-        """(min_x, min_y, max_x, max_y) over all nodes."""
-        xs = [p[0] for p in self.positions.values()]
-        ys = [p[1] for p in self.positions.values()]
-        return (min(xs), min(ys), max(xs), max(ys))
-
 
 class ForceLayout:
     """Fruchterman–Reingold layout on a fixed canvas.

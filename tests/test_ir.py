@@ -127,7 +127,6 @@ class TestIndexer:
             )
             graphs.append(graph)
         direct, via_cypher = graphs
-        assert direct.epoch == via_cypher.epoch
         assert [
             (edge.source, edge.target, edge.label, edge.properties)
             for edge in direct.edges()

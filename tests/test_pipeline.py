@@ -95,7 +95,6 @@ class _UndurableEngine:
         for name in ("index", "delete", "search", "highlight"):
             setattr(self, name, getattr(self._engine, name))
 
-    epoch = property(lambda self: self._engine.epoch)
     n_documents = property(lambda self: self._engine.n_documents)
 
 

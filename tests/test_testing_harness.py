@@ -266,22 +266,6 @@ def _plant_rederive_skips_reregistered(monkeypatch):
     monkeypatch.setattr(CreatePipeline, "recover", recover)
 
 
-def _plant_cache_ignores_stamp(monkeypatch):
-    """Query cache that serves an entry whatever epoch it was stamped
-    under: answers survive the mutation that invalidated them."""
-    from repro.ir.cache import QueryCache
-
-    def get(self, key):
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return entry[1]
-
-    monkeypatch.setattr(QueryCache, "get", get)
-
-
 def _plant_postings_appended_at_tail(monkeypatch):
     """``InvertedIndex.add_document`` that appends every posting at the
     tail: a document re-indexed under its lower ordinal lands after
@@ -368,19 +352,6 @@ class TestCheckersHaveTeeth:
         assert messages, f"{plant.__name__} passed 60 {subsystem} cases"
         # A contract violation, not the harness tripping over the plant.
         assert not any("checker crashed" in m for m in messages), messages[0]
-
-    def test_planted_cache_bug_fails_the_property_test(
-        self, small_corpus, demo_system, monkeypatch
-    ):
-        """The result cache's oracle is the property test in test_ir_cache,
-        not a fuzz row: it must fail when stamps are ignored."""
-        from tests.test_ir_cache import (
-            test_cached_searcher_answers_like_an_uncached_one as coherence,
-        )
-
-        _plant_cache_ignores_stamp(monkeypatch)
-        with pytest.raises(AssertionError):
-            coherence(small_corpus, demo_system)
 
 
 class TestLayering:

@@ -7,13 +7,46 @@ Scores are arranged as:
   following label i.
 * ``start`` / ``end``: arrays (L,) scoring the first / last label.
 
-All computations are in log space.
+All computations are in log space.  A zero-length chain (T = 0) has
+log Z = 0.0 (the empty path) and (0, L) messages.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
+
+
+def _logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """``log(sum(exp(a)))`` along ``axis`` for a real, non-empty array.
+
+    The arithmetic of scipy 1.17's ``logsumexp``, without its array-API
+    dispatch: the maximum, the count ``m`` of elements equal to it, the
+    sum ``s`` of ``exp(a - max)`` over the others, then
+    ``log1p(s / m) + log(m) + max``.  A non-finite result falls back to
+    ``log(sum(exp(a)))``, as scipy's does.  On float64 input the bits,
+    the shape and the 0-d type equal that scipy release's, whichever
+    scipy is installed (older releases use a different formula).
+    """
+    a = np.atleast_1d(a)
+    axes = tuple(range(a.ndim)) if axis is None else axis
+    # ufunc reductions are what np.max / np.sum call, minus the wrapper.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = np.maximum.reduce(a, axis=axes, keepdims=True)
+        at_max = a == a_max
+        m = np.add.reduce(at_max, axis=axes, keepdims=True, dtype=a.dtype)
+        s = np.add.reduce(
+            np.exp(np.where(at_max, -np.inf, a) - a_max),
+            axis=axes,
+            keepdims=True,
+        )
+        s = np.where(s == 0, s, s / m)
+        out = np.log1p(s) + np.log(m) + a_max
+        finite = np.isfinite(out)
+        if not finite.all():
+            direct = np.add.reduce(np.exp(a), axis=axes, keepdims=True)
+            out = np.where(finite, out, np.log(direct))
+    out = np.squeeze(out, axis=axes)
+    return out[()] if out.ndim == 0 else out
 
 
 def viterbi(
@@ -55,13 +88,15 @@ def forward_log(
     """Forward messages (log alpha) and the log partition function."""
     n_steps, n_labels = emissions.shape
     alpha = np.empty((n_steps, n_labels))
+    if n_steps == 0:
+        return alpha, 0.0
     alpha[0] = start + emissions[0]
     for t in range(1, n_steps):
         alpha[t] = (
-            logsumexp(alpha[t - 1][:, None] + transitions, axis=0)
+            _logsumexp(alpha[t - 1][:, None] + transitions, axis=0)
             + emissions[t]
         )
-    log_z = float(logsumexp(alpha[-1] + end))
+    log_z = float(_logsumexp(alpha[-1] + end))
     return alpha, log_z
 
 
@@ -73,9 +108,11 @@ def backward_log(
     """Backward messages (log beta)."""
     n_steps, n_labels = emissions.shape
     beta = np.empty((n_steps, n_labels))
+    if n_steps == 0:
+        return beta
     beta[-1] = end
     for t in range(n_steps - 2, -1, -1):
-        beta[t] = logsumexp(
+        beta[t] = _logsumexp(
             transitions + (emissions[t + 1] + beta[t + 1])[None, :], axis=1
         )
     return beta

@@ -61,6 +61,9 @@ class LogisticRegression:
         self._v_b = np.zeros_like(self.bias)
         self._t = 0
         self._fitted = False
+        # Weight-shaped scratch that the Adam step and the l2 term reuse.
+        self._work = np.empty_like(self.weights)
+        self._denom = np.empty_like(self.weights)
 
     # -- forward ------------------------------------------------------------
 
@@ -119,7 +122,8 @@ class LogisticRegression:
         delta = probs.copy()
         delta[np.arange(n), y] -= 1.0
         delta /= n
-        grad_w = np.asarray(x.T @ delta) + self.l2 * self.weights
+        grad_w = np.asarray(x.T @ delta)
+        grad_w += np.multiply(self.weights, self.l2, out=self._work)
         grad_b = delta.sum(axis=0)
         return float(log_likelihood), grad_w, grad_b
 
@@ -137,19 +141,34 @@ class LogisticRegression:
         return grad_w, grad_b
 
     def step(self, grad_w: np.ndarray, grad_b: np.ndarray) -> None:
-        """One Adam update using internal moment state."""
+        """One Adam update using internal moment state.
+
+        The weight half runs in place over two scratch buffers, one
+        operation at a time in the order of the textbook expression
+        ``w -= lr * m_hat / (sqrt(v_hat) + eps)``, so its bits equal
+        that expression's (``repro.testing.oracles.adam_step_reference``).
+        """
         self._t += 1
-        self._m_w = self.beta1 * self._m_w + (1 - self.beta1) * grad_w
-        self._v_w = self.beta2 * self._v_w + (1 - self.beta2) * grad_w**2
+        work, denom = self._work, self._denom
+        np.multiply(grad_w, 1 - self.beta1, out=work)
+        self._m_w *= self.beta1
+        self._m_w += work
+        np.square(grad_w, out=work)
+        work *= 1 - self.beta2
+        self._v_w *= self.beta2
+        self._v_w += work
+        np.divide(self._m_w, 1 - self.beta1**self._t, out=work)
+        work *= self.learning_rate
+        np.divide(self._v_w, 1 - self.beta2**self._t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.epsilon
+        work /= denom
+        self.weights -= work
+
         self._m_b = self.beta1 * self._m_b + (1 - self.beta1) * grad_b
         self._v_b = self.beta2 * self._v_b + (1 - self.beta2) * grad_b**2
-        m_w_hat = self._m_w / (1 - self.beta1**self._t)
-        v_w_hat = self._v_w / (1 - self.beta2**self._t)
         m_b_hat = self._m_b / (1 - self.beta1**self._t)
         v_b_hat = self._v_b / (1 - self.beta2**self._t)
-        self.weights -= (
-            self.learning_rate * m_w_hat / (np.sqrt(v_w_hat) + self.epsilon)
-        )
         self.bias -= (
             self.learning_rate * m_b_hat / (np.sqrt(v_b_hat) + self.epsilon)
         )

@@ -19,6 +19,13 @@ most naive algorithm that is obviously correct:
   type (no ``(type, label)`` bucket, no stem shared between calls).
 * :func:`exhaustive_decode` — CRF Viterbi / partition function by
   enumerating every label path (pure-Python floats).
+* :class:`DenseLinearChainCRF` / :func:`crf_fit_dense` — the CRF
+  trainer as it was before its table was compacted: a dense
+  ``(n_features, L)`` emission table and Adagrad accumulator, and
+  forward-backward on ``scipy.special.logsumexp``.
+* :func:`adam_step_reference` — ``LogisticRegression.step`` as the
+  textbook expression, one temporary array per operation;
+  :func:`reference_training` trains a ``ClinicalExtractor`` with both.
 * :func:`reference_closure` — temporal transitive closure by repeated
   full relaxation over a dense pair map with immediate updates
   (Floyd–Warshall style), detecting contradictions.
@@ -36,8 +43,16 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Any, Sequence
+from contextlib import contextmanager
+from typing import Any, Iterator, Sequence
 
+import numpy as np
+from scipy.special import logsumexp
+
+import repro.ner.tagger as tagger_module
+from repro.exceptions import ModelError, NotFittedError
+from repro.ml import infer
+from repro.ml.logistic import LogisticRegression
 from repro.search.analysis import (
     CREATE_IR_ANALYZER_CONFIG,
     STANDARD_ANALYZER_CONFIG,
@@ -352,6 +367,234 @@ def exhaustive_decode(
         sum(math.exp(term - peak) for term in log_terms)
     )
     return best_score, best_path, log_z
+
+
+def scipy_has_the_ported_logsumexp() -> bool:
+    """Whether the installed scipy's ``logsumexp`` is the arithmetic
+    :func:`repro.ml.infer._logsumexp` ports (scipy 1.17's: ``log1p`` of
+    the terms below the maximum), so that the references below train
+    bit for bit like production.  Older releases take ``log`` of the
+    whole sum, which rounds ``1 + exp(-40)`` to 1 and answers 0.0."""
+    return float(logsumexp(np.array([0.0, -40.0]))) > 0.0
+
+
+def _forward_log_scipy(emissions, transitions, start, end):
+    n_steps, n_labels = emissions.shape
+    alpha = np.empty((n_steps, n_labels))
+    alpha[0] = start + emissions[0]
+    for t in range(1, n_steps):
+        alpha[t] = (
+            logsumexp(alpha[t - 1][:, None] + transitions, axis=0)
+            + emissions[t]
+        )
+    log_z = float(logsumexp(alpha[-1] + end))
+    return alpha, log_z
+
+
+def _backward_log_scipy(emissions, transitions, end):
+    n_steps, n_labels = emissions.shape
+    beta = np.empty((n_steps, n_labels))
+    beta[-1] = end
+    for t in range(n_steps - 2, -1, -1):
+        beta[t] = logsumexp(
+            transitions + (emissions[t + 1] + beta[t + 1])[None, :], axis=1
+        )
+    return beta
+
+
+def _marginals_scipy(emissions, transitions, start, end):
+    n_steps, n_labels = emissions.shape
+    alpha, log_z = _forward_log_scipy(emissions, transitions, start, end)
+    beta = _backward_log_scipy(emissions, transitions, end)
+    unary = np.exp(alpha + beta - log_z)
+    pairwise = np.empty((max(n_steps - 1, 0), n_labels, n_labels))
+    for t in range(n_steps - 1):
+        joint = (
+            alpha[t][:, None]
+            + transitions
+            + (emissions[t + 1] + beta[t + 1])[None, :]
+            - log_z
+        )
+        pairwise[t] = np.exp(joint)
+    return unary, pairwise, log_z
+
+
+class DenseLinearChainCRF:
+    """The CRF before compaction: ``_emit`` has a row for every hashed
+    index, whether training saw it or not, and each token's emission is
+    ``_emit[indices].sum(axis=0)``.  Same constructor, ``fit`` and
+    ``predict`` as :class:`repro.ml.crf.LinearChainCRF`."""
+
+    def __init__(
+        self,
+        n_features: int = 1 << 18,
+        epochs: int = 8,
+        learning_rate: float = 0.2,
+        l2: float = 1e-6,
+        seed: int = 13,
+    ):
+        self.n_features = n_features
+        self.epochs = epochs
+        self.learning_rate = learning_rate
+        self.l2 = l2
+        self.seed = seed
+        self.labels: list[str] = []
+        self._label_index: dict[str, int] = {}
+        self._emit: np.ndarray | None = None  # (n_features, L)
+        self._trans: np.ndarray | None = None  # (L, L)
+        self._start: np.ndarray | None = None
+        self._end: np.ndarray | None = None
+
+    def fit(self, sequences, label_sequences) -> "DenseLinearChainCRF":
+        if len(sequences) != len(label_sequences):
+            raise ModelError("sequences/labels count mismatch")
+        self._init_parameters(label_sequences)
+        encoded = [
+            np.asarray([self._label_index[y] for y in ys], dtype=np.int64)
+            for ys in label_sequences
+        ]
+        rng = np.random.default_rng(self.seed)
+        order = np.arange(len(sequences))
+        # Adagrad accumulators.
+        acc_emit = np.full((self.n_features, len(self.labels)), 1e-8)
+        acc_trans = np.full_like(self._trans, 1e-8)
+        acc_start = np.full_like(self._start, 1e-8)
+        acc_end = np.full_like(self._end, 1e-8)
+
+        for _ in range(self.epochs):
+            rng.shuffle(order)
+            for i in order:
+                feats, gold = sequences[i], encoded[i]
+                if len(gold) == 0:
+                    continue
+                self._update_one(
+                    feats, gold, acc_emit, acc_trans, acc_start, acc_end
+                )
+        return self
+
+    def predict(self, feats) -> list[str]:
+        if self._emit is None:
+            raise NotFittedError("DenseLinearChainCRF used before fit()")
+        if len(feats) == 0:
+            return []
+        emissions = self._emissions(feats)
+        path, _score = infer.viterbi(
+            emissions, self._trans, self._start, self._end
+        )
+        return [self.labels[y] for y in path]
+
+    def _init_parameters(self, label_sequences) -> None:
+        inventory = sorted({y for ys in label_sequences for y in ys})
+        if not inventory:
+            raise ModelError("no labels in training data")
+        self.labels = inventory
+        self._label_index = {y: i for i, y in enumerate(inventory)}
+        n_labels = len(inventory)
+        self._emit = np.zeros((self.n_features, n_labels))
+        self._trans = np.zeros((n_labels, n_labels))
+        self._start = np.zeros(n_labels)
+        self._end = np.zeros(n_labels)
+
+    def _emissions(self, feats) -> np.ndarray:
+        emissions = np.empty((len(feats), len(self.labels)))
+        for t, indices in enumerate(feats):
+            if len(indices):
+                emissions[t] = self._emit[indices].sum(axis=0)
+            else:
+                emissions[t] = 0.0
+        return emissions
+
+    def _update_one(
+        self, feats, gold, acc_emit, acc_trans, acc_start, acc_end
+    ) -> None:
+        emissions = self._emissions(feats)
+        unary, pairwise, _ = _marginals_scipy(
+            emissions, self._trans, self._start, self._end
+        )
+
+        n_labels = len(self.labels)
+        lr = self.learning_rate
+
+        # Emission gradient per token: expected (unary) minus empirical.
+        for t, indices in enumerate(feats):
+            if len(indices) == 0:
+                continue
+            grad_row = unary[t].copy()
+            grad_row[gold[t]] -= 1.0
+            grad_row += self.l2 * self._emit[indices].mean(axis=0)
+            acc_emit[indices] += grad_row**2
+            self._emit[indices] -= (
+                lr * grad_row / np.sqrt(acc_emit[indices])
+            )
+
+        # Transition gradient.
+        grad_trans = pairwise.sum(axis=0) if len(gold) > 1 else np.zeros(
+            (n_labels, n_labels)
+        )
+        for t in range(len(gold) - 1):
+            grad_trans[gold[t], gold[t + 1]] -= 1.0
+        grad_trans += self.l2 * self._trans
+        acc_trans += grad_trans**2
+        self._trans -= lr * grad_trans / np.sqrt(acc_trans)
+
+        # Start / end gradients.
+        grad_start = unary[0].copy()
+        grad_start[gold[0]] -= 1.0
+        acc_start += grad_start**2
+        self._start -= lr * grad_start / np.sqrt(acc_start)
+
+        grad_end = unary[-1].copy()
+        grad_end[gold[-1]] -= 1.0
+        acc_end += grad_end**2
+        self._end -= lr * grad_end / np.sqrt(acc_end)
+
+
+def crf_fit_dense(
+    sequences, label_sequences, **params
+) -> DenseLinearChainCRF:
+    """A :class:`DenseLinearChainCRF` fitted with ``params``."""
+    return DenseLinearChainCRF(**params).fit(sequences, label_sequences)
+
+
+# -- training ----------------------------------------------------------------
+
+
+def adam_step_reference(
+    model: LogisticRegression, grad_w: np.ndarray, grad_b: np.ndarray
+) -> None:
+    """One Adam update of ``model``, a new array per operation."""
+    model._t += 1
+    model._m_w = model.beta1 * model._m_w + (1 - model.beta1) * grad_w
+    model._v_w = model.beta2 * model._v_w + (1 - model.beta2) * grad_w**2
+    model._m_b = model.beta1 * model._m_b + (1 - model.beta1) * grad_b
+    model._v_b = model.beta2 * model._v_b + (1 - model.beta2) * grad_b**2
+    m_w_hat = model._m_w / (1 - model.beta1**model._t)
+    v_w_hat = model._v_w / (1 - model.beta2**model._t)
+    m_b_hat = model._m_b / (1 - model.beta1**model._t)
+    v_b_hat = model._v_b / (1 - model.beta2**model._t)
+    model.weights -= (
+        model.learning_rate * m_w_hat / (np.sqrt(v_w_hat) + model.epsilon)
+    )
+    model.bias -= (
+        model.learning_rate * m_b_hat / (np.sqrt(v_b_hat) + model.epsilon)
+    )
+    model._fitted = True
+
+
+@contextmanager
+def reference_training() -> Iterator[None]:
+    """Within the block, ``ClinicalExtractor.train`` fits the NER tagger
+    with :class:`DenseLinearChainCRF` and steps the temporal model with
+    :func:`adam_step_reference`; both are restored on exit."""
+    crf_class = tagger_module.LinearChainCRF
+    step = LogisticRegression.step
+    tagger_module.LinearChainCRF = DenseLinearChainCRF
+    LogisticRegression.step = adam_step_reference
+    try:
+        yield
+    finally:
+        tagger_module.LinearChainCRF = crf_class
+        LogisticRegression.step = step
 
 
 # -- temporal ----------------------------------------------------------------

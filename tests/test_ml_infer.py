@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ml import infer
+from repro.testing.oracles import scipy_has_the_ported_logsumexp
 
 
 def brute_force_best(emissions, transitions, start, end):
@@ -126,3 +127,77 @@ class TestForwardBackward:
         _labels, best = infer.viterbi(emissions, transitions, start, end)
         _alpha, log_z = infer.forward_log(emissions, transitions, start, end)
         assert best <= log_z + 1e-9
+
+
+class TestZeroLengthChain:
+    def test_empty_chain_has_log_z_zero_and_empty_messages(self):
+        emissions = np.empty((0, 3))
+        transitions, start, end = np.zeros((3, 3)), np.zeros(3), np.zeros(3)
+        alpha, log_z = infer.forward_log(emissions, transitions, start, end)
+        assert alpha.shape == (0, 3)
+        assert log_z == 0.0
+        assert infer.backward_log(emissions, transitions, end).shape == (0, 3)
+        unary, pairwise, log_z = infer.marginals(
+            emissions, transitions, start, end
+        )
+        assert unary.shape == (0, 3)
+        assert pairwise.shape == (0, 3, 3)
+        assert log_z == 0.0
+        # Viterbi already scored the empty path 0.0; the two agree.
+        assert infer.viterbi(emissions, transitions, start, end)[1] == log_z
+
+
+needs_ported_scipy = pytest.mark.skipif(
+    not scipy_has_the_ported_logsumexp(),
+    reason="this scipy's logsumexp uses an older formula than the port",
+)
+
+
+def _bits(value):
+    return type(value), np.shape(value), np.asarray(value).tobytes()
+
+
+@needs_ported_scipy
+class TestPrivateLogsumexp:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 6),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1.0, 30.0, 700.0]),
+        st.sampled_from([0.0, 695.0, -695.0]),
+        st.booleans(),
+    )
+    def test_bitwise_equal_to_scipy(
+        self, rows, cols, seed, scale, shift, ties
+    ):
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(-1.0, 1.0, size=(rows, cols)) * scale
+        if ties:
+            # Few distinct values: the maximum repeats (m > 1).
+            a = np.round(a / max(scale / 3.0, 1.0))
+        a = a + shift
+        for axis in (0, 1, None):
+            assert _bits(infer._logsumexp(a, axis=axis)) == _bits(
+                logsumexp(a, axis=axis)
+            ), (a, axis)
+        for vector in (a[0], a[:, 0]):
+            assert _bits(infer._logsumexp(vector)) == _bits(
+                logsumexp(vector)
+            )
+
+    def test_forced_ties_and_scalars(self):
+        from scipy.special import logsumexp
+
+        for a in (
+            np.array([[3.0, 3.0, 3.0], [1.0, 2.0, 2.0]]),
+            np.full((4, 4), -700.0),
+            np.array([700.0, 700.0, 699.0]),
+            np.array(5.0),
+        ):
+            for axis in (None,) + tuple(range(a.ndim)):
+                assert _bits(infer._logsumexp(a, axis=axis)) == _bits(
+                    logsumexp(a, axis=axis)
+                )

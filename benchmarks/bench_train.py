@@ -7,14 +7,16 @@ forward-backward on :func:`repro.ml.infer._logsumexp`, and the temporal
 model's Adam step works in place.
 :func:`repro.testing.oracles.reference_training` trains the same
 extractor with the code before that change: a dense ``(2^18, L)``
-table and accumulator, ``scipy.special.logsumexp``, and an Adam step
-that allocates a new array per operation.
+table and accumulator, ``scipy.special.logsumexp``, an Adam step
+that allocates a new array per operation, and the embedder's k-means++
+seeding that re-stacks every point's distance to every chosen centroid.
 
 * **Identity first**: at ``build_demo_system``'s training size (60
   reports, unlabeled sentences for the embedder, seed 13) the compact
   CRF expanded through ``_row`` equals the dense table bit for bit, as
-  do the transitions, start and end scores, the temporal weights and
-  their Adam moments, and the spans tagged on 20 held-out reports.
+  do the transitions, start and end scores, the embedder's centroids,
+  the temporal weights and their Adam moments, and the spans tagged on
+  20 held-out reports.
 * **Then the ratio**: seconds per fit both ways, one fit each in this
   process (the traced pair below runs first and warms both paths); the
   compact trainer must be >= 1.3x the reference.
@@ -101,6 +103,11 @@ def test_compact_training_against_the_dense_reference():
     assert _same_bits(crf._emit[crf._row], dense._emit)
     for name in ("_trans", "_start", "_end"):
         assert _same_bits(getattr(crf, name), getattr(dense, name)), name
+    centroids = compact.ner.embedder._centroids
+    reference_centroids = reference.ner.embedder._centroids
+    assert sorted(centroids) == sorted(reference_centroids)
+    for k, centers in centroids.items():
+        assert _same_bits(centers, reference_centroids[k]), k
     for name in ("weights", "bias", "_m_w", "_v_w"):
         assert _same_bits(
             getattr(compact.temporal.model, name),

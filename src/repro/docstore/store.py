@@ -13,7 +13,7 @@ import copy
 import json
 from typing import Any, Callable, Iterator
 
-from repro.durability.wal import encode_record
+from repro.durability.wal import encode_op
 from repro.exceptions import DocumentStoreError, DuplicateKeyError
 
 
@@ -38,7 +38,7 @@ class Collection:
 
     When ``journal`` is a list (set by the owning
     :class:`DocumentStore` under a durability manager), every mutation
-    appends one replayable op dict to it — see
+    appends one replayable op to it — see
     :class:`repro.durability.Durable`.  A mutation builds and encodes
     its op before it touches memory, then applies, then appends: an op
     the WAL cannot encode raises with the collection unchanged.
@@ -48,7 +48,7 @@ class Collection:
         self.name = name
         self._documents: dict[Any, dict] = {}
         self._id_seq = 0
-        self.journal: list | None = None
+        self.journal: list[bytes] | None = None
 
     def insert_one(self, document: dict) -> Any:
         """Insert a document; auto-assigns ``_id`` when absent.
@@ -70,9 +70,7 @@ class Collection:
             raise DuplicateKeyError(
                 f"{self.name}: duplicate _id {doc_id!r}"
             )
-        op = self._encoded(
-            {"op": "insert", "c": self.name, "doc": copy.deepcopy(stored)}
-        )
+        op = self._encoded({"op": "insert", "c": self.name, "doc": stored})
         self._id_seq = seq
         self._documents[doc_id] = stored
         self._log_op(op)
@@ -145,16 +143,14 @@ class Collection:
     def _id_for(self, seq: int) -> str:
         return f"{self.name}-{seq:08d}"
 
-    def _encoded(self, op: dict) -> dict:
-        """``op``, once the WAL is known to hold it: journaled, it is
-        encoded here, before the caller touches memory, so an op that
-        cannot be encoded raises with nothing changed."""
-        if self.journal is not None:
-            encode_record(op)
-        return op
+    def _encoded(self, op: dict) -> bytes | None:
+        """``op`` as the bytes the WAL logs (``None`` unjournaled),
+        encoded before the caller touches memory, so an op that cannot
+        be encoded raises with nothing changed."""
+        return encode_op(op) if self.journal is not None else None
 
-    def _log_op(self, op: dict) -> None:
-        if self.journal is not None:
+    def _log_op(self, op: bytes | None) -> None:
+        if op is not None:
             self.journal.append(op)
 
 
@@ -169,15 +165,15 @@ class DocumentStore:
 
     def __init__(self):
         self._collections: dict[str, Collection] = {}
-        self._journal: list | None = None
+        self._journal: list[bytes] | None = None
 
     @property
-    def journal(self) -> list | None:
+    def journal(self) -> list[bytes] | None:
         """Durability journal; assigning propagates to all collections."""
         return self._journal
 
     @journal.setter
-    def journal(self, value: list | None) -> None:
+    def journal(self, value: list[bytes] | None) -> None:
         self._journal = value
         for coll in self._collections.values():
             coll.journal = value

@@ -6,10 +6,12 @@ package gives them the missing property — a crash loses nothing that
 was acknowledged.  One :class:`DurabilityManager` journals logical
 operations from the record stores — the document store and the review
 queue — into a shared checksummed write-ahead log with group-commit
-batching and periodic snapshots; recovery replays the log and yields
-exactly the state at the last acknowledged commit, with each report's
-records appearing atomically or not at all.  The graph and keyword
-index are derived from those records and never journaled.
+batching and periodic snapshots; each op is encoded once, by
+:func:`encode_op`, and a commit only frames those bytes.  Recovery
+replays the log and yields exactly the state at the last acknowledged
+commit, with each report's records appearing atomically or not at all.
+The graph and keyword index are derived from those records and never
+journaled.
 
 :class:`FaultInjector` and :class:`MemFS` make that claim testable:
 seed-driven crash schedules (torn writes, short writes, dropped
@@ -30,7 +32,7 @@ from repro.durability.snapshot import SNAPSHOT_NAME, load_snapshot, write_snapsh
 from repro.durability.wal import (
     ReplayResult,
     WriteAheadLog,
-    encode_record,
+    encode_op,
     scan_records,
 )
 
@@ -46,7 +48,7 @@ __all__ = [
     "SNAPSHOT_NAME",
     "WriteAheadLog",
     "atomic_write",
-    "encode_record",
+    "encode_op",
     "fs_write_atomic",
     "load_snapshot",
     "scan_records",

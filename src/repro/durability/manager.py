@@ -3,8 +3,8 @@
 Commit protocol (write-behind logging with ack-after-fsync):
 
 1. Callers mutate attached stores through their normal APIs; each
-   store journals the logical operation it performed.
-2. :meth:`DurabilityManager.commit` drains every journal into **one**
+   store journals the logical operation it performed, encoded once.
+2. :meth:`DurabilityManager.commit` frames every journal into **one**
    WAL record — a report's docstore insert and its review enrollment
    travel together, which is what makes ingest atomic across the two
    record stores.  The graph and keyword index are not attached: the
@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from repro.durability.snapshot import load_snapshot, write_snapshot
-from repro.durability.wal import WAL_NAME, WriteAheadLog
+from repro.durability.wal import WAL_NAME, WriteAheadLog, record_frame
 from repro.exceptions import DurabilityError
 from repro.runtime.metrics import MetricsRegistry
 
@@ -37,12 +37,12 @@ from repro.runtime.metrics import MetricsRegistry
 class Durable(Protocol):
     """What a store must provide to ride the WAL.
 
-    ``journal`` is a list the store appends one JSON-shaped op dict to
-    per logical mutation (or ``None`` when durability is off); the
-    three methods replay ops and move whole states.
+    ``journal`` is a list the store appends one op's ``encode_op``
+    bytes to per logical mutation (or ``None`` when durability is off);
+    the three methods replay decoded ops and move whole states.
     """
 
-    journal: list | None
+    journal: list[bytes] | None
 
     def durable_apply(self, op: dict) -> None: ...
 
@@ -105,8 +105,9 @@ class DurabilityManager:
     def attach(self, name: str, store: Durable) -> None:
         """Register a store and switch its journal on.
 
-        Attach order fixes the per-record replay order; stores must be
-        independent of each other (ours are).
+        Replay applies a record's ops store by store in sorted name
+        order, not attach order; stores must be independent of each
+        other (ours are).
         """
         if name in self._stores:
             raise DurabilityError(f"store {name!r} already attached")
@@ -125,7 +126,7 @@ class DurabilityManager:
         after the group's fsync otherwise.
         """
         self._check_usable()
-        ops: dict[str, list] = {}
+        ops: dict[str, list[bytes]] = {}
         for name, store in self._stores.items():
             journal = store.journal
             if journal:
@@ -136,7 +137,7 @@ class DurabilityManager:
         lsn = self.next_lsn
         self.next_lsn += 1
         with self.metrics.time("durability.commit_seconds"):
-            self.wal.append({"lsn": lsn, "ops": ops})
+            self.wal.append(record_frame(lsn, ops))
             self._pending_lsns.append(lsn)
             self.metrics.increment("durability.commits")
             self.metrics.increment(

@@ -8,7 +8,7 @@ Records buffer in process memory until :meth:`WriteAheadLog.flush`,
 which lands the whole batch in **one** append + **one** fsync — that is
 the group commit: N commits amortize a single disk sync.  Replay scans
 records front to back and stops at the first frame that does not check
-out (bad magic, impossible length, checksum mismatch, truncated tail);
+out (bad magic, truncated frame, checksum mismatch, undecodable JSON);
 everything before it is intact by construction, everything from it on
 is a torn tail from an interrupted write and is physically truncated.
 """
@@ -26,35 +26,49 @@ WAL_NAME = "wal.log"
 
 _MAGIC = b"WALR"
 _HEADER = struct.Struct(">4sII")
-_MAX_RECORD_BYTES = 64 * 1024 * 1024  # sanity bound on the length field
 
 
-def encode_record(record: dict) -> bytes:
-    """Frame one record: magic, length, checksum, JSON payload.
+def encode_op(op: dict) -> bytes:
+    """One journaled op as the JSON bytes its WAL record carries: keys
+    sorted, no whitespace, UTF-8.
 
     Raises:
-        TypeError: the record holds a value JSON cannot carry, or one it
+        TypeError: the op holds a value JSON cannot carry, or one it
             would carry lossily (see :func:`_refuse_lossy`).
         UnicodeEncodeError: a string holds a lone surrogate.
     """
     payload = json.dumps(
-        record, sort_keys=True, ensure_ascii=False, separators=(",", ":")
+        op, sort_keys=True, ensure_ascii=False, separators=(",", ":")
     ).encode("utf-8")
-    _refuse_lossy(record)
+    _refuse_lossy(op)
+    return payload
+
+
+def record_frame(lsn: int, ops: dict[str, list[bytes]]) -> bytes:
+    """The framed record ``{"lsn": lsn, "ops": ops}`` spliced from each
+    store's :func:`encode_op` bytes, stores in sorted name order: the
+    bytes a whole-record ``json.dumps`` gives, with no op encoded again.
+    """
+    stores = b",".join(
+        b"%b:[%b]"
+        % (json.dumps(name, ensure_ascii=False).encode(), b",".join(ops[name]))
+        for name in sorted(ops)
+    )
+    payload = b'{"lsn":%d,"ops":{%b}}' % (lsn, stores)
     return _HEADER.pack(_MAGIC, len(payload), zlib.crc32(payload)) + payload
 
 
-def _refuse_lossy(record: dict) -> None:
+def _refuse_lossy(op) -> None:
     """Raise ``TypeError`` at the first value that ``json.dumps``
     accepted but replay would not give back equal: a tuple (it decodes
     as a list) or a dict key that is not a ``str`` (it decodes as one).
 
-    Called only after ``json.dumps`` succeeded, so the record holds no
+    Called only after ``json.dumps`` succeeded, so the op holds no
     cycle and no leaf but ``str``, numbers, ``bool`` and ``None``.
     NaN and the infinities pass: they round-trip as ``NaN`` /
     ``Infinity``.
     """
-    stack: list = [record]
+    stack: list = [op]
     while stack:
         value = stack.pop()
         if isinstance(value, dict):
@@ -92,9 +106,6 @@ def scan_records(data: bytes) -> ReplayResult:
         if magic != _MAGIC:
             result.torn, result.torn_reason = True, "bad magic"
             break
-        if length > _MAX_RECORD_BYTES:
-            result.torn, result.torn_reason = True, "implausible length"
-            break
         start = offset + _HEADER.size
         end = start + length
         if end > len(data):
@@ -126,19 +137,11 @@ class WriteAheadLog:
     def __init__(self, fs):
         self.fs = fs
         self._buffer: list[bytes] = []
-        self.appended_records = 0
-        self.flushes = 0
         self.bytes_written = 0
 
-    @property
-    def buffered(self) -> int:
-        """Records appended but not yet flushed (not durable)."""
-        return len(self._buffer)
-
-    def append(self, record: dict) -> None:
-        """Buffer one record (durable only after :meth:`flush`)."""
-        self._buffer.append(encode_record(record))
-        self.appended_records += 1
+    def append(self, frame: bytes) -> None:
+        """Buffer one framed record (durable only after :meth:`flush`)."""
+        self._buffer.append(frame)
 
     def flush(self) -> None:
         """Group-commit the buffer: one append, one fsync.
@@ -156,7 +159,6 @@ class WriteAheadLog:
         except OSError as exc:
             raise DurabilityError(f"WAL flush failed: {exc}") from exc
         self._buffer.clear()
-        self.flushes += 1
         self.bytes_written += len(batch)
 
     def replay(self, truncate_torn: bool = True) -> ReplayResult:

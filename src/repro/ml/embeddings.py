@@ -306,21 +306,20 @@ def _kmeans(
     k = min(k, n)
     rng = np.random.default_rng(seed)
 
-    # k-means++ seeding.
+    # k-means++ seeding; ``distances`` is each point's squared distance
+    # to its nearest chosen centroid, lowered as each one is chosen.
     centroids = [vectors[int(rng.integers(0, n))]]
+    distances = np.sum((vectors - centroids[0]) ** 2, axis=1)
     for _ in range(1, k):
-        distances = np.min(
-            np.stack(
-                [np.sum((vectors - c) ** 2, axis=1) for c in centroids]
-            ),
-            axis=0,
-        )
         total = distances.sum()
         if total <= 0:
-            centroids.append(vectors[int(rng.integers(0, n))])
-            continue
-        probabilities = distances / total
-        centroids.append(vectors[int(rng.choice(n, p=probabilities))])
+            centroid = vectors[int(rng.integers(0, n))]
+        else:
+            centroid = vectors[int(rng.choice(n, p=distances / total))]
+        centroids.append(centroid)
+        distances = np.minimum(
+            distances, np.sum((vectors - centroid) ** 2, axis=1)
+        )
     centers = np.stack(centroids)
 
     for _ in range(n_iterations):

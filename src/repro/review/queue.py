@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from repro.annotation.agreement import AgreementReport, agreement, cohens_kappa
 from repro.annotation.brat import parse_ann_unverified, serialize_ann
 from repro.annotation.model import AnnotationDocument
-from repro.durability.wal import encode_record
+from repro.durability.wal import encode_op
 from repro.exceptions import AnnotationError, ReviewError
 from repro.ner.encoding import bio_encode, spans_of_document
 from repro.review.model import (
@@ -82,7 +82,7 @@ class ReviewQueue:
         self._documents: dict[str, AnnotationDocument] = {}
         self._claims: dict[str, Claim] = {}
         self._decisions: dict[str, list[Decision]] = {}
-        self.journal: list | None = None
+        self.journal: list[bytes] | None = None
 
     # -- enrollment --------------------------------------------------------
 
@@ -128,8 +128,7 @@ class ReviewQueue:
         # state, and replay must forget it too.
         op = self._encoded({"op": "drop", "doc": doc_id}) if enrolled else None
         removed = self._apply_drop(doc_id)
-        if op is not None:
-            self._log(op)
+        self._log(op)
         return removed
 
     # -- review ------------------------------------------------------------
@@ -568,14 +567,12 @@ class ReviewQueue:
             )
         return doc
 
-    def _encoded(self, op: dict) -> dict:
-        """``op``, once the WAL is known to hold it: journaled, it is
-        encoded here, before the caller touches memory, so an op that
-        cannot be encoded raises with nothing changed."""
-        if self.journal is not None:
-            encode_record(op)
-        return op
+    def _encoded(self, op: dict) -> bytes | None:
+        """``op`` as the bytes the WAL logs (``None`` unjournaled),
+        encoded before the caller touches memory, so an op that cannot
+        be encoded raises with nothing changed."""
+        return encode_op(op) if self.journal is not None else None
 
-    def _log(self, op: dict) -> None:
-        if self.journal is not None:
+    def _log(self, op: bytes | None) -> None:
+        if op is not None:
             self.journal.append(op)

@@ -24,8 +24,11 @@ most naive algorithm that is obviously correct:
   ``(n_features, L)`` emission table and Adagrad accumulator, and
   forward-backward on ``scipy.special.logsumexp``.
 * :func:`adam_step_reference` — ``LogisticRegression.step`` as the
-  textbook expression, one temporary array per operation;
-  :func:`reference_training` trains a ``ClinicalExtractor`` with both.
+  textbook expression, one temporary array per operation.
+* :func:`kmeans_reference` — the embedder's k-means with k-means++
+  seeding that recomputes every point's distance to every chosen
+  centroid on each step; :func:`reference_training` trains a
+  ``ClinicalExtractor`` with all three.
 * :func:`reference_closure` — temporal transitive closure by repeated
   full relaxation over a dense pair map with immediate updates
   (Floyd–Warshall style), detecting contradictions.
@@ -33,6 +36,9 @@ most naive algorithm that is obviously correct:
   every joint label assignment and keeping the rule-consistent ones.
 * :func:`reference_fuse` — the Figure-6 fusion policy restated from
   its docstring contract.
+* :func:`encode_record` — a whole WAL record framed from one
+  ``json.dumps`` of the record dict, the reference for the commit that
+  splices each op's bytes.
 
 Oracles share only *input parsing* helpers with the production code
 (analyzers, relation algebras); every indexed/optimized code path they
@@ -42,13 +48,17 @@ check is reimplemented independently.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import struct
+import zlib
 from contextlib import contextmanager
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 from scipy.special import logsumexp
 
+import repro.ml.embeddings as embeddings_module
 import repro.ner.tagger as tagger_module
 from repro.exceptions import ModelError, NotFittedError
 from repro.ml import infer
@@ -581,20 +591,73 @@ def adam_step_reference(
     model._fitted = True
 
 
+def kmeans_reference(
+    vectors: np.ndarray, k: int, seed: int, n_iterations: int = 12
+) -> np.ndarray:
+    """Lloyd's k-means with k-means++ style seeding; returns centroids.
+
+    Each seeding step stacks every point's distance to every centroid
+    chosen so far and takes the minimum: O(k^2 n) where the production
+    ``_kmeans`` keeps a running minimum.
+    """
+    n = len(vectors)
+    if n == 0:
+        return np.zeros((0, vectors.shape[1] if vectors.ndim == 2 else 1))
+    k = min(k, n)
+    rng = np.random.default_rng(seed)
+
+    centroids = [vectors[int(rng.integers(0, n))]]
+    for _ in range(1, k):
+        distances = np.min(
+            np.stack(
+                [np.sum((vectors - c) ** 2, axis=1) for c in centroids]
+            ),
+            axis=0,
+        )
+        total = distances.sum()
+        if total <= 0:
+            centroids.append(vectors[int(rng.integers(0, n))])
+            continue
+        probabilities = distances / total
+        centroids.append(vectors[int(rng.choice(n, p=probabilities))])
+    centers = np.stack(centroids)
+
+    for _ in range(n_iterations):
+        distances = (
+            np.sum(vectors**2, axis=1, keepdims=True)
+            - 2.0 * vectors @ centers.T
+            + np.sum(centers**2, axis=1)[None, :]
+        )
+        assignment = np.argmin(distances, axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            members = vectors[assignment == j]
+            if len(members):
+                new_centers[j] = members.mean(axis=0)
+        if np.allclose(new_centers, centers):
+            break
+        centers = new_centers
+    return centers
+
+
 @contextmanager
 def reference_training() -> Iterator[None]:
     """Within the block, ``ClinicalExtractor.train`` fits the NER tagger
-    with :class:`DenseLinearChainCRF` and steps the temporal model with
-    :func:`adam_step_reference`; both are restored on exit."""
+    with :class:`DenseLinearChainCRF`, steps the temporal model with
+    :func:`adam_step_reference` and clusters the embedder's vectors
+    with :func:`kmeans_reference`; all three are restored on exit."""
     crf_class = tagger_module.LinearChainCRF
     step = LogisticRegression.step
+    kmeans = embeddings_module._kmeans
     tagger_module.LinearChainCRF = DenseLinearChainCRF
     LogisticRegression.step = adam_step_reference
+    embeddings_module._kmeans = kmeans_reference
     try:
         yield
     finally:
         tagger_module.LinearChainCRF = crf_class
         LogisticRegression.step = step
+        embeddings_module._kmeans = kmeans
 
 
 # -- temporal ----------------------------------------------------------------
@@ -735,3 +798,17 @@ def reference_fuse(
             seen.add(doc_id)
             out.append((doc_id, score, engine))
     return out[:size]
+
+
+# -- durability --------------------------------------------------------------
+
+
+def encode_record(record: dict) -> bytes:
+    """One WAL frame — ``b"WALR"``, u32be length, u32be crc32, payload —
+    with the payload from a single ``json.dumps`` of the whole record
+    (keys sorted, no whitespace, UTF-8)."""
+    payload = json.dumps(
+        record, sort_keys=True, ensure_ascii=False, separators=(",", ":")
+    ).encode("utf-8")
+    header = struct.pack(">4sII", b"WALR", len(payload), zlib.crc32(payload))
+    return header + payload

@@ -300,10 +300,10 @@ def test_refused_surrogate_cohort_is_not_applied_on_a_durable_app():
 
 def _insert_applied_before_encoded(self, document):
     """The ordering encode-then-apply replaced: memory first, and the
-    op encoded only when the manager seals the journal."""
+    op encoded only after it."""
     stored = copy.deepcopy(document)
     self._documents[stored["_id"]] = stored
-    self._log_op({"op": "insert", "c": self.name, "doc": copy.deepcopy(stored)})
+    self._log_op(self._encoded({"op": "insert", "c": self.name, "doc": stored}))
     return stored["_id"]
 
 
@@ -321,8 +321,8 @@ def test_a_record_the_log_cannot_hold_changes_nothing():
 
 
 def test_apply_before_encode_leaves_memory_ahead_of_the_log(monkeypatch):
-    # Planted bug: the docstore applies an insert before anything has
-    # encoded it, so the failure surfaces at commit, after the apply.
+    # Planted bug: the docstore applies an insert before it encodes it,
+    # so the encode fails after the apply and the log never hears of it.
     monkeypatch.setattr(
         Collection, "insert_one", _insert_applied_before_encoded
     )
@@ -330,8 +330,8 @@ def test_apply_before_encode_leaves_memory_ahead_of_the_log(monkeypatch):
     recovered = _RecoveredState(app)
     cohorts = app.store.collection("cohorts")
     app.durability.commit()
-    cohorts.insert_one({"_id": "bad", "tags": {"a set"}})
     with pytest.raises(TypeError):
-        app.durability.commit()
+        cohorts.insert_one({"_id": "bad", "tags": {"a set"}})
+    assert app.durability.commit() is None
     assert cohorts.get("bad") is not None
     assert _live_state(app) != recovered()

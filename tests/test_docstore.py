@@ -1,5 +1,7 @@
 """Tests for the document store (MongoDB analog)."""
 
+import json
+
 import pytest
 
 from repro.docstore.store import Collection, DocumentStore
@@ -10,6 +12,7 @@ from repro.durability import (
     write_snapshot,
 )
 from repro.exceptions import DocumentStoreError, DuplicateKeyError
+from repro.testing.oracles import encode_record
 
 
 class TestCollection:
@@ -85,7 +88,8 @@ class TestDocumentStore:
         reports = store.collection("reports")
         reports.insert_one({"_id": "a", "cat": "cvd"})
         reports.delete_one("a")
-        assert store.journal == [
+        assert all(isinstance(op, bytes) for op in store.journal)
+        assert [json.loads(op) for op in store.journal] == [
             {"op": "ensure", "c": "reports"},
             {"op": "insert", "c": "reports", "doc": {"_id": "a", "cat": "cvd"}},
             {"op": "delete", "c": "reports", "id": "a"},
@@ -121,9 +125,9 @@ class TestDocumentStore:
             fs, 2, {"docstore": {"collections": {"reports": reports_state}}}
         )
         wal = WriteAheadLog(fs)
-        wal.append({"lsn": 3, "ops": {"docstore": tail}})
+        wal.append(encode_record({"lsn": 3, "ops": {"docstore": tail}}))
         delete = {"op": "delete", "c": "reports", "id": "b"}
-        wal.append({"lsn": 4, "ops": {"docstore": [delete]}})
+        wal.append(encode_record({"lsn": 4, "ops": {"docstore": [delete]}}))
         wal.flush()
 
         store = DocumentStore()

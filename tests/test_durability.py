@@ -4,7 +4,12 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import repro.docstore.store as store_module
+import repro.durability.wal as wal_module
+import repro.review.queue as queue_module
+from repro.annotation.model import AnnotationDocument
 from repro.api.app import CreateApplication
 from repro.docstore.store import DocumentStore
 from repro.durability import (
@@ -15,14 +20,16 @@ from repro.durability import (
     OsFileSystem,
     WriteAheadLog,
     atomic_write,
-    encode_record,
+    encode_op,
     load_snapshot,
     scan_records,
 )
+from repro.durability.wal import record_frame
 from repro.exceptions import DurabilityError, PipelineError
 from repro.ir.indexer import CreateIrIndexer
 from repro.ir.searcher import CreateIrSearcher
 from repro.pipeline import CreatePipeline
+from repro.testing.oracles import encode_record
 
 
 def _attached_manager(fs, **kwargs):
@@ -55,15 +62,15 @@ class TestWriteAheadLog:
         wal = WriteAheadLog(fs)
         records = [{"lsn": i, "ops": {"docstore": [{"op": "x"}]}} for i in (1, 2, 3)]
         for record in records:
-            wal.append(record)
+            wal.append(encode_record(record))
         wal.flush()
         assert WriteAheadLog(fs).replay().records == records
 
     def test_truncated_final_record_is_dropped(self):
         fs = MemFS()
         wal = WriteAheadLog(fs)
-        wal.append({"lsn": 1})
-        wal.append({"lsn": 2})
+        wal.append(encode_record({"lsn": 1}))
+        wal.append(encode_record({"lsn": 2}))
         wal.flush()
         data = fs.read_bytes("wal.log")
         fs.remove("wal.log")
@@ -81,7 +88,7 @@ class TestWriteAheadLog:
         fs = MemFS()
         wal = WriteAheadLog(fs)
         for lsn in (1, 2, 3):
-            wal.append({"lsn": lsn})
+            wal.append(encode_record({"lsn": lsn}))
         wal.flush()
         data = bytearray(fs.read_bytes("wal.log"))
         frame = len(encode_record({"lsn": 1}))  # full frame, header included
@@ -94,6 +101,23 @@ class TestWriteAheadLog:
         assert [r["lsn"] for r in result.records] == [1]
         assert result.torn
         assert "checksum" in result.torn_reason
+
+    def test_record_over_64_mib_is_not_a_torn_tail(self):
+        # Recovery once took any length field over 64 MiB for a torn
+        # tail and truncated the log there, acknowledged records and all.
+        big = encode_record(
+            {"lsn": 1, "ops": {"docstore": [{"pad": "a" * (64 * 2**20)}]}}
+        )
+        fs = MemFS()
+        fs.append("wal.log", big + encode_record({"lsn": 2}))
+        fs.fsync("wal.log")
+        del big
+        size = len(fs.read_bytes("wal.log"))
+        result = WriteAheadLog(fs).replay(truncate_torn=True)
+        assert not result.torn
+        assert [r["lsn"] for r in result.records] == [1, 2]
+        assert len(result.records[0]["ops"]["docstore"][0]["pad"]) == 64 * 2**20
+        assert len(fs.read_bytes("wal.log")) == size
 
     def test_scan_rejects_bad_magic(self):
         result = scan_records(b"XXXX" + b"\x00" * 20)
@@ -117,7 +141,7 @@ class TestLosslessRecords:
     )
     def test_encode_refuses_what_would_not_decode_equal(self, doc):
         with pytest.raises(TypeError):
-            encode_record({"lsn": 1, "ops": {"docstore": [doc]}})
+            encode_op({"op": "insert", "c": "reports", "doc": doc})
 
     def test_lossy_insert_changes_nothing_and_recovers_equal(self):
         fs = MemFS()
@@ -168,11 +192,182 @@ class TestLosslessRecords:
                 ]
             },
         }
-        assert encode_record(record) == (
+        pinned = (
             b"WALR\x00\x00\x00i\x19\xe3\xea\x17"
             b'{"lsn":7,"ops":{"docstore":[{"c":"r","doc":{"_id":"\xc3\xa9",'
             b'"n":[1,2.5,null,true,{"k":NaN}]},"op":"insert"}]}}'
         )
+        assert encode_record(record) == pinned
+        ops = {
+            name: [encode_op(op) for op in store_ops]
+            for name, store_ops in record["ops"].items()
+        }
+        assert record_frame(7, ops) == pinned
+
+
+class _BareStore:
+    """A ``Durable`` store whose journal the test fills by hand."""
+
+    journal = None
+
+    def durable_apply(self, op):
+        pass
+
+    def durable_snapshot(self):
+        return {}
+
+    def durable_restore(self, state):
+        pass
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+_OPS = st.lists(
+    st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=4),
+    max_size=4,
+)
+
+
+class TestSplicedRecords:
+    """The commit splices each op's own bytes into the record; the frame
+    must be the one a whole-record ``json.dumps`` gives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.text(min_size=1, max_size=5), _OPS),
+            min_size=1,
+            max_size=4,
+            unique_by=lambda pair: pair[0],
+        )
+    )
+    def test_commit_frame_equals_the_whole_record_encode(self, stores):
+        fs = MemFS()
+        manager = DurabilityManager(fs)
+        for name, ops in stores:  # attached in generated, unsorted order
+            store = _BareStore()
+            manager.attach(name, store)
+            store.journal.extend(encode_op(op) for op in ops)
+        lsn = manager.commit()
+        record = {"lsn": 1, "ops": {name: ops for name, ops in stores if ops}}
+        if not record["ops"]:
+            assert lsn is None and not fs.exists("wal.log")
+            return
+        assert lsn == 1
+        assert fs.read_bytes("wal.log") == encode_record(record)
+
+    def test_non_ascii_unsorted_stores_and_empty_containers(self):
+        fs = MemFS()
+        manager = DurabilityManager(fs)
+        stores = [
+            ("zeta", [{"a": {}, "b": []}, {"n": float("-inf")}]),
+            ("\u00e9t\u00e9", [{"x": [[{}], {"y": float("nan")}]}]),
+            ("alpha", [{}]),
+            ("m\u00fc", []),
+        ]
+        for name, ops in stores:
+            store = _BareStore()
+            manager.attach(name, store)
+            store.journal.extend(encode_op(op) for op in ops)
+        manager.commit()
+        assert fs.read_bytes("wal.log") == encode_record(
+            {"lsn": 1, "ops": {name: ops for name, ops in stores if ops}}
+        )
+
+
+class TestEncodeOnce:
+    """Each journaled op is JSON-encoded once, by its store, before it
+    is applied; the commit frames those bytes and encodes no op."""
+
+    def test_one_encode_per_op_and_none_in_commit(self, monkeypatch):
+        encodes = {"docstore": 0, "review": 0, "in_commit": 0}
+        real_encode_op, real_dumps = wal_module.encode_op, json.dumps
+
+        def counting(name):
+            def encode(op):
+                encodes[name] += 1
+                return real_encode_op(op)
+
+            return encode
+
+        monkeypatch.setattr(store_module, "encode_op", counting("docstore"))
+        monkeypatch.setattr(queue_module, "encode_op", counting("review"))
+
+        def dumps_in_commit(value, *args, **kwargs):
+            if isinstance(value, (dict, list)):
+                encodes["in_commit"] += 1
+            return real_dumps(value, *args, **kwargs)
+
+        manager = DurabilityManager(MemFS())
+        journaled = []
+        real_commit = manager.commit
+
+        def commit():
+            journaled.append(
+                {
+                    name: list(store.journal)
+                    for name, store in (
+                        ("docstore", app.store),
+                        ("review", app.review),
+                    )
+                    if store.journal
+                }
+            )
+            monkeypatch.setattr(json, "dumps", dumps_in_commit)
+            monkeypatch.setattr(wal_module, "encode_op", counting("in_commit"))
+            try:
+                return real_commit()
+            finally:
+                monkeypatch.setattr(json, "dumps", real_dumps)
+                monkeypatch.setattr(wal_module, "encode_op", real_encode_op)
+
+        manager.commit = commit
+        app = TestApiIntegration()._app(manager)
+        annotations = AnnotationDocument(doc_id="r1", text="fever and cough")
+        annotations.add_textbound("Symptom", 0, 5)
+        app.register_report(
+            {"_id": "r1", "title": "t", "text": "fever and cough"},
+            annotations=annotations,
+        )
+        response = app.handle(
+            "POST",
+            "/review/claims/r1:T1/decision",
+            body={"reviewer": "ann", "verdict": "accept"},
+        )
+        assert response.ok, response.body
+
+        assert [sorted(ops) for ops in journaled] == [
+            ["docstore", "review"],
+            ["review"],
+        ]
+        assert encodes == {
+            "docstore": sum(len(ops.get("docstore", ())) for ops in journaled),
+            "review": sum(len(ops["review"]) for ops in journaled),
+            "in_commit": 0,
+        }
+        records = manager.wal.replay().records
+        assert len(records) == len(journaled)
+        for record, ops in zip(records, journaled):
+            for name, entries in ops.items():
+                assert all(isinstance(entry, bytes) for entry in entries)
+                assert [json.loads(e) for e in entries] == record["ops"][name]
+        kinds = [
+            [op["op"] for op in record["ops"][name]]
+            for record in records
+            for name in sorted(record["ops"])
+        ]
+        assert kinds == [["ensure", "insert"], ["enqueue"], ["decide"]]
 
 
 class TestAtomicWrite:

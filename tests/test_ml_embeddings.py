@@ -5,6 +5,7 @@ import pytest
 
 from repro.exceptions import NotFittedError
 from repro.ml.embeddings import CharNgramEmbedder, _kmeans
+from repro.testing.oracles import kmeans_reference
 
 SENTENCES = [
     ["the", "patient", "had", "fever", "and", "cough"],
@@ -113,3 +114,25 @@ class TestKmeans:
         norms = sorted(np.linalg.norm(centers, axis=1))
         assert norms[0] < 1.0
         assert norms[1] > 10.0
+
+    @pytest.mark.parametrize(
+        "shape, k",
+        [((400, 16), 64), ((50, 8), 16), ((10, 4), 16), ((1, 3), 4)],
+    )
+    def test_running_minimum_seeding_equals_the_reference(self, shape, k):
+        vectors = np.random.default_rng(4).normal(size=shape)
+        assert _kmeans(vectors, k, seed=1).tobytes() == (
+            kmeans_reference(vectors, k, seed=1).tobytes()
+        )
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [np.ones((30, 5)), np.repeat(np.eye(2, 4), 10, axis=0)],
+        ids=["all-duplicates", "two-distinct-points"],
+    )
+    def test_seeding_with_no_distance_left_equals_the_reference(self, vectors):
+        # Once every point sits on a chosen centroid, ``total <= 0``
+        # draws each further one uniformly, from the same generator.
+        assert _kmeans(vectors, 20, seed=2).tobytes() == (
+            kmeans_reference(vectors, 20, seed=2).tobytes()
+        )

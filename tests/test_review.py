@@ -86,8 +86,8 @@ class TestClaimModel:
         )
         assert [c.kind for c in claims] == ["mention", "mention", "relation"]
         replayed = ReviewQueue()
-        for op in json.loads(json.dumps(queue.journal)):
-            replayed.durable_apply(op)
+        for op in queue.journal:
+            replayed.durable_apply(json.loads(op))
         assert replayed.claims_of("r1") == claims
         assert replayed.claim("r1:R1").to_json() == {
             "claim_id": "r1:R1",
@@ -383,8 +383,8 @@ class TestStandoffRoundTrip:
             ann_id: doc.is_negated(ann_id) for ann_id in doc.textbounds
         }
         replayed, restored = ReviewQueue(), ReviewQueue()
-        for op in json.loads(json.dumps(live.journal)):
-            replayed.durable_apply(op)
+        for op in live.journal:
+            replayed.durable_apply(json.loads(op))
         restored.durable_restore(json.loads(json.dumps(live.durable_snapshot())))
         for queue in (replayed, restored):
             assert queue.claims_of("r") == claims
@@ -572,7 +572,7 @@ class TestReviewDurability:
         assert [c.span_id for c in claims] == ["T1", "T2"]
         replayed = ReviewQueue()
         for op in live.journal:
-            replayed.durable_apply(op)
+            replayed.durable_apply(json.loads(op))
         assert replayed.claims_of("r1") == claims
 
     def test_enrolled_document_is_the_queues_own(self):
@@ -595,6 +595,8 @@ class TestReviewDurability:
         with pytest.raises(ReviewError):
             queue.enqueue_document("r2", noted)
         assert queue.journal == [] and queue.documents() == []
+        queue.enqueue_document("r3", _doc("r3", "fever", [("Symptom", "fever")]))
+        assert [json.loads(op)["doc"] for op in queue.journal] == ["r3"]
 
     def test_unknown_journal_op(self):
         with pytest.raises(ReviewError):
